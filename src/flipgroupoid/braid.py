@@ -26,8 +26,6 @@ __all__ = [
     "is_identity",
     "equal",
     "conjugate",
-    "inverse",
-    "concat",
     "delta_word",
 ]
 
@@ -254,27 +252,11 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
     return normal_form(w1) == normal_form(w2)
 
 
-def concat(*words: BraidWord) -> BraidWord:
-    out = words[0]
-    for w in words[1:]:
-        out = out * w
-    return out
-
-
-def inverse(w: BraidWord) -> BraidWord:
-    return w.inverse()
-
-
 def conjugate(g: BraidWord, w: BraidWord) -> BraidWord:
     """Right conjugation g^{-1} w g."""
     if g.strands != w.strands:
         raise ValueError("strand counts differ")
     return g.inverse() * w * g
-
-
-def canonical_word(w: BraidWord) -> BraidWord:
-    """Shortest-bookkeeping canonical representative: the flattened NF."""
-    return normal_form(w).word()
 
 
 def permutation_image(w: BraidWord) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ import sys
 
 from . import braid
 from .braid import BraidWord
-from .cover import build_cover_ball, oracle_for_surface
+from .cover import build_cover_ball, disc_start_frame, oracle_for_surface
 from .exchange import (
     TruncationError,
     enumerate_graph,
@@ -85,7 +85,6 @@ def _load_graph(path: str):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="flipgroupoid")
     ap.add_argument("--threads", type=int, default=1, help="wall-time only; outputs are identical")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("surface", help="construct triangulations")
@@ -187,7 +186,7 @@ def _run(args) -> int:
             if not t.surface.is_disc:
                 return _fail("usage", "--verify needs a disc surface (braid oracle)", 2)
             g = enumerate_graph(t)
-            report = local_twist_relation_report(g, 0)
+            report = local_twist_relation_report(g, 0, disc_start_frame(g))
             out["verification"] = report
             code = 0 if report["all_hold"] else 1
         _write(args.out, _dump(out))

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 from . import braid
 from .braid import BraidWord
-from .exchange import ExchangeGraph, TruncationError, all_relation_instances, relation_instances
+from .exchange import ExchangeGraph, TruncationError, all_relation_instances, enumerate_graph
+from .surface import polygon_fan
 
 __all__ = [
     "BraidOracle",
@@ -42,78 +43,41 @@ __all__ = [
     "transport_frame",
     "frame_transport_move",
     "frame_at",
+    "disc_start_frame",
     "CoverBall",
     "build_cover_ball",
 ]
 
 
-class BraidOracle:
-    """Garside-backed word arithmetic in B_strands; words are letter tuples."""
+def free_reduce(word) -> tuple[int, ...]:
+    """Free reduction of a word in signed generator indices."""
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
 
-    kind = "braid"
 
-    def __init__(self, strands: int):
-        self.strands = strands
+def inverse_word(word) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(word))
+
+
+class _WordOracle:
+    """Word arithmetic on letter tuples; subclasses define ``canon``."""
 
     def generator(self, i: int) -> tuple[int, ...]:
         return (i,)
 
-    def canon(self, word) -> tuple[int, ...]:
-        return braid.normal_form(BraidWord(self.strands, word)).word().letters
-
     def inv(self, word) -> tuple[int, ...]:
-        return tuple(-x for x in reversed(word))
+        return inverse_word(word)
 
     def mul(self, *words) -> tuple[int, ...]:
-        out = []
-        for w in words:
-            out.extend(w)
-        return self.canon(tuple(out))
+        return self.canon(tuple(x for w in words for x in w))
 
     def conj(self, word, by) -> tuple[int, ...]:
         """by^{-1} . word . by, renormalized."""
-        return self.mul(self.inv(by), word, by)
-
-    def is_id(self, word) -> bool:
-        return braid.is_identity(BraidWord(self.strands, word))
-
-    def eq(self, w1, w2) -> bool:
-        return self.canon(w1) == self.canon(w2)
-
-    def entry_ok(self, word) -> bool:
-        return braid.looks_like_band_generator(BraidWord(self.strands, word))
-
-
-class FreeGroupOracle:
-    """Free group on ``rank`` generators; canonical form is free reduction."""
-
-    kind = "free"
-
-    def __init__(self, rank: int):
-        self.rank = rank
-
-    def generator(self, i: int) -> tuple[int, ...]:
-        return (i,)
-
-    def canon(self, word) -> tuple[int, ...]:
-        out: list[int] = []
-        for x in word:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
-
-    def inv(self, word):
-        return tuple(-x for x in reversed(word))
-
-    def mul(self, *words):
-        out = []
-        for w in words:
-            out.extend(w)
-        return self.canon(tuple(out))
-
-    def conj(self, word, by):
         return self.mul(self.inv(by), word, by)
 
     def is_id(self, word) -> bool:
@@ -121,6 +85,33 @@ class FreeGroupOracle:
 
     def eq(self, w1, w2) -> bool:
         return self.canon(w1) == self.canon(w2)
+
+
+class BraidOracle(_WordOracle):
+    """Garside-backed word arithmetic in B_strands."""
+
+    kind = "braid"
+
+    def __init__(self, strands: int):
+        self.strands = strands
+
+    def canon(self, word) -> tuple[int, ...]:
+        return braid.normal_form(BraidWord(self.strands, word)).word().letters
+
+    def entry_ok(self, word) -> bool:
+        return braid.looks_like_band_generator(BraidWord(self.strands, word))
+
+
+class FreeGroupOracle(_WordOracle):
+    """Free group on ``rank`` generators; canonical form is free reduction."""
+
+    kind = "free"
+
+    def __init__(self, rank: int):
+        self.rank = rank
+
+    def canon(self, word) -> tuple[int, ...]:
+        return free_reduce(word)
 
     def entry_ok(self, word) -> bool:
         w = self.canon(word)
@@ -244,6 +235,22 @@ def frame_at(g: ExchangeGraph, v: int, frame0: TwistFrame | None = None) -> Twis
     for k in path:
         cur, frame = frame_transport_move(g, frame, cur, k, forward=True)
     return frame
+
+
+def disc_start_frame(g: ExchangeGraph) -> TwistFrame:
+    """Twist frame at vertex 0 of a disc graph started anywhere.
+
+    The base frame sigma_1 .. sigma_n by arc label holds on the fan only, so
+    the frame is transported from the fan to the triangulation with vertex
+    0's chords and its entries are matched to vertex 0's arcs by chord.
+    """
+    fan = enumerate_graph(polygon_fan(g.surface.m))
+    t0 = g.vertices[0].triangulation
+    chords = t0.disc_chords()
+    w = next(u for u, vx in enumerate(fan.vertices) if vx.triangulation.disc_chords() == chords)
+    frame = frame_at(fan, w)
+    arc_of = {c: arc for arc, c in enumerate(fan.vertices[w].triangulation.arc_chords(), 1)}
+    return TwistFrame(tuple(frame.entry(arc_of[c]) for c in t0.arc_chords()), frame.oracle)
 
 
 def _bfs_path(g: ExchangeGraph, v: int) -> list[int]:

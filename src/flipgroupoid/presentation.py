@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import braid
 from .braid import BraidWord
-from .cover import TwistFrame, frame_at
+from .cover import TwistFrame, frame_at, free_reduce, inverse_word
 from .exchange import ExchangeGraph
 from .surface import QuiverWithPotential
 
@@ -33,31 +33,17 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-def _reduce(word) -> Word:
-    out: list[int] = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def _inv(word) -> Word:
-    return tuple(-x for x in reversed(word))
-
-
 def _conj(word, by) -> Word:
     """word^by = by^-1 . word . by"""
-    return _reduce(_inv(by) + tuple(word) + tuple(by))
+    return free_reduce(inverse_word(by) + tuple(word) + tuple(by))
 
 
 def _crel(u: Word, w: Word) -> tuple[Word, Word]:
-    return _reduce(u + w), _reduce(w + u)
+    return free_reduce(u + w), free_reduce(w + u)
 
 
 def _brel(u: Word, w: Word) -> tuple[Word, Word]:
-    return _reduce(u + w + u), _reduce(w + u + w)
+    return free_reduce(u + w + u), free_reduce(w + u + w)
 
 
 @dataclass(frozen=True)
@@ -81,7 +67,7 @@ class GroupPresentation:
             w1, w2 = rel.words
             if w1 == w2:
                 raise ValueError(f"degenerate relation {rel}")
-            if _reduce(w1) != w1 or _reduce(w2) != w2:
+            if free_reduce(w1) != w1 or free_reduce(w2) != w2:
                 raise ValueError(f"relation words must be freely reduced: {rel}")
 
     def to_json(self) -> dict:

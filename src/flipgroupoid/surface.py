@@ -252,6 +252,10 @@ class Triangulation:
         """For a disc, the triangulation as a set of chords {i, j} between
         labelled boundary marked points (an independent geometric readback;
         two disc triangulations are equal iff their chord sets are)."""
+        return frozenset(self.arc_chords())
+
+    def arc_chords(self) -> tuple[frozenset, ...]:
+        """For a disc, the chord {i, j} of each arc a1 .. aN in order."""
         if not self.surface.is_disc:
             raise ValueError("chord readback needs a disc")
         classes = self._corner_classes()
@@ -270,7 +274,7 @@ class Triangulation:
             u = label_of_class[classes[(t, p)]]
             v = label_of_class[classes[(t, (p + 1) % 3)]]
             chords.append(frozenset((u, v)))
-        return frozenset(chords)
+        return tuple(chords)
 
     # -- operations --------------------------------------------------------
 

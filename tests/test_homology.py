@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipgroupoid.exchange import enumerate_graph
 from flipgroupoid.homology import (
@@ -56,6 +58,23 @@ def test_torsion_detected():
     assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0, 1, -1, 2, -2, 3, -3, 6, -6]), min_size=c, max_size=c),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_invariant_factors_match_snf(rows):
+    # unit pivots, fill-in, residual-only and torsion blocks all occur
+    M = np.array(rows, dtype=object)
+    _, D, _ = smith_normal_form(M)
+    assert invariant_factors(M) == [abs(int(d)) for d in np.diag(D) if d != 0]
+
+
 def test_face_census_hexagon():
     g = enumerate_graph(polygon_fan(6))
     census = face_census(g)
@@ -75,7 +94,7 @@ def test_cell_multiplicity_bookkeeping():
     assert squares * 4 + pentagons * 5 == per_vertex
 
 
-@pytest.mark.parametrize("m", [5, 6, 7, 8])
+@pytest.mark.parametrize("m", [5, 6, 7, 8, 9, 10])
 def test_homology_trivial(m):
     betti, torsion = homology_h1(enumerate_graph(polygon_fan(m)))
     assert betti == 0 and torsion == []

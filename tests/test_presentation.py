@@ -1,6 +1,10 @@
+import json
+import random
+
 import numpy as np
 import pytest
 
+from flipgroupoid import cli
 from flipgroupoid.braid import BraidWord
 from flipgroupoid.exchange import enumerate_graph
 from flipgroupoid.presentation import (
@@ -191,3 +195,19 @@ def test_report_needs_disc():
     g = enumerate_graph(genus_one(1), radius=2)
     with pytest.raises(ValueError):
         local_twist_relation_report(g, 0)
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_cli_verify_holds_from_flip_walks(m, tmp_path, capsys):
+    # the frame at a non-fan start is transported from the fan, not read
+    # off as sigma_1 .. sigma_n by arc label
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        t = polygon_fan(m)
+        for _ in range(4 * t.n):
+            t = t.flip(rng.randrange(1, t.n + 1))
+        path = tmp_path / f"walk{seed}.json"
+        path.write_text(json.dumps(t.to_json()))
+        code = cli.main(["presentation", "--triangulation", str(path), "--verify"])
+        report = json.loads(capsys.readouterr().out)["verification"]
+        assert code == 0 and report["all_hold"] and report["vertex"] == 0, f"seed {seed}"
