@@ -14,7 +14,7 @@ import sys
 
 from . import braid
 from .braid import BraidWord
-from .cover import build_cover_ball, disc_start_frame, oracle_for_surface
+from .cover import build_cover_ball
 from .exchange import (
     TruncationError,
     enumerate_graph,
@@ -186,7 +186,7 @@ def _run(args) -> int:
             if not t.surface.is_disc:
                 return _fail("usage", "--verify needs a disc surface (braid oracle)", 2)
             g = enumerate_graph(t)
-            report = local_twist_relation_report(g, 0, disc_start_frame(g))
+            report = local_twist_relation_report(g, 0)
             out["verification"] = report
             code = 0 if report["all_hold"] else 1
         _write(args.out, _dump(out))

@@ -23,6 +23,9 @@ a base vertex, truncated at a radius and folded by union-find closure
 under the square, pentagon and hexagonal-dumbbell rewrites.  Inside the
 interior (depth <= radius - 3, the longest relation side being 3) the
 quotient agrees with the covering graph of decorated triangulations.
+The tree is built and folded without frames; the decoration is added
+after folding, one frame per class, transported from the parent class
+across the tree move that created the class representative.
 """
 
 from __future__ import annotations
@@ -65,7 +68,15 @@ def inverse_word(word) -> tuple[int, ...]:
 
 
 class _WordOracle:
-    """Word arithmetic on letter tuples; subclasses define ``canon``."""
+    """Word arithmetic on letter tuples; subclasses define ``canon``.
+
+    ``conj`` is memoised per oracle instance: frame transport conjugates a
+    few hundred distinct (word, by) pairs many thousands of times, and an
+    oracle lives as long as the frames of one build.
+    """
+
+    def __init__(self):
+        self._conj_memo: dict = {}
 
     def generator(self, i: int) -> tuple[int, ...]:
         return (i,)
@@ -78,7 +89,11 @@ class _WordOracle:
 
     def conj(self, word, by) -> tuple[int, ...]:
         """by^{-1} . word . by, renormalized."""
-        return self.mul(self.inv(by), word, by)
+        key = (tuple(word), tuple(by))
+        out = self._conj_memo.get(key)
+        if out is None:
+            out = self._conj_memo[key] = self.mul(self.inv(by), word, by)
+        return out
 
     def is_id(self, word) -> bool:
         return not self.canon(word)
@@ -93,6 +108,7 @@ class BraidOracle(_WordOracle):
     kind = "braid"
 
     def __init__(self, strands: int):
+        super().__init__()
         self.strands = strands
 
     def canon(self, word) -> tuple[int, ...]:
@@ -108,6 +124,7 @@ class FreeGroupOracle(_WordOracle):
     kind = "free"
 
     def __init__(self, rank: int):
+        super().__init__()
         self.rank = rank
 
     def canon(self, word) -> tuple[int, ...]:
@@ -243,13 +260,18 @@ def disc_start_frame(g: ExchangeGraph) -> TwistFrame:
     The base frame sigma_1 .. sigma_n by arc label holds on the fan only, so
     the frame is transported from the fan to the triangulation with vertex
     0's chords and its entries are matched to vertex 0's arcs by chord.
+    When vertex 0 already has the fan's chords the fan graph is not built.
     """
-    fan = enumerate_graph(polygon_fan(g.surface.m))
     t0 = g.vertices[0].triangulation
     chords = t0.disc_chords()
-    w = next(u for u, vx in enumerate(fan.vertices) if vx.triangulation.disc_chords() == chords)
-    frame = frame_at(fan, w)
-    arc_of = {c: arc for arc, c in enumerate(fan.vertices[w].triangulation.arc_chords(), 1)}
+    fan = polygon_fan(g.surface.m)
+    if fan.disc_chords() == chords:
+        frame, arcs = base_frame(g.surface), fan.arc_chords()
+    else:
+        fg = enumerate_graph(fan)
+        w = next(u for u, vx in enumerate(fg.vertices) if vx.triangulation.disc_chords() == chords)
+        frame, arcs = frame_at(fg, w), fg.vertices[w].triangulation.arc_chords()
+    arc_of = {c: arc for arc, c in enumerate(arcs, 1)}
     return TwistFrame(tuple(frame.entry(arc_of[c]) for c in t0.arc_chords()), frame.oracle)
 
 
@@ -293,7 +315,13 @@ class _Node:
 
 
 class CoverBall:
-    """Radius-truncated quotient of the flip path tree by relation closure."""
+    """Radius-truncated quotient of the flip path tree by relation closure.
+
+    ``nodes`` is the tree; a class is named by its representative, its
+    lowest tree node.  ``frames`` maps each class to its twist frame (None
+    without an oracle group): the tree is folded first, then one frame per
+    class is transported from the parent class.
+    """
 
     def __init__(self, graph: ExchangeGraph, base: int, radius: int,
                  frame0: TwistFrame | None, budget: int):
@@ -305,34 +333,33 @@ class CoverBall:
         self.budget = budget
         self.nodes: list[_Node] = []
         self.moves: list[dict] = []
-        self.frames: list[TwistFrame] | None = [] if frame0 is not None else None
+        self.frames: dict[int, TwistFrame] | None = None
         self._uf: list[int] = []
         self._depth: dict[int, int] = {}
         self._size: dict[int, int] = {}
-        self._build_tree(frame0)
+        self._build_tree()
         self._size = {i: 1 for i in range(len(self.nodes))}
         self._classmoves: dict[int, dict] = {}
         self._fold_and_close()
         self._labels: dict[int, tuple] = {}
         if frame0 is not None:
+            self._transport_class_frames(frame0)
             self._discover_labels()
 
     # -- tree ---------------------------------------------------------------
 
-    def _new_node(self, shadow, depth, parent, inv_move, frame):
+    def _new_node(self, shadow, depth, parent, inv_move):
         if len(self.nodes) >= self.budget:
             raise TruncationError(f"cover node budget {self.budget} exceeded")
         self.nodes.append(_Node(shadow, depth, parent, inv_move))
         self.moves.append({})
         self._uf.append(len(self.nodes) - 1)
         self._depth[len(self.nodes) - 1] = depth
-        if self.frames is not None:
-            self.frames.append(frame)
         return len(self.nodes) - 1
 
-    def _build_tree(self, frame0):
+    def _build_tree(self):
         g = self.graph
-        root = self._new_node(self.base, 0, -1, None, frame0)
+        root = self._new_node(self.base, 0, -1, None)
         queue = [root]
         qpos = 0
         while qpos < len(queue):
@@ -352,13 +379,7 @@ class CoverBall:
                 for d in (FWD, BWD):
                     if node.inv_move == (k, d):
                         continue
-                    if self.frames is not None:
-                        _, fr = frame_transport_move(
-                            g, self.frames[x], v, k, forward=(d == FWD)
-                        )
-                    else:
-                        fr = None
-                    child = self._new_node(u, node.depth + 1, x, (k2, -d), fr)
+                    child = self._new_node(u, node.depth + 1, x, (k2, -d))
                     self.moves[x][(k, d)] = child
                     self.moves[child][(k2, -d)] = x
                     queue.append(child)
@@ -428,6 +449,32 @@ class CoverBall:
                 a, b = pending.pop()
                 if self._union(a, b, pending):
                     changed = True
+
+    # -- frames -------------------------------------------------------------
+
+    def _transport_class_frames(self, frame0: TwistFrame):
+        """One frame per class, across the tree move into its representative.
+
+        The tree parent of a representative is a representative: its class
+        lifts the same move, and breadth-first order numbers the child of a
+        lower node first.  So in class order every parent frame is ready,
+        and each class frame is the transport along its representative's
+        tree path, the frame every node of the class carries.
+        """
+        g = self.graph
+        frames = {0: frame0}
+        for cls in self.classes()[1:]:
+            node = self.nodes[cls]
+            if self.find(node.parent) != node.parent:
+                raise RuntimeError(
+                    f"class {cls}: tree parent {node.parent} is not a class representative"
+                )
+            k2, back = node.inv_move
+            k = g.nbr[node.shadow][k2][1]
+            _, frames[cls] = frame_transport_move(
+                g, frames[node.parent], self.nodes[node.parent].shadow, k, forward=(back == BWD)
+            )
+        self.frames = frames
 
     # -- labels (deck elements discovered from lifted twist loops) ----------
 
@@ -578,7 +625,8 @@ def build_cover_ball(
     """Rooted relation-closure quotient of the flip path tree.
 
     Frames are attached when the surface has an oracle group (disc or
-    once-marked annulus) unless ``with_frames`` is False.
+    once-marked annulus) unless ``with_frames`` is False.  They are
+    transported once per class after the tree is folded, not per tree node.
     """
     from .exchange import _budget_default
 

@@ -77,6 +77,8 @@ class ExchangeGraph:
     edge_perm: dict[tuple[int, int], tuple[int, ...]]
     radius: int | None
     budget: int
+    # homology.two_cells keeps its result here; a graph is not changed once built
+    cell_cache: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

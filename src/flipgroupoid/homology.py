@@ -185,20 +185,27 @@ def _cycle_of(instance: RelationInstance, g: ExchangeGraph):
 
 
 def two_cells(g: ExchangeGraph) -> list[TwoCell]:
-    """Distinct unoriented squares and pentagons of the graph."""
+    """Distinct unoriented squares and pentagons of the graph.
+
+    Built once per graph and kept in ``g.cell_cache``, so that
+    :func:`face_census` and :func:`homology_h1` share one build.
+    """
     if not g.is_complete():
         raise ValueError("2-complex needs a fully enumerated graph")
-    seen = {}
-    for inst in all_relation_instances(g):
-        if inst.kind is RelationKind.HEX_DUMBBELL:
-            continue
-        if not inst.co_terminates():
-            raise RuntimeError("relation instance does not close")
-        cyc = _cycle_of(inst, g)
-        key = frozenset(e for e, _ in cyc)
-        if key not in seen:
-            seen[key] = TwoCell(inst.kind, cyc)
-    return [seen[k] for k in sorted(seen, key=sorted)]
+    cells = g.cell_cache
+    if cells is None:
+        seen = {}
+        for inst in all_relation_instances(g):
+            if inst.kind is RelationKind.HEX_DUMBBELL:
+                continue
+            if not inst.co_terminates():
+                raise RuntimeError("relation instance does not close")
+            cyc = _cycle_of(inst, g)
+            key = frozenset(e for e, _ in cyc)
+            if key not in seen:
+                seen[key] = TwoCell(inst.kind, cyc)
+        cells = g.cell_cache = [seen[k] for k in sorted(seen, key=sorted)]
+    return list(cells)
 
 
 def face_census(g: ExchangeGraph) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import braid
 from .braid import BraidWord
-from .cover import TwistFrame, frame_at, free_reduce, inverse_word
+from .cover import TwistFrame, disc_start_frame, frame_at, free_reduce, inverse_word
 from .exchange import ExchangeGraph
 from .surface import QuiverWithPotential
 
@@ -227,9 +227,15 @@ def _frame_images(frame: TwistFrame) -> dict[int, BraidWord]:
 
 def local_twist_relation_report(g: ExchangeGraph, v: int, frame0: TwistFrame | None = None) -> dict:
     """Evaluate every pattern relation at graph vertex v on the transported
-    twist frame; disc surfaces only (they carry the Garside oracle)."""
+    twist frame; disc surfaces only (they carry the Garside oracle).
+
+    ``frame0`` is the frame at vertex 0, by default the twist frame
+    :func:`disc_start_frame` carries over from the fan.
+    """
     if not g.surface.is_disc:
         raise ValueError("oracle unavailable: relation reports need a disc surface")
+    if frame0 is None:
+        frame0 = disc_start_frame(g)
     frame = frame_at(g, v, frame0)
     q = g.vertices[v].triangulation.quiver()
     pres = presentation_from_qp(q)

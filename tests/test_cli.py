@@ -1,6 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
+
+from flipgroupoid import cli, homology
 
 
 def run_cli(*args):
@@ -112,3 +117,50 @@ def test_determinism_across_runs_and_threads(tmp_path):
         threaded = run_cli("--threads", "4", *case)
         assert first.returncode == again.returncode == threaded.returncode == 0
         assert first.stdout == again.stdout == threaded.stdout
+
+
+# sha256 of stdout, pinned from the builder that transported a frame to
+# every tree node; frames per class must give the same bytes
+COVER_DIGESTS = [
+    (["--polygon", "6", "--radius", "5", "--report", "fibers"],
+     "b4055581217a9bcb1d07220ad8cf652685b1721bfa2d8a164ed264426faa8a11"),
+    (["--annulus", "1", "1", "--radius", "6"],
+     "3a8e5cfa51103a1d98e2e11c6d9eddf6aaf9b5dd505a0e0ea91049cb3f6745f0"),
+    (["--polygon", "6", "--radius", "6", "--report", "fibers"],
+     "cf21706d64da0e346d272963bec5e4ba08584614c962b5c770493f636c4864bb"),
+]
+
+
+@pytest.mark.parametrize("args, digest", COVER_DIGESTS,
+                         ids=["hexagon-r5-fibers", "annulus11-r6", "hexagon-r6-fibers"])
+def test_cover_stdout_pinned(args, digest, capsys):
+    assert cli.main(["cover", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+FACES = {5: (0, 1), 6: (3, 6), 7: (28, 28), 8: (180, 120), 9: (990, 495)}
+
+
+@pytest.mark.parametrize("m", sorted(FACES))
+def test_homology_stdout_bytes(m, tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert cli.main(["enumerate", "--polygon", str(m), "--out", str(graph)]) == 0
+    assert cli.main(["homology", str(graph)]) == 0
+    squares, pentagons = FACES[m]
+    want = (
+        '{\n  "betti1": 0,\n  "faces": {\n'
+        f'    "pentagons": {pentagons},\n    "squares": {squares}\n'
+        '  },\n  "status": "ok",\n  "torsion": []\n}\n'
+    )
+    assert capsys.readouterr().out == want
+
+
+def test_homology_builds_two_cells_once(tmp_path, monkeypatch, capsys):
+    # face_census and homology_h1 share one build of the 2-cells
+    graph = tmp_path / "g.json"
+    assert cli.main(["enumerate", "--polygon", "7", "--out", str(graph)]) == 0
+    builds = []
+    real = homology.all_relation_instances
+    monkeypatch.setattr(homology, "all_relation_instances", lambda g: builds.append(g) or real(g))
+    assert cli.main(["homology", str(graph)]) == 0
+    assert len(builds) == 1

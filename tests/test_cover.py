@@ -1,5 +1,10 @@
-import pytest
+import copy
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flipgroupoid import cover
 from flipgroupoid.braid import BraidWord, equal, is_identity
 from flipgroupoid.cover import (
     BraidOracle,
@@ -7,13 +12,18 @@ from flipgroupoid.cover import (
     TwistFrame,
     base_frame,
     build_cover_ball,
+    disc_start_frame,
     frame_at,
     frame_transport_move,
+    inverse_word,
     oracle_for_surface,
     transport_frame,
 )
 from flipgroupoid.exchange import all_relation_instances, enumerate_graph, relation_instances
 from flipgroupoid.surface import MarkedSurface, annulus, genus_one, polygon_fan
+
+# shared across hypothesis examples, so later examples meet a filled memo
+ORACLES = [BraidOracle(4), BraidOracle(5), FreeGroupOracle(3)]
 
 
 def test_oracle_selection():
@@ -111,6 +121,17 @@ def test_functoriality_annulus():
         for (w, k) in inst.right_steps:
             _, right = frame_transport_move(g, right, w, k, forward=True)
         assert left == right
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
+def test_disc_start_frame_on_a_fan_is_the_base_frame(m, monkeypatch):
+    g = enumerate_graph(polygon_fan(m))
+
+    def no_fan_graph(*args, **kwargs):
+        raise AssertionError("the fan graph was enumerated")
+
+    monkeypatch.setattr(cover, "enumerate_graph", no_fan_graph)
+    assert disc_start_frame(g) == base_frame(g.surface)
 
 
 def test_backward_transport_inverts_forward():
@@ -265,15 +286,83 @@ def test_pentagon_loop_conjugates_frame_by_deck_label():
     assert all(o.eq(a, b) for a, b in zip(transported.entries, want))
 
 
-def test_frames_constant_on_classes_sampled():
+BALLS = [
+    pytest.param(lambda: polygon_fan(5), None, 5, id="polygon5-r5"),
+    pytest.param(lambda: polygon_fan(6), None, 5, id="hexagon-r5"),
+    pytest.param(lambda: annulus(1, 1), 6, 6, id="annulus11-r6"),
+]
+
+
+@pytest.mark.parametrize("surface, graph_radius, radius", BALLS)
+def test_class_frames_commute_with_lifted_moves(surface, graph_radius, radius):
+    # every lifted move of the quotient, not only the tree moves the
+    # builder crossed, carries the frame of its source class to the frame
+    # of its target class
+    g = enumerate_graph(surface(), radius=graph_radius)
+    ball = build_cover_ball(g, radius=radius)
+    checked = 0
+    for cls, moves in ball.class_graph().items():
+        for (arc, d), tgt in moves.items():
+            v, fr = frame_transport_move(g, ball.frame(cls), ball.shadow(cls), arc, forward=d > 0)
+            assert v == ball.shadow(tgt)
+            assert fr == ball.frame(tgt), (cls, arc, d)
+            checked += 1
+    assert checked > len(ball.classes())
+
+
+def _uncached(oracle):
+    plain = copy.copy(oracle)
+    plain.conj = lambda word, by: oracle.canon(inverse_word(by) + tuple(word) + tuple(by))
+    return plain
+
+
+@pytest.mark.parametrize("surface, graph_radius, radius", BALLS)
+def test_class_frame_is_transport_along_representative_path(surface, graph_radius, radius):
+    g = enumerate_graph(surface(), radius=graph_radius)
+    ball = build_cover_ball(g, radius=radius)
+    o = _uncached(ball.frames[0].oracle)
+    root = TwistFrame(frame_at(g, 0).entries, o)
+    for cls in ball.classes():
+        path = []
+        x = cls
+        while ball.nodes[x].parent >= 0:
+            parent = ball.nodes[x].parent
+            (move,) = [mv for mv, child in ball.moves[parent].items() if child == x]
+            path.append((parent, move))
+            x = parent
+        frame = root
+        for parent, (arc, d) in reversed(path):
+            _, frame = frame_transport_move(g, frame, ball.nodes[parent].shadow, arc, forward=d > 0)
+        assert frame == ball.frame(cls), cls
+
+
+def test_class_frames_need_representative_parents():
     g = enumerate_graph(polygon_fan(5))
-    ball = build_cover_ball(g, radius=5)
-    by_class = {}
-    for node in range(len(ball.nodes)):
-        by_class.setdefault(ball.find(node), []).append(node)
-    for cls, members in sorted(by_class.items())[:40]:
-        frames = {ball.frames[x] for x in members}
-        assert len(frames) == 1
+    ball = build_cover_ball(g, radius=3, with_frames=False)
+    child = next(c for c in ball.classes() if ball.nodes[c].parent > 0)
+    ball._uf[ball.nodes[child].parent] = 0  # fold the parent into the root class
+    with pytest.raises(RuntimeError, match="not a class representative"):
+        ball._transport_class_frames(frame_at(g, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_conj_memo_matches_uncached(data):
+    o = data.draw(st.sampled_from(ORACLES))
+    top = o.strands - 1 if o.kind == "braid" else o.rank
+    letter = st.integers(1, top).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = tuple(data.draw(st.lists(letter, max_size=8)))
+    by = tuple(data.draw(st.lists(letter, max_size=6)))
+    want = o.canon(inverse_word(by) + word + by)
+    assert o.conj(word, by) == want
+    canon = o.canon
+    calls = []
+    o.canon = lambda w: calls.append(w) or canon(w)
+    try:
+        assert o.conj(list(word), by) == want  # a repeated call hits the memo
+    finally:
+        del o.canon
+    assert calls == []
 
 
 def test_path_class_identity_beats_frame_equality():

@@ -100,6 +100,14 @@ def test_homology_trivial(m):
     assert betti == 0 and torsion == []
 
 
+@pytest.mark.slow
+def test_homology_trivial_polygon_11():
+    # the Catalan number C_9 of vertices, one side past the parametrized range
+    g = enumerate_graph(polygon_fan(11))
+    assert g.vertex_count() == 4862
+    assert homology_h1(g) == (0, [])
+
+
 def test_pentagon_complex_counts():
     g = enumerate_graph(polygon_fan(5))
     assert g.vertex_count() == 5 and len(g.unoriented_edges()) == 5

@@ -211,3 +211,15 @@ def test_cli_verify_holds_from_flip_walks(m, tmp_path, capsys):
         code = cli.main(["presentation", "--triangulation", str(path), "--verify"])
         report = json.loads(capsys.readouterr().out)["verification"]
         assert code == 0 and report["all_hold"] and report["vertex"] == 0, f"seed {seed}"
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_report_default_frame_holds_from_flip_walks(m):
+    # with no frame given, vertex 0 carries the twist frame from the fan
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        t = polygon_fan(m)
+        for _ in range(4 * t.n):
+            t = t.flip(rng.randrange(1, t.n + 1))
+        rep = local_twist_relation_report(enumerate_graph(t), 0)
+        assert rep["all_hold"], f"seed {seed}"
