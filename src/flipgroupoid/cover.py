@@ -68,15 +68,18 @@ def inverse_word(word) -> tuple[int, ...]:
 
 
 class _WordOracle:
-    """Word arithmetic on letter tuples; subclasses define ``canon``.
+    """Word arithmetic on letter tuples; subclasses define ``canon`` and
+    ``_entry_ok``.
 
-    ``conj`` is memoised per oracle instance: frame transport conjugates a
-    few hundred distinct (word, by) pairs many thousands of times, and an
-    oracle lives as long as the frames of one build.
+    ``conj`` and ``entry_ok`` are memoised per oracle instance: frame
+    transport conjugates a few hundred distinct (word, by) pairs many
+    thousands of times, every frame built checks each of its entries, and
+    an oracle lives as long as the frames of one build.
     """
 
     def __init__(self):
         self._conj_memo: dict = {}
+        self._entry_memo: dict = {}
 
     def generator(self, i: int) -> tuple[int, ...]:
         return (i,)
@@ -94,6 +97,14 @@ class _WordOracle:
         if out is None:
             out = self._conj_memo[key] = self.mul(self.inv(by), word, by)
         return out
+
+    def entry_ok(self, word) -> bool:
+        """Whether ``word`` has the shape of a twist; failures are kept too."""
+        key = tuple(word)
+        ok = self._entry_memo.get(key)
+        if ok is None:
+            ok = self._entry_memo[key] = self._entry_ok(key)
+        return ok
 
     def is_id(self, word) -> bool:
         return not self.canon(word)
@@ -114,7 +125,7 @@ class BraidOracle(_WordOracle):
     def canon(self, word) -> tuple[int, ...]:
         return braid.normal_form(BraidWord(self.strands, word)).word().letters
 
-    def entry_ok(self, word) -> bool:
+    def _entry_ok(self, word) -> bool:
         return braid.looks_like_band_generator(BraidWord(self.strands, word))
 
 
@@ -130,7 +141,7 @@ class FreeGroupOracle(_WordOracle):
     def canon(self, word) -> tuple[int, ...]:
         return free_reduce(word)
 
-    def entry_ok(self, word) -> bool:
+    def _entry_ok(self, word) -> bool:
         w = self.canon(word)
         if len(w) % 2 == 0:
             return False

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .seeds import Seed, canonical_form, canonical_key, mutate_seed
+from .seeds import Seed, canonical_form, canonical_key, form_key, mutate_seed
 from .surface import PairClass, Triangulation, arc_label
 
 __all__ = [
@@ -117,6 +117,9 @@ def enumerate_graph(
 ) -> ExchangeGraph:
     """BFS over flips from ``base``, deduplicating by canonical seed key.
 
+    Each mutation gets one :func:`canonical_form`: its permutation relabels
+    the flipped triangulation and its (B', C') gives the key.
+
     ``radius=None`` means full enumeration (only sensible when the graph is
     finite; the vertex budget turns runaway enumerations into a loud
     :class:`TruncationError`).
@@ -130,7 +133,7 @@ def enumerate_graph(
     n = base.surface.arc_count
     seed0 = Seed.initial(base.quiver().B)
     B0, C0, perm0 = canonical_form(seed0)
-    v0 = GraphVertex(_relabel(base, perm0), Seed(B0, C0), canonical_key(seed0), 0, False)
+    v0 = GraphVertex(_relabel(base, perm0), Seed(B0, C0), form_key(B0, C0), 0, False)
 
     vertices = [v0]
     index = {v0.key: 0}
@@ -151,7 +154,7 @@ def enumerate_graph(
                 continue
             mutated = mutate_seed(vd.seed, k)
             B2, C2, perm = canonical_form(mutated)
-            key = canonical_key(mutated)
+            key = form_key(B2, C2)
             u = index.get(key)
             if u is None:
                 if len(vertices) >= budget:
@@ -231,13 +234,13 @@ def relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
     """One instance per unordered arc pair at vertex v."""
     vd = g.vertices[v]
     tri = vd.triangulation
-    B = vd.seed.B
+    B = vd.seed.B.tolist()
     out = []
     n = g.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             cls = tri.classify_pair(i, j)
-            bij = int(B[i - 1, j - 1])
+            bij = B[i - 1][j - 1]
             if cls is PairClass.DISJOINT:
                 if bij != 0:
                     raise RuntimeError("disjoint arcs must have B entry 0")
@@ -322,10 +325,10 @@ def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> 
         vd = g.vertices[v]
         if vd.frontier:
             continue
-        B = vd.seed.B
+        B = vd.seed.B.tolist()
         for i in range(1, g.n + 1):
             for j in range(i + 1, g.n + 1):
-                entry = abs(int(B[i - 1, j - 1]))
+                entry = abs(B[i - 1][j - 1])
                 if entry == 0:
                     pair = [_twist_walk(g, v, [i, j]), _twist_walk(g, v, [j, i])]
                 elif entry == 1:
@@ -387,27 +390,52 @@ def graph_to_json(g: ExchangeGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> ExchangeGraph:
+    """Load a graph file, rejecting inconsistent edges and vertices.
+
+    Bad input raises ``ValueError`` naming the vertex or edge.  Not checked,
+    because each costs a quiver, a flip or a determinant per vertex or edge:
+    that B is the quiver of the triangulation, that C is unimodular, and
+    that an edge's flip and relabelling give its target.
+    """
     from .surface import MarkedSurface
 
     surface = MarkedSurface.from_json(data["surface"])
+    n = surface.arc_count
     vertices = []
-    for vd in data["vertices"]:
+    index: dict[bytes, int] = {}
+    for i, vd in enumerate(data["vertices"]):
+        tri = Triangulation.from_json(vd["triangulation"])
+        if tri.surface != surface:
+            raise ValueError(f"graph vertex {i}: surface differs from the graph's")
         seed = Seed(np.array(vd["B"], dtype=np.int64), np.array(vd["C"], dtype=np.int64))
-        vertices.append(
-            GraphVertex(
-                Triangulation.from_json(vd["triangulation"]),
-                seed,
-                canonical_key(seed),
-                vd["depth"],
-                vd["frontier"],
-            )
-        )
+        if seed.n != n:
+            raise ValueError(f"graph vertex {i}: B and C must be {n} x {n}")
+        try:
+            key = canonical_key(seed)
+        except RuntimeError as exc:  # two equal rows of C
+            raise ValueError(f"graph vertex {i}: {exc}") from None
+        if key in index:
+            raise ValueError(f"graph vertex {i}: same seed as vertex {index[key]}")
+        index[key] = i
+        vertices.append(GraphVertex(tri, seed, key, vd["depth"], vd["frontier"]))
     nbr: list[dict] = [{} for _ in vertices]
     edge_perm = {}
-    n = surface.arc_count
-    for e in data["edges"]:
+    arcs = range(1, n + 1)
+    for idx, e in enumerate(data["edges"]):
         v, k, u, k2 = e["ends"]
         perm = tuple(e["perm"])
+        if not all(type(x) is int for x in (v, k, u, k2, *perm)):
+            raise ValueError(f"graph edge {idx}: ends and perm must be integers")
+        if sorted(perm) != list(arcs):
+            raise ValueError(f"graph edge {idx}: perm {list(perm)} is not a permutation of 1..{n}")
+        if not (0 <= v < len(vertices) and 0 <= u < len(vertices)):
+            raise ValueError(f"graph edge {idx}: end vertex out of range 0..{len(vertices) - 1}")
+        if k not in arcs or k2 not in arcs:
+            raise ValueError(f"graph edge {idx}: arc out of range 1..{n}")
+        if perm[k - 1] != k2:
+            raise ValueError(f"graph edge {idx}: perm sends arc {k} to {perm[k - 1]}, not {k2}")
+        if k in nbr[v] or k2 in nbr[u] or (v, k) == (u, k2):
+            raise ValueError(f"graph edge {idx}: slot already has an edge")
         inv = [0] * n
         for i in range(n):
             inv[perm[i] - 1] = i + 1

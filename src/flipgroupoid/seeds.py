@@ -8,6 +8,11 @@ different orders collapse to one key while seeds of genuinely different
 clusters stay apart.  Rows of C are pairwise distinct because C is
 unimodular, so the sort is unambiguous.
 
+One :func:`canonical_form` gives both the relabelling permutation and,
+through :func:`form_key`, the dedup key, so enumeration computes the
+canonical form once per mutation.  Small matrices are read as Python ints
+(one ``tolist`` per matrix), not entry by entry as numpy scalars.
+
 Mutation indices are 1-based, matching arc ids.
 """
 
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Seed", "mutate_matrix", "mutate_seed", "canonical_form", "canonical_key"]
+__all__ = ["Seed", "mutate_matrix", "mutate_seed", "canonical_form", "canonical_key", "form_key"]
 
 
 def _as_matrix(B) -> np.ndarray:
@@ -108,11 +113,11 @@ class Seed:
 
 
 def _check_sign_coherent(C: np.ndarray) -> None:
-    for i, row in enumerate(C):
-        if (row >= 0).all() or (row <= 0).all():
+    for i, row in enumerate(C.tolist()):
+        if min(row) >= 0 or max(row) <= 0:
             continue
         raise RuntimeError(
-            f"sign-incoherent c-vector in row {i + 1}: {row.tolist()!r} "
+            f"sign-incoherent c-vector in row {i + 1}: {row!r} "
             "(implementation bug: seeds reached from (B, I) are sign-coherent)"
         )
 
@@ -139,10 +144,10 @@ def canonical_form(seed: Seed) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]
     The identity c-matrix is already canonical, so base seeds are unmoved.
     """
     n = seed.n
-    rows = [tuple(-int(x) for x in seed.C[i]) for i in range(n)]
-    if len(set(rows)) != n:
+    rows = seed.C.tolist()
+    if len(set(map(tuple, rows))) != n:
         raise RuntimeError("duplicate c-vectors; C cannot be unimodular")
-    order = sorted(range(n), key=lambda i: rows[i])
+    order = sorted(range(n), key=rows.__getitem__, reverse=True)
     new_index = [0] * n
     for pos, old in enumerate(order):
         new_index[old] = pos
@@ -151,10 +156,14 @@ def canonical_form(seed: Seed) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]
     return B2, C2, tuple(i + 1 for i in new_index)
 
 
+def form_key(B2: np.ndarray, C2: np.ndarray) -> bytes:
+    """Key bytes of a canonical form (B', C') as returned by canonical_form."""
+    body = ",".join(map(str, B2.ravel().tolist()))
+    body += ";" + ",".join(map(str, C2.ravel().tolist()))
+    return f"n={B2.shape[0]};{body}".encode("ascii")
+
+
 def canonical_key(seed: Seed) -> bytes:
     """Deterministic byte string identifying the seed's cluster."""
     B2, C2, _ = canonical_form(seed)
-    n = seed.n
-    body = ",".join(str(int(x)) for x in B2.ravel())
-    body += ";" + ",".join(str(int(x)) for x in C2.ravel())
-    return f"n={n};{body}".encode("ascii")
+    return form_key(B2, C2)

@@ -30,6 +30,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class MarkedSurface:
     def m(self) -> int:
         return sum(self.boundaries)
 
-    @property
+    @cached_property
     def arc_count(self) -> int:
         """Number n of arcs in any ideal triangulation: 6g - 6 + 3b + m."""
         return 6 * self.genus - 6 + 3 * self.b + self.m
@@ -115,7 +116,8 @@ def arc_label(i: int) -> str:
     return f"a{i}"
 
 
-def _edge_sort_key(label: str):
+@cache  # labels are a1..aN and b<c>.<p>; a malformed label raises, and is not cached
+def _edge_sort_key(label: str) -> tuple[int, int, int]:
     m = _ARC_RE.match(label)
     if m:
         return (0, int(m.group(1)), 0)

@@ -3,9 +3,13 @@
 These deliberately avoid the library's own machinery: polygon
 triangulations are maximal noncrossing diagonal sets found by
 backtracking, and their flip graph is built directly on chord sets.
+The seed references are the numpy canonical form and key that
+``flipgroupoid.seeds`` replaced with reads on Python ints.
 """
 
 from math import comb
+
+import numpy as np
 
 
 def catalan(k: int) -> int:
@@ -76,3 +80,26 @@ def polygon_flip_graph(m: int) -> dict[frozenset, dict[tuple, frozenset]]:
             moves[d] = new
         graph[tri] = moves
     return graph
+
+
+def ref_canonical_form(seed):
+    """Sort C rows (descending lex) entry by entry on numpy scalars."""
+    n = seed.n
+    rows = [tuple(-int(x) for x in seed.C[i]) for i in range(n)]
+    if len(set(rows)) != n:
+        raise RuntimeError("duplicate c-vectors; C cannot be unimodular")
+    order = sorted(range(n), key=lambda i: rows[i])
+    new_index = [0] * n
+    for pos, old in enumerate(order):
+        new_index[old] = pos
+    B2 = seed.B[np.ix_(order, order)]
+    C2 = seed.C[order]
+    return B2, C2, tuple(i + 1 for i in new_index)
+
+
+def ref_canonical_key(seed) -> bytes:
+    B2, C2, _ = ref_canonical_form(seed)
+    n = seed.n
+    body = ",".join(str(int(x)) for x in B2.ravel())
+    body += ";" + ",".join(str(int(x)) for x in C2.ravel())
+    return f"n={n};{body}".encode("ascii")

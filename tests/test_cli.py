@@ -164,3 +164,106 @@ def test_homology_builds_two_cells_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(homology, "all_relation_instances", lambda g: builds.append(g) or real(g))
     assert cli.main(["homology", str(graph)]) == 0
     assert len(builds) == 1
+
+
+# sha256 of stdout, pinned from the enumeration that computed the
+# canonical form twice per mutation
+ENUMERATE_DIGESTS = [
+    (["--polygon", "8"], "8d755003b80e21c3b2971caaabf8071254977492ca4f446228c688c5835efdf5"),
+    (["--annulus", "2", "2", "--radius", "5"],
+     "5c3644d667a00e1369c6d3d73e921b3df813e7e215e26611287363b3851976f5"),
+    (["--genus-one", "1", "--radius", "6"],
+     "0dca60d90a004059f01c1b7c18c05e21256ac57a83183dc6dfb797a0d0f5d785"),
+]
+RELATIONS_GENUS_ONE_R6 = "aec955fadaf3b406f9913bee561435a369af34a127a2d8d09fbc85baa7801c3d"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args, digest", ENUMERATE_DIGESTS,
+                         ids=["polygon8", "annulus22-r5", "genus-one1-r6"])
+def test_enumerate_stdout_pinned(args, digest, tmp_path, capsys):
+    assert cli.main(["enumerate", *args]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out) == digest
+    if args[0] == "--genus-one":
+        graph = tmp_path / "g.json"
+        graph.write_text(out)
+        assert cli.main(["relations", str(graph), "--allow-incomplete"]) == 0
+        assert _sha(capsys.readouterr().out) == RELATIONS_GENUS_ONE_R6
+
+
+def _truncate_perm(data):
+    data["edges"][0]["perm"].pop()
+
+
+def _end_out_of_range(data):
+    data["edges"][0]["ends"][2] = len(data["vertices"])
+
+
+def _perm_not_a_permutation(data):
+    data["edges"][0]["perm"] = [1, 1]
+
+
+def _duplicate_vertex(data):
+    data["vertices"].append(data["vertices"][0])
+
+
+def _ends_not_integers(data):
+    data["edges"][0]["ends"][0] = "0"
+
+
+def _arc_out_of_range(data):
+    data["edges"][0]["ends"][1] = 3
+
+
+def _perm_misses_target_arc(data):
+    v, k, u, k2 = data["edges"][0]["ends"]
+    data["edges"][0]["ends"][3] = 3 - k2
+
+
+def _slot_used_twice(data):
+    data["edges"].append(data["edges"][0])
+
+
+def _equal_rows_of_c(data):
+    C = data["vertices"][2]["C"]
+    C[1] = list(C[0])
+
+
+def _vertex_on_another_surface(data):
+    from flipgroupoid.surface import polygon_fan
+
+    data["vertices"][1]["triangulation"] = polygon_fan(4).to_json()
+
+
+# (corrupt the polygon 5 graph file, what the error names)
+LOADER_PROBES = [
+    (_truncate_perm, "graph edge 0: perm"),
+    (_end_out_of_range, "graph edge 0: end vertex out of range"),
+    (_perm_not_a_permutation, "graph edge 0: perm [1, 1]"),
+    (_duplicate_vertex, "graph vertex 5: same seed as vertex 0"),
+    (_ends_not_integers, "graph edge 0: ends and perm must be integers"),
+    (_arc_out_of_range, "graph edge 0: arc out of range"),
+    (_perm_misses_target_arc, "graph edge 0: perm sends arc"),
+    (_slot_used_twice, "graph edge 5: slot already has an edge"),
+    (_vertex_on_another_surface, "graph vertex 1: surface differs"),
+    (_equal_rows_of_c, "graph vertex 2: duplicate c-vectors"),
+]
+
+
+@pytest.mark.parametrize("corrupt, named", LOADER_PROBES,
+                         ids=[f.__name__.lstrip("_") for f, _ in LOADER_PROBES])
+def test_relations_rejects_a_corrupt_graph_file(corrupt, named, tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert cli.main(["enumerate", "--polygon", "5", "--out", str(graph)]) == 0
+    data = json.loads(graph.read_text())
+    corrupt(data)
+    graph.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["relations", str(graph)]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["kind"] == "usage"
+    assert named in report["message"]

@@ -365,6 +365,36 @@ def test_conj_memo_matches_uncached(data):
     assert calls == []
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_entry_ok_memo_matches_uncached(data):
+    o = data.draw(st.sampled_from(ORACLES))
+    top = o.strands - 1 if o.kind == "braid" else o.rank
+    letter = st.integers(1, top).flatmap(lambda i: st.sampled_from([i, -i]))
+    by = tuple(data.draw(st.lists(letter, max_size=5)))
+    twist = inverse_word(by) + (data.draw(st.integers(1, top)),) + by
+    word = data.draw(st.one_of(st.just(twist), st.lists(letter, max_size=9).map(tuple)))
+    want = type(o)._entry_ok(o, word)
+    assert o.entry_ok(word) is want
+    calls = []
+    o._entry_ok = lambda w: calls.append(w) or type(o)._entry_ok(o, w)
+    try:
+        assert o.entry_ok(list(word)) is want  # true and false results both hit the memo
+    finally:
+        del o._entry_ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: f"{o.kind}")
+def test_bad_frame_entry_raises_on_every_construction(oracle):
+    bad = (1, 1)  # exponent sum 2: never a twist
+    good = oracle.generator(1)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not a twist-shaped word"):
+            TwistFrame((good, bad), oracle)
+    assert TwistFrame((good, good), oracle).entries == (good, good)
+
+
 def test_path_class_identity_beats_frame_equality():
     # A1 line: every fiber class over the base carries the same frame, yet
     # the classes are distinct -- identity is by path class, never by frame

@@ -2,9 +2,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from flipgroupoid.seeds import Seed, canonical_form, canonical_key, mutate_matrix, mutate_seed
+from flipgroupoid.seeds import (
+    Seed,
+    canonical_form,
+    canonical_key,
+    form_key,
+    mutate_matrix,
+    mutate_seed,
+)
 from flipgroupoid.surface import annulus, genus_one, polygon_fan
+
+from oracles import ref_canonical_form, ref_canonical_key
 
 A2 = [[0, 1], [-1, 0]]
 A3 = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
@@ -87,3 +98,38 @@ def test_key_stable_across_processes():
     out1 = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     out2 = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out1.stdout == out2.stdout != ""
+
+
+WALK_QUIVERS = [
+    polygon_fan(6).quiver().B,
+    polygon_fan(7).quiver().B,
+    polygon_fan(8).quiver().B,
+    annulus(2, 2).quiver().B,
+    genus_one(2).quiver().B,
+]
+
+
+@given(st.sampled_from(WALK_QUIVERS), st.lists(st.integers(0, 10**6), max_size=30))
+def test_canonical_form_matches_numpy_reference(B, walk):
+    s = Seed.initial(B)
+    for step in [None, *walk]:
+        if step is not None:
+            s = mutate_seed(s, 1 + step % s.n)
+        B2, C2, perm = canonical_form(s)
+        rB2, rC2, rperm = ref_canonical_form(s)
+        assert B2.dtype == rB2.dtype and C2.dtype == rC2.dtype
+        assert B2.tolist() == rB2.tolist() and C2.tolist() == rC2.tolist()
+        assert perm == rperm
+        assert canonical_key(s) == form_key(B2, C2) == ref_canonical_key(s)
+
+
+def test_sign_incoherent_seed_message():
+    s = Seed([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], [[1, 0, 0], [0, 1, -1], [0, 0, 1]])
+    want = (
+        "sign-incoherent c-vector in row 2: [0, 1, -1] "
+        "(implementation bug: seeds reached from (B, I) are sign-coherent)"
+    )
+    for check in (lambda: mutate_seed(s, 1), s.validate):
+        with pytest.raises(RuntimeError) as info:
+            check()
+        assert str(info.value) == want

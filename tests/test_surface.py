@@ -167,3 +167,25 @@ def test_json_roundtrip():
 def test_json_deterministic():
     t = polygon_fan(6)
     assert t.dumps() == polygon_fan(6).dumps()
+
+
+def test_edge_sort_key_rejects_malformed_labels_with_a_warm_memo():
+    from flipgroupoid import surface
+
+    polygon_fan(7).to_json()  # fills the memo with a1..a4 and b0.0..b0.6
+    assert surface._edge_sort_key("a3") == (0, 3, 0)
+    assert surface._edge_sort_key("b0.6") == (1, 0, 6)
+    size = surface._edge_sort_key.cache_info().currsize
+    assert size >= 11
+    for bad in ("c1", "a", "b0", "b0.x", "a1 ", ""):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="malformed edge label"):
+                surface._edge_sort_key(bad)
+    assert surface._edge_sort_key.cache_info().currsize == size
+
+
+def test_arc_count_computed_once_per_surface():
+    s = MarkedSurface(1, (3,))
+    assert s.arc_count == 6
+    assert vars(s)["arc_count"] == 6  # kept on the instance after validation
+    assert s == MarkedSurface(1, (3,)) and hash(s) == hash(MarkedSurface(1, (3,)))
