@@ -28,16 +28,98 @@ from .presentation import local_twist_relation_report, presentation_from_qp
 from .surface import Triangulation, annulus, genus_one, polygon_fan
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it: a str escaped; a bool, None, int
+    or float as its JSON text in quotes; anything else is a TypeError."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{json.dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(obj, indent: str) -> str:
+    """The text ``json.dumps(obj, indent=2, sort_keys=True)`` gives, for a
+    value nested at ``indent``; values that are not containers, strings,
+    ints, bools or None go to ``json.dumps`` (floats, or a TypeError)."""
+    # plain ints and str keys, most of a graph file, are written in place
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [str(x) if type(x) is int else _encode(x, inner) for x in obj]
+        )
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [
+                f"{_encode_str(k) if type(k) is str else _key(k)}: {_encode(v, inner)}"
+                for k, v in sorted(obj.items())
+            ]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if type(obj) is int:
+        return str(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
+def _stream(obj, indent: str, depth: int):
+    """The text of ``_encode(obj, indent)`` in pieces: containers ``depth``
+    levels deep are opened here, and each element below them is one piece."""
+    if depth == 0 or not isinstance(obj, (list, tuple, dict)) or not obj:
+        yield _encode(obj, indent)
+        return
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [(f"{_key(k)}: ", v) for k, v in sorted(obj.items())]
+        brackets = "{}"
+    else:
+        items = [("", x) for x in obj]
+        brackets = "[]"
+    lead = brackets[0] + "\n" + inner
+    for prefix, value in items:
+        yield lead + prefix
+        yield from _stream(value, inner, depth - 1)
+        lead = ",\n" + inner
+    yield "\n" + indent + brackets[1]
+
+
+def _chunks(obj):
+    """The CLI's JSON text of ``obj``, byte for byte
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, one graph vertex,
+    graph edge or cover class at a time."""
+    yield from _stream(obj, "", 2)
+    yield "\n"
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return "".join(_chunks(obj))
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, chunks) -> None:
+    """Send text pieces to ``path``; stdout when it is None or '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _fail(kind: str, message: str, code: int = 1, **detail) -> int:
@@ -142,13 +224,13 @@ def _run(args) -> int:
 
     if cmd == "surface":
         t = _base_triangulation(args)
-        _write(args.out, _dump(t.to_json()))
+        _write(args.out, _chunks(t.to_json()))
         return 0
 
     if cmd == "enumerate":
         t = _base_triangulation(args)
         g = enumerate_graph(t, radius=args.radius, budget=args.budget)
-        _write(args.out, _dump(graph_to_json(g)))
+        _write(args.out, _chunks(graph_to_json(g)))
         return 0
 
     if cmd == "relations":
@@ -189,7 +271,7 @@ def _run(args) -> int:
             report = local_twist_relation_report(g, 0)
             out["verification"] = report
             code = 0 if report["all_hold"] else 1
-        _write(args.out, _dump(out))
+        _write(args.out, _chunks(out))
         return code
 
     if cmd == "cover":
@@ -202,7 +284,7 @@ def _run(args) -> int:
         out = ball.to_json()
         if args.report == "fibers":
             out["fibers"] = {str(v): ball.fiber_report(v) for v in range(g.vertex_count())}
-        _write(args.out, _dump(out))
+        _write(args.out, _chunks(out))
         return 0
 
     if cmd == "braid":
@@ -229,9 +311,9 @@ def _run(args) -> int:
     if cmd == "export":
         g = _load_graph(args.graph)
         if args.format == "dot":
-            _write(args.out, export_dot(g))
+            _write(args.out, [export_dot(g)])
         else:
-            _write(args.out, _dump(graph_to_json(g)))
+            _write(args.out, _chunks(graph_to_json(g)))
         return 0
 
     raise AssertionError(f"unhandled command {cmd}")

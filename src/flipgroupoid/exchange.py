@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .seeds import Seed, canonical_form, canonical_key, form_key, mutate_seed
-from .surface import PairClass, Triangulation, arc_label
+from .surface import Triangulation, arc_label
 
 __all__ = [
     "TruncationError",
@@ -235,18 +235,19 @@ def relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
     vd = g.vertices[v]
     tri = vd.triangulation
     B = vd.seed.B.tolist()
+    shared = tri.shared_triangle_counts()
     out = []
     n = g.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            cls = tri.classify_pair(i, j)
+            count = shared.get((i, j), 0)
             bij = B[i - 1][j - 1]
-            if cls is PairClass.DISJOINT:
+            if count == 0:
                 if bij != 0:
                     raise RuntimeError("disjoint arcs must have B entry 0")
                 kind, head, tail = RelationKind.SQUARE, i, j
                 left_plan, right_plan = "ba", "ab"
-            elif cls is PairClass.ONE_SHARED_TRIANGLE:
+            elif count == 1:
                 if abs(bij) != 1:
                     raise RuntimeError("one shared triangle must give |B| = 1")
                 tail, head = (i, j) if bij > 0 else (j, i)

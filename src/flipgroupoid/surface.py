@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -213,42 +214,37 @@ class Triangulation:
         if chi != surf.euler_characteristic:
             raise ValueError(f"Euler characteristic {chi} != {surf.euler_characteristic}")
 
-    def _corner_classes(self) -> dict[tuple[int, int], int]:
-        """Marked-point classes of the corners of the combinatorial map.
+    def _corner_classes(self) -> list[int]:
+        """Marked-point class of each corner of the combinatorial map.
 
-        Corner (t, k) sits between incoming side t[k-1] and outgoing t[k];
-        crossing an internal side keeps us at the same marked point.
+        Corner ``3*t + k`` sits between incoming side t[k-1] and outgoing
+        t[k].  Crossing an arc keeps us at the same marked point: the corner
+        where a slot of the arc starts is the corner where its other slot
+        ends.  Entry c is the root corner of c's class.
         """
-        corners = [(t, k) for t in range(len(self.triangles)) for k in range(3)]
-        idx = {c: i for i, c in enumerate(corners)}
-        parent = list(range(len(corners)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for (t, k) in corners:
-            out = self.triangles[t][k]
-            if out.startswith("a"):
-                (t1, p1), (t2, p2) = self.slots(out)
-                other = (t2, p2) if (t1, p1) == (t, k) else (t1, p1)
-                union(idx[(t, k)], idx[(other[0], (other[1] + 1) % 3)])
-            inc = self.triangles[t][(k - 1) % 3]
-            if inc.startswith("a"):
-                sl = self.slots(inc)
-                other = sl[1] if sl[0] == (t, (k - 1) % 3) else sl[0]
-                union(idx[(t, k)], idx[other])
-        return {c: find(idx[c]) for c in corners}
+        parent = list(range(3 * len(self.triangles)))
+        for lab, sl in self._slots.items():
+            if not lab.startswith("a"):
+                continue
+            (t1, p1), (t2, p2) = sl
+            for x, y in (
+                (3 * t1 + p1, 3 * t2 + (p2 + 1) % 3),
+                (3 * t2 + p2, 3 * t1 + (p1 + 1) % 3),
+            ):
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                parent[y] = x
+        for c in range(len(parent)):
+            root = c
+            while parent[root] != root:
+                root = parent[root]
+            parent[c] = root
+        return parent
 
     def _vertex_count(self) -> int:
-        return len(set(self._corner_classes().values()))
+        return len(set(self._corner_classes()))
 
     def disc_chords(self) -> frozenset:
         """For a disc, the triangulation as a set of chords {i, j} between
@@ -268,13 +264,13 @@ class Triangulation:
                 continue
             j = int(m.group(2))
             ((t, p),) = self.slots(lab)
-            label_of_class[classes[(t, p)]] = j          # start of b0.j sits at j
-            label_of_class[classes[(t, (p + 1) % 3)]] = (j + 1) % self.surface.m
+            label_of_class[classes[3 * t + p]] = j          # start of b0.j sits at j
+            label_of_class[classes[3 * t + (p + 1) % 3]] = (j + 1) % self.surface.m
         chords = []
         for i in range(1, self.n + 1):
             (t, p), _ = self.slots(arc_label(i))
-            u = label_of_class[classes[(t, p)]]
-            v = label_of_class[classes[(t, (p + 1) % 3)]]
+            u = label_of_class[classes[3 * t + p]]
+            v = label_of_class[classes[3 * t + (p + 1) % 3]]
             chords.append(frozenset((u, v)))
         return tuple(chords)
 
@@ -319,6 +315,17 @@ class Triangulation:
             1: PairClass.ONE_SHARED_TRIANGLE,
             2: PairClass.TWO_SHARED_TRIANGLES,
         }[shared]
+
+    def shared_triangle_counts(self) -> dict[tuple[int, int], int]:
+        """How many triangles each pair of arcs i < j shares, from one pass
+        over the triangles; a pair missing here shares none.  For every pair
+        this is the count behind :meth:`classify_pair`."""
+        counts: dict[tuple[int, int], int] = {}
+        for tri in self.triangles:
+            arcs = sorted(int(lab[1:]) for lab in tri if lab.startswith("a"))
+            for pair in combinations(arcs, 2):
+                counts[pair] = counts.get(pair, 0) + 1
+        return counts
 
     def quiver(self) -> "QuiverWithPotential":
         """Quiver with potential read off the triangulation.

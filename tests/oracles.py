@@ -4,7 +4,9 @@ These deliberately avoid the library's own machinery: polygon
 triangulations are maximal noncrossing diagonal sets found by
 backtracking, and their flip graph is built directly on chord sets.
 The seed references are the numpy canonical form and key that
-``flipgroupoid.seeds`` replaced with reads on Python ints.
+``flipgroupoid.seeds`` replaced with reads on Python ints; the corner
+reference is the union-find on ``(t, k)`` tuples that
+``Triangulation._corner_classes`` replaced with flat corner indices.
 """
 
 from math import comb
@@ -103,3 +105,34 @@ def ref_canonical_key(seed) -> bytes:
     body = ",".join(str(int(x)) for x in B2.ravel())
     body += ";" + ",".join(str(int(x)) for x in C2.ravel())
     return f"n={n};{body}".encode("ascii")
+
+
+def ref_corner_classes(tri) -> dict[tuple[int, int], int]:
+    """Marked-point class of each corner (t, k), by union-find on tuples."""
+    corners = [(t, k) for t in range(len(tri.triangles)) for k in range(3)]
+    idx = {c: i for i, c in enumerate(corners)}
+    parent = list(range(len(corners)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    for (t, k) in corners:
+        out = tri.triangles[t][k]
+        if out.startswith("a"):
+            (t1, p1), (t2, p2) = tri.slots(out)
+            other = (t2, p2) if (t1, p1) == (t, k) else (t1, p1)
+            union(idx[(t, k)], idx[(other[0], (other[1] + 1) % 3)])
+        inc = tri.triangles[t][(k - 1) % 3]
+        if inc.startswith("a"):
+            sl = tri.slots(inc)
+            other = sl[1] if sl[0] == (t, (k - 1) % 3) else sl[0]
+            union(idx[(t, k)], idx[other])
+    return {c: find(idx[c]) for c in corners}

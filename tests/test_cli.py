@@ -2,10 +2,16 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flipgroupoid import cli, homology
+from flipgroupoid.exchange import enumerate_graph, graph_to_json
+from flipgroupoid.surface import polygon_fan
 
 
 def run_cli(*args):
@@ -267,3 +273,120 @@ def test_relations_rejects_a_corrupt_graph_file(corrupt, named, tmp_path, capsys
     report = json.loads(capsys.readouterr().err)
     assert report["kind"] == "usage"
     assert named in report["message"]
+
+
+ESCAPES = ['"', "\\", "/", "\b\f\n\r\t", "\x00\x1f\x7f", "é", "\u2028", "\U0001f600", ""]
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(),
+    st.text(),
+    st.sampled_from(ESCAPES),
+)
+
+
+def _containers(children, keys=st.text()):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(st.integers(-3, 3), children, max_size=4),
+        # bool, None and int keys side by side: sorting None with an int fails
+        st.dictionaries(st.one_of(st.booleans(), st.none(), st.integers(-1, 2)), children,
+                        max_size=3),
+    )
+
+
+JSON_VALUES = st.recursive(SCALARS, _containers, max_leaves=40)
+# values json.dumps rejects, as leaves and as dict keys
+UNENCODABLE = st.sampled_from([np.int64(3), {1, 2}, frozenset(), b"x", object()])
+BAD_KEYS = st.one_of(st.text(), st.tuples(st.integers()), st.just(frozenset()))
+ANY_VALUES = st.recursive(
+    st.one_of(SCALARS, UNENCODABLE), lambda kids: _containers(kids, BAD_KEYS), max_leaves=20
+)
+
+
+def _check_writer(obj):
+    try:
+        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._dump(obj)
+        with pytest.raises(TypeError):
+            cli._encode(obj, "")
+        return
+    assert cli._dump(obj) == want
+    assert "".join(cli._chunks(obj)) == want
+    assert cli._encode(obj, "") + "\n" == want
+
+
+@given(JSON_VALUES)
+def test_writer_matches_json_dumps(obj):
+    _check_writer(obj)
+
+
+@given(ANY_VALUES)
+def test_writer_raises_where_json_dumps_does(obj):
+    _check_writer(obj)
+
+
+def test_writer_pieces_are_graph_vertices_and_edges():
+    data = graph_to_json(enumerate_graph(polygon_fan(6)))
+    pieces = list(cli._chunks(data))
+    assert "".join(pieces) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    for vertex in data["vertices"]:
+        assert cli._encode(vertex, "    ") in pieces
+    for edge in data["edges"]:
+        assert cli._encode(edge, "    ") in pieces
+
+
+def test_write_streams_the_graph_file(tmp_path):
+    data = graph_to_json(enumerate_graph(polygon_fan(9)))
+    path = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        cli._write(str(path), cli._chunks(data))
+        _, streamed = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        _, whole = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_text() == text
+    assert size > 1_500_000
+    assert streamed < size / 4
+    assert whole > size
+
+
+UNENCODABLE_GRAPH = """
+import sys
+import numpy as np
+from flipgroupoid import cli
+
+real = cli.graph_to_json
+
+
+def with_a_numpy_int(g):
+    data = real(g)
+    data["vertices"][-1]["depth"] = np.int64(data["vertices"][-1]["depth"])
+    return data
+
+
+cli.graph_to_json = with_a_numpy_int
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_enumerate_fails_loudly_on_an_unencodable_value(tmp_path):
+    out = tmp_path / "g.json"
+    cmd = ["enumerate", "--polygon", "6", "--out", str(out)]
+    r = subprocess.run(
+        [sys.executable, "-c", UNENCODABLE_GRAPH, *cmd],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode != 0
+    assert "TypeError: Object of type int64 is not JSON serializable" in r.stderr

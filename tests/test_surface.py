@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flipgroupoid.surface import (
     MarkedSurface,
@@ -10,6 +12,8 @@ from flipgroupoid.surface import (
     genus_one,
     polygon_fan,
 )
+
+from oracles import ref_corner_classes
 
 
 def test_surface_invariants():
@@ -189,3 +193,91 @@ def test_arc_count_computed_once_per_surface():
     assert s.arc_count == 6
     assert vars(s)["arc_count"] == 6  # kept on the instance after validation
     assert s == MarkedSurface(1, (3,)) and hash(s) == hash(MarkedSurface(1, (3,)))
+
+
+WALK_BASES = [
+    polygon_fan(5),
+    polygon_fan(8),
+    annulus(1, 1),
+    annulus(2, 2),
+    annulus(3, 2),
+    genus_one(1),
+    genus_one(3),
+]
+PAIR_COUNT = {
+    PairClass.DISJOINT: 0,
+    PairClass.ONE_SHARED_TRIANGLE: 1,
+    PairClass.TWO_SHARED_TRIANGLES: 2,
+}
+
+
+def _walk(base, steps):
+    t = base
+    yield t
+    for step in steps:
+        t = t.flip(1 + step % t.n)
+        yield t
+
+
+def _partition(class_ids) -> list[int]:
+    """Each corner's class named by the first corner in it."""
+    first: dict = {}
+    return [first.setdefault(c, i) for i, c in enumerate(class_ids)]
+
+
+@given(st.sampled_from(WALK_BASES), st.lists(st.integers(0, 10**6), max_size=30))
+def test_corner_classes_match_tuple_reference(base, steps):
+    for t in _walk(base, steps):
+        flat = t._corner_classes()
+        ref = ref_corner_classes(t)
+        assert len(flat) == len(ref) == 3 * len(t.triangles)
+        assert _partition(flat) == _partition(ref[(c // 3, c % 3)] for c in range(len(flat)))
+        assert t._vertex_count() == len(set(ref.values())) == t.surface.m
+
+
+@given(st.sampled_from(WALK_BASES), st.lists(st.integers(0, 10**6), max_size=30))
+def test_shared_triangle_counts_match_classify_pair(base, steps):
+    for t in _walk(base, steps):
+        shared = t.shared_triangle_counts()
+        assert all(i < j and count in (1, 2) for (i, j), count in shared.items())
+        for i in range(1, t.n + 1):
+            for j in range(i + 1, t.n + 1):
+                assert shared.get((i, j), 0) == PAIR_COUNT[t.classify_pair(i, j)]
+
+
+# gluings with every label used the right number of times but the wrong
+# marked points, each with the message validate gave on tuple-keyed corners
+BAD_GLUINGS = [
+    (polygon_fan(5), [("b0.0", "b0.4", "b0.2"), ("b0.1", "a1", "a2"), ("a1", "b0.3", "a2")],
+     "map has 6 vertices, surface has m=5"),
+    (annulus(1, 1), [("a1", "b1.0", "a2"), ("b0.0", "a1", "a2")],
+     "map has 3 vertices, surface has m=2"),
+    (genus_one(1), [("b0.0", "a1", "a3"), ("a2", "a4", "a1"), ("a3", "a4", "a2")],
+     "map has 3 vertices, surface has m=1"),
+]
+
+
+@pytest.mark.parametrize("base, triangles, message", BAD_GLUINGS,
+                         ids=["polygon5", "annulus11", "genus-one1"])
+def test_bad_gluing_message(base, triangles, message):
+    with pytest.raises(ValueError) as info:
+        Triangulation(base.surface, triangles)
+    assert str(info.value) == message
+
+
+@given(st.sampled_from(WALK_BASES), st.randoms(use_true_random=False))
+def test_shuffled_gluings_rejected_as_by_the_reference(base, rng):
+    labels = [lab for tri in base.triangles for lab in tri]
+    rng.shuffle(labels)
+    triangles = [labels[i:i + 3] for i in range(0, len(labels), 3)]
+    if any(len(set(tri)) < 3 for tri in triangles):
+        return  # rejected by the constructor before any corner is read
+    t = Triangulation(base.surface, triangles, validate=False)
+    v = len(set(ref_corner_classes(t).values()))
+    m = base.surface.m
+    if v == m:  # then the Euler characteristic matches too
+        t.validate()
+        return
+    with pytest.raises(ValueError) as info:
+        t.validate()
+    assert str(info.value) == f"map has {v} vertices, surface has m={m}"
