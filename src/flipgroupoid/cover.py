@@ -199,19 +199,15 @@ def base_frame(surface, oracle=None) -> TwistFrame:
     return TwistFrame(tuple(oracle.generator(i) for i in range(1, n + 1)), oracle)
 
 
-def _B_of(q):
-    return q.B if hasattr(q, "B") else q
-
-
 def transport_frame(frame: TwistFrame, q, k: int) -> TwistFrame:
     """Push the frame across the forward mutation at arc k.
 
     ``q`` is the quiver (or exchange matrix) at the source vertex; arc ids
     are stable here, as in the raw triangulation world.
     """
-    B = _B_of(q)
+    B = getattr(q, "B", q)
     n = frame.n
-    if B.shape != (n, n):
+    if len(B) != n:
         raise ValueError("frame and quiver sizes differ")
     if not (1 <= k <= n):
         raise ValueError(f"arc {k} out of range")
@@ -219,7 +215,7 @@ def transport_frame(frame: TwistFrame, q, k: int) -> TwistFrame:
     o = frame.oracle
     entries = list(frame.entries)
     for l in range(1, n + 1):
-        if l != k and B[l - 1, k - 1] > 0:
+        if l != k and B[l - 1][k - 1] > 0:
             entries[l - 1] = o.conj(entries[l - 1], g)
     return TwistFrame(tuple(entries), o)
 
@@ -247,7 +243,7 @@ def frame_transport_move(g: ExchangeGraph, frame: TwistFrame, v: int, k: int, fo
     entries = [None] * n
     for l in range(1, n + 1):
         e = frame.entries[rho[l - 1] - 1]
-        if l != k2 and Bu[l - 1, k2 - 1] > 0:
+        if l != k2 and Bu[l - 1][k2 - 1] > 0:
             e = o.conj(e, o.inv(gamma))
         entries[l - 1] = e
     return u, TwistFrame(tuple(entries), o)

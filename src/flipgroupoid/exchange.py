@@ -22,8 +22,6 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .seeds import Seed, canonical_form, canonical_key, form_key, mutate_seed
 from .surface import Triangulation, arc_label
 
@@ -131,9 +129,8 @@ def enumerate_graph(
         raise ValueError("budget must be >= 1")
 
     n = base.surface.arc_count
-    seed0 = Seed.initial(base.quiver().B)
-    B0, C0, perm0 = canonical_form(seed0)
-    v0 = GraphVertex(_relabel(base, perm0), Seed(B0, C0), form_key(B0, C0), 0, False)
+    seed0 = Seed.initial(base.quiver().B)  # canonical already: C is the identity
+    v0 = GraphVertex(base, seed0, canonical_key(seed0), 0, False)
 
     vertices = [v0]
     index = {v0.key: 0}
@@ -162,11 +159,10 @@ def enumerate_graph(
                         f"vertex budget {budget} exceeded while enumerating"
                     )
                 tri = _relabel(vd.triangulation.flip(k), perm)
-                seed_u = Seed(B2, C2)
-                if (tri.quiver().B != B2).any():
+                if tri.quiver().B != B2:
                     raise RuntimeError("flip/mutation mismatch: implementation bug")
                 u = len(vertices)
-                vertices.append(GraphVertex(tri, seed_u, key, vd.depth + 1, False))
+                vertices.append(GraphVertex(tri, Seed.trusted(B2, C2), key, vd.depth + 1, False))
                 nbr.append({})
                 index[key] = u
                 queue.append(u)
@@ -234,7 +230,7 @@ def relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
     """One instance per unordered arc pair at vertex v."""
     vd = g.vertices[v]
     tri = vd.triangulation
-    B = vd.seed.B.tolist()
+    B = vd.seed.B
     shared = tri.shared_triangle_counts()
     out = []
     n = g.n
@@ -326,7 +322,7 @@ def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> 
         vd = g.vertices[v]
         if vd.frontier:
             continue
-        B = vd.seed.B.tolist()
+        B = vd.seed.B
         for i in range(1, g.n + 1):
             for j in range(i + 1, g.n + 1):
                 entry = abs(B[i - 1][j - 1])
@@ -373,8 +369,8 @@ def graph_to_json(g: ExchangeGraph) -> dict:
         "vertices": [
             {
                 "triangulation": vd.triangulation.to_json(),
-                "B": vd.seed.B.tolist(),
-                "C": vd.seed.C.tolist(),
+                "B": vd.seed.B,
+                "C": vd.seed.C,
                 "depth": vd.depth,
                 "frontier": vd.frontier,
             }
@@ -393,10 +389,13 @@ def graph_to_json(g: ExchangeGraph) -> dict:
 def graph_from_json(data: dict) -> ExchangeGraph:
     """Load a graph file, rejecting inconsistent edges and vertices.
 
-    Bad input raises ``ValueError`` naming the vertex or edge.  Not checked,
-    because each costs a quiver, a flip or a determinant per vertex or edge:
-    that B is the quiver of the triangulation, that C is unimodular, and
-    that an edge's flip and relabelling give its target.
+    Bad input raises ``ValueError`` naming the vertex or edge.  B and C must
+    be n x n lists of ints, and the rows of C distinct and in the descending
+    order ``enumerate`` writes, so (B, C) is its own canonical form and gives
+    the key as it stands.  Not checked, because each costs a quiver, a flip
+    or a determinant per vertex or edge: that B is the quiver of the
+    triangulation, that C is unimodular, and that an edge's flip and
+    relabelling give its target.
     """
     from .surface import MarkedSurface
 
@@ -408,13 +407,19 @@ def graph_from_json(data: dict) -> ExchangeGraph:
         tri = Triangulation.from_json(vd["triangulation"])
         if tri.surface != surface:
             raise ValueError(f"graph vertex {i}: surface differs from the graph's")
-        seed = Seed(np.array(vd["B"], dtype=np.int64), np.array(vd["C"], dtype=np.int64))
-        if seed.n != n:
+        B, C = vd["B"], vd["C"]
+        if not (type(B) is type(C) is list
+                and all(type(row) is list and len(row) == n for row in (B, C, *B, *C))):
             raise ValueError(f"graph vertex {i}: B and C must be {n} x {n}")
-        try:
-            key = canonical_key(seed)
-        except RuntimeError as exc:  # two equal rows of C
-            raise ValueError(f"graph vertex {i}: {exc}") from None
+        if not all(type(x) is int for row in (*B, *C) for x in row):
+            raise ValueError(f"graph vertex {i}: B and C entries must be integers")
+        C = tuple(map(tuple, C))
+        if len(set(C)) != n:
+            raise ValueError(f"graph vertex {i}: duplicate c-vectors; C cannot be unimodular")
+        if any(a < b for a, b in zip(C, C[1:])):
+            raise ValueError(f"graph vertex {i}: rows of C are not in descending order")
+        seed = Seed.trusted(tuple(map(tuple, B)), C)
+        key = form_key(seed.B, C)
         if key in index:
             raise ValueError(f"graph vertex {i}: same seed as vertex {index[key]}")
         index[key] = i

@@ -96,10 +96,8 @@ def presentation_from_qp(q: QuiverWithPotential) -> GroupPresentation:
     Deterministic: patterns are scanned in sorted vertex order and
     duplicate word pairs are dropped.
     """
-    B = q.B
     n = q.n
-    if abs(B).max(initial=0) > 2:
-        raise ValueError("unsupported pattern: arrow multiplicity exceeds 2")
+    b = q.b_entry
     gens = tuple(range(1, n + 1))
     out: list[Relation] = []
     seen = set()
@@ -109,9 +107,6 @@ def presentation_from_qp(q: QuiverWithPotential) -> GroupPresentation:
         if rel.key() not in seen:
             seen.add(rel.key())
             out.append(rel)
-
-    def b(i, j):
-        return int(B[i - 1, j - 1])
 
     # cases 1 and 2: pairs
     for i in gens:

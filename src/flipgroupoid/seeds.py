@@ -10,46 +10,60 @@ unimodular, so the sort is unambiguous.
 
 One :func:`canonical_form` gives both the relabelling permutation and,
 through :func:`form_key`, the dedup key, so enumeration computes the
-canonical form once per mutation.  Small matrices are read as Python ints
-(one ``tolist`` per matrix), not entry by entry as numpy scalars.
+canonical form once per mutation.  Matrices are tuples of int tuples.
 
 Mutation indices are 1-based, matching arc ids.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 __all__ = ["Seed", "mutate_matrix", "mutate_seed", "canonical_form", "canonical_key", "form_key"]
 
+Matrix = tuple[tuple[int, ...], ...]
 
-def _as_matrix(B) -> np.ndarray:
-    B = np.asarray(B, dtype=np.int64)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+
+def as_matrix(B) -> Matrix:
+    """A nested sequence or 2-D array as a square tuple of int tuples; floats raise TypeError."""
+    rows = tuple([tuple(map(operator.index, row)) for row in B])
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("expected a square matrix")
-    return B
+    return rows
 
 
-def mutate_matrix(B, k: int) -> np.ndarray:
+def is_skew_symmetric(B: Matrix) -> bool:
+    return B == tuple([tuple([-x for x in col]) for col in zip(*B)])
+
+
+def mutate_matrix(B, k: int) -> Matrix:
     """Standard skew-symmetric matrix mutation at vertex k (1-based)."""
-    B = _as_matrix(B)
-    n = B.shape[0]
+    return _mutate(as_matrix(B), k)
+
+
+def _mutate(B: Matrix, k: int) -> Matrix:
+    """mutate_matrix on a tuple of int tuples; rows with b_ik = 0 are shared."""
+    n = len(B)
     if not (1 <= k <= n):
         raise ValueError(f"mutation index {k} out of range 1..{n}")
     k -= 1
-    col = B[:, k]
-    row = B[k, :]
-    out = B + np.sign(col)[:, None] * np.maximum(np.outer(col, row), 0)
-    out[k, :] = -B[k, :]
-    out[:, k] = -B[:, k]
-    return out
+    out = list(B)
+    for i, row in enumerate(B):
+        b = row[k]
+        if b:
+            s = 1 if b > 0 else -1
+            new = [x + s * max(b * y, 0) for x, y in zip(row, B[k])]
+            new[k] = -b
+            out[i] = tuple(new)
+    out[k] = tuple([-x for x in B[k]])
+    return tuple(out)
 
 
-def _det(mat: np.ndarray) -> int:
+def _det(mat: Matrix) -> int:
     """Exact integer determinant (Bareiss elimination)."""
-    a = [[int(x) for x in row] for row in mat]
+    a = [list(row) for row in mat]
     n = len(a)
     sign = 1
     prev = 1
@@ -71,96 +85,93 @@ def _det(mat: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class Seed:
-    """Exchange matrix B plus c-matrix C; value type, never mutated in place."""
+    """Exchange matrix B plus c-matrix C, each a tuple of int tuples."""
 
-    B: np.ndarray
-    C: np.ndarray
+    B: Matrix
+    C: Matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "B", _as_matrix(self.B))
-        object.__setattr__(self, "C", _as_matrix(self.C))
-        if self.B.shape != self.C.shape:
+        object.__setattr__(self, "B", as_matrix(self.B))
+        object.__setattr__(self, "C", as_matrix(self.C))
+        if len(self.B) != len(self.C):
             raise ValueError("B and C must have equal shape")
-        self.B.setflags(write=False)
-        self.C.setflags(write=False)
+
+    @classmethod
+    def trusted(cls, B: Matrix, C: Matrix) -> "Seed":
+        """Seed of B and C, already tuples of int tuples, with no copy or check."""
+        seed = object.__new__(cls)
+        object.__setattr__(seed, "B", B)
+        object.__setattr__(seed, "C", C)
+        return seed
 
     @property
     def n(self) -> int:
-        return self.B.shape[0]
+        return len(self.B)
 
     @classmethod
     def initial(cls, B) -> "Seed":
-        B = _as_matrix(B)
-        return cls(B, np.eye(B.shape[0], dtype=np.int64))
+        n = len(B)
+        return cls(B, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def validate(self) -> None:
-        if (self.B != -self.B.T).any():
+        if not is_skew_symmetric(self.B):
             raise ValueError("B must be skew-symmetric")
         if abs(_det(self.C)) != 1:
             raise ValueError("C must be unimodular")
         _check_sign_coherent(self.C)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Seed)
-            and self.B.shape == other.B.shape
-            and (self.B == other.B).all()
-            and (self.C == other.C).all()
-        )
 
-    def __hash__(self):
-        return hash((self.B.tobytes(), self.C.tobytes()))
-
-
-def _check_sign_coherent(C: np.ndarray) -> None:
-    for i, row in enumerate(C.tolist()):
+def _check_sign_coherent(C: Matrix) -> None:
+    for i, row in enumerate(C):
         if min(row) >= 0 or max(row) <= 0:
             continue
         raise RuntimeError(
-            f"sign-incoherent c-vector in row {i + 1}: {row!r} "
+            f"sign-incoherent c-vector in row {i + 1}: {list(row)!r} "
             "(implementation bug: seeds reached from (B, I) are sign-coherent)"
         )
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Mutate B and C at vertex k (1-based).  Involutive."""
-    n = seed.n
-    if not (1 <= k <= n):
-        raise ValueError(f"mutation index {k} out of range 1..{n}")
     B, C = seed.B, seed.C
+    B2 = _mutate(B, k)
     _check_sign_coherent(C)
     k0 = k - 1
     ck = C[k0]
-    coef = np.maximum(B[:, k0], 0) if (ck >= 0).all() else np.maximum(-B[:, k0], 0)
-    C2 = C + coef[:, None] * ck[None, :]
-    C2[k0] = -ck
-    return Seed(mutate_matrix(B, k), C2)
+    sign = 1 if min(ck) >= 0 else -1
+    C2 = list(C)
+    for i, brow in enumerate(B):
+        coef = max(sign * brow[k0], 0)
+        if coef:
+            C2[i] = tuple([x + coef * y for x, y in zip(C[i], ck)])
+    C2[k0] = tuple([-x for x in ck])
+    return Seed.trusted(B2, tuple(C2))
 
 
-def canonical_form(seed: Seed) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+def canonical_form(seed: Seed) -> tuple[Matrix, Matrix, tuple[int, ...]]:
     """Sort C rows (descending lex), permuting B the same way.
 
     Returns (B', C', perm) where perm maps old 1-based indices to new ones.
     The identity c-matrix is already canonical, so base seeds are unmoved.
     """
     n = seed.n
-    rows = seed.C.tolist()
-    if len(set(map(tuple, rows))) != n:
+    C = seed.C
+    if len(set(C)) != n:
         raise RuntimeError("duplicate c-vectors; C cannot be unimodular")
-    order = sorted(range(n), key=rows.__getitem__, reverse=True)
+    order = sorted(range(n), key=C.__getitem__, reverse=True)
     new_index = [0] * n
     for pos, old in enumerate(order):
         new_index[old] = pos
-    B2 = seed.B[np.ix_(order, order)]
-    C2 = seed.C[order]
+    B2 = tuple([tuple(map(seed.B[i].__getitem__, order)) for i in order])
+    C2 = tuple(map(C.__getitem__, order))
     return B2, C2, tuple(i + 1 for i in new_index)
 
 
-def form_key(B2: np.ndarray, C2: np.ndarray) -> bytes:
+def form_key(B2: Matrix, C2: Matrix) -> bytes:
     """Key bytes of a canonical form (B', C') as returned by canonical_form."""
-    body = ",".join(map(str, B2.ravel().tolist()))
-    body += ";" + ",".join(map(str, C2.ravel().tolist()))
-    return f"n={B2.shape[0]};{body}".encode("ascii")
+    body = ",".join(map(str, chain.from_iterable(B2)))
+    body += ";" + ",".join(map(str, chain.from_iterable(C2)))
+    return f"n={len(B2)};{body}".encode("ascii")
 
 
 def canonical_key(seed: Seed) -> bytes:

@@ -33,7 +33,7 @@ from enum import Enum
 from functools import cache, cached_property
 from itertools import combinations
 
-import numpy as np
+from .seeds import Matrix, as_matrix, is_skew_symmetric
 
 __all__ = [
     "MarkedSurface",
@@ -335,7 +335,7 @@ class Triangulation:
         potential 3-cycle per triangle whose sides are all arcs.
         """
         n = self.n
-        B = np.zeros((n, n), dtype=np.int64)
+        B = [[0] * n for _ in range(n)]
         arrows = []
         arrow_at = {}
         for t, tri in enumerate(self.triangles):
@@ -346,8 +346,8 @@ class Triangulation:
                     hi = int(head[1:])
                     arrow_at[(t, k)] = len(arrows)
                     arrows.append((ti, hi))
-                    B[ti - 1, hi - 1] += 1
-                    B[hi - 1, ti - 1] -= 1
+                    B[ti - 1][hi - 1] += 1
+                    B[hi - 1][ti - 1] -= 1
         terms = []
         for t, tri in enumerate(self.triangles):
             if all(e.startswith("a") for e in tri):
@@ -423,20 +423,21 @@ class QuiverWithPotential:
     """
 
     n: int
-    B: np.ndarray
+    B: Matrix
     arrows: tuple[tuple[int, int], ...]
     terms: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        B = self.B
-        if B.shape != (self.n, self.n) or (B != -B.T).any():
+        B = as_matrix(self.B)
+        object.__setattr__(self, "B", B)
+        if len(B) != self.n or not is_skew_symmetric(B):
             raise ValueError("B must be skew-symmetric n x n")
-        if np.abs(B).max(initial=0) > 2:
+        if max(map(max, B), default=0) > 2:  # B is skew, so this bounds |B|
             raise ValueError("triangulation quivers have |B| <= 2")
         for cyc in self.terms:
             for i in range(3):
                 tail, head = self.arrows[cyc[i]]
-                if B[tail - 1, head - 1] < 1:
+                if B[tail - 1][head - 1] < 1:
                     raise ValueError("potential term must follow arrows")
                 if head != self.arrows[cyc[(i + 1) % 3]][0]:
                     raise ValueError("potential term arrows must form a 3-cycle")
@@ -448,7 +449,7 @@ class QuiverWithPotential:
         return tuple(self.term_vertices(c) for c in self.terms)
 
     def b_entry(self, i: int, j: int) -> int:
-        return int(self.B[i - 1, j - 1])
+        return self.B[i - 1][j - 1]
 
 
 # -- constructors -----------------------------------------------------------

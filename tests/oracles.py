@@ -3,8 +3,8 @@
 These deliberately avoid the library's own machinery: polygon
 triangulations are maximal noncrossing diagonal sets found by
 backtracking, and their flip graph is built directly on chord sets.
-The seed references are the numpy canonical form and key that
-``flipgroupoid.seeds`` replaced with reads on Python ints; the corner
+The seed references are the numpy mutation, canonical form and key that
+``flipgroupoid.seeds`` replaced with code on tuples of int tuples; the corner
 reference is the union-find on ``(t, k)`` tuples that
 ``Triangulation._corner_classes`` replaced with flat corner indices.
 """
@@ -84,18 +84,47 @@ def polygon_flip_graph(m: int) -> dict[frozenset, dict[tuple, frozenset]]:
     return graph
 
 
+def ref_mutate_matrix(B, k: int) -> np.ndarray:
+    """Skew-symmetric matrix mutation at vertex k (1-based) on an int64 array."""
+    B = np.asarray(B, dtype=np.int64)
+    n = B.shape[0]
+    if not (1 <= k <= n):
+        raise ValueError(f"mutation index {k} out of range 1..{n}")
+    k -= 1
+    col = B[:, k]
+    row = B[k, :]
+    out = B + np.sign(col)[:, None] * np.maximum(np.outer(col, row), 0)
+    out[k, :] = -B[k, :]
+    out[:, k] = -B[:, k]
+    return out
+
+
+def ref_mutate_seed(seed, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, C) of the seed mutated at vertex k (1-based), as int64 arrays."""
+    B = np.asarray(seed.B, dtype=np.int64)
+    C = np.asarray(seed.C, dtype=np.int64)
+    k0 = k - 1
+    ck = C[k0]
+    coef = np.maximum(B[:, k0], 0) if (ck >= 0).all() else np.maximum(-B[:, k0], 0)
+    C2 = C + coef[:, None] * ck[None, :]
+    C2[k0] = -ck
+    return ref_mutate_matrix(B, k), C2
+
+
 def ref_canonical_form(seed):
     """Sort C rows (descending lex) entry by entry on numpy scalars."""
     n = seed.n
-    rows = [tuple(-int(x) for x in seed.C[i]) for i in range(n)]
+    B = np.asarray(seed.B, dtype=np.int64)
+    C = np.asarray(seed.C, dtype=np.int64)
+    rows = [tuple(-int(x) for x in C[i]) for i in range(n)]
     if len(set(rows)) != n:
         raise RuntimeError("duplicate c-vectors; C cannot be unimodular")
     order = sorted(range(n), key=lambda i: rows[i])
     new_index = [0] * n
     for pos, old in enumerate(order):
         new_index[old] = pos
-    B2 = seed.B[np.ix_(order, order)]
-    C2 = seed.C[order]
+    B2 = B[np.ix_(order, order)]
+    C2 = C[order]
     return B2, C2, tuple(i + 1 for i in new_index)
 
 

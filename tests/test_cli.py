@@ -239,6 +239,24 @@ def _equal_rows_of_c(data):
     C[1] = list(C[0])
 
 
+def _float_in_b(data):
+    data["vertices"][1]["B"][0][1] = 1.4
+
+
+def _string_in_c(data):
+    data["vertices"][2]["C"][0][0] = str(data["vertices"][2]["C"][0][0])
+
+
+def _bool_in_c(data):
+    C = data["vertices"][3]["C"]
+    C[0] = [bool(x) if x in (0, 1) else x for x in C[0]]
+
+
+def _rows_of_c_out_of_order(data):
+    C = data["vertices"][4]["C"]
+    C[0], C[1] = C[1], C[0]
+
+
 def _vertex_on_another_surface(data):
     from flipgroupoid.surface import polygon_fan
 
@@ -257,6 +275,10 @@ LOADER_PROBES = [
     (_slot_used_twice, "graph edge 5: slot already has an edge"),
     (_vertex_on_another_surface, "graph vertex 1: surface differs"),
     (_equal_rows_of_c, "graph vertex 2: duplicate c-vectors"),
+    (_float_in_b, "graph vertex 1: B and C entries must be integers"),
+    (_string_in_c, "graph vertex 2: B and C entries must be integers"),
+    (_bool_in_c, "graph vertex 3: B and C entries must be integers"),
+    (_rows_of_c_out_of_order, "graph vertex 4: rows of C are not in descending order"),
 ]
 
 

@@ -119,3 +119,40 @@ def test_homology_requires_complete_graph():
     g = enumerate_graph(annulus(1, 1), radius=3)
     with pytest.raises(ValueError):
         homology_h1(g)
+
+
+def test_h1_hands_invariant_factors_a_2d_array(monkeypatch):
+    from flipgroupoid import homology
+
+    seen = []
+    real = homology.invariant_factors
+
+    def spy(M):
+        seen.append(M)
+        return real(M)
+
+    monkeypatch.setattr(homology, "invariant_factors", spy)
+    assert homology_h1(enumerate_graph(polygon_fan(6))) == (0, [])
+    [M] = seen
+    assert isinstance(M, np.ndarray) and M.ndim == 2 and M.dtype == np.int8
+
+
+def test_only_homology_imports_numpy():
+    # the matrix format stays behind one module: seeds hold tuples of int tuples
+    import ast
+    from pathlib import Path
+
+    import flipgroupoid
+
+    importers = set()
+    for path in Path(flipgroupoid.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                importers.add(path.name)
+    assert importers == {"homology.py"}

@@ -15,7 +15,7 @@ from flipgroupoid.seeds import (
 )
 from flipgroupoid.surface import annulus, genus_one, polygon_fan
 
-from oracles import ref_canonical_form, ref_canonical_key
+from oracles import ref_canonical_form, ref_canonical_key, ref_mutate_matrix, ref_mutate_seed
 
 A2 = [[0, 1], [-1, 0]]
 A3 = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
@@ -23,11 +23,11 @@ KRONECKER = [[0, 2], [-2, 0]]
 
 
 def test_mutate_matrix_examples():
-    assert mutate_matrix(A2, 1).tolist() == [[0, -1], [1, 0]]
+    assert mutate_matrix(A2, 1) == ((0, -1), (1, 0))
     # A3 path 1->2->3 mutated at 2: arrows 2->1, 3->2, 1->3
     out = mutate_matrix(A3, 2)
-    assert out[1, 0] == 1 and out[2, 1] == 1 and out[0, 2] == 1
-    assert mutate_matrix(KRONECKER, 1).tolist() == [[0, -2], [2, 0]]
+    assert out[1][0] == 1 and out[2][1] == 1 and out[0][2] == 1
+    assert mutate_matrix(KRONECKER, 1) == ((0, -2), (2, 0))
 
 
 def test_mutate_matrix_range():
@@ -37,9 +37,32 @@ def test_mutate_matrix_range():
         mutate_matrix(A2, 3)
 
 
+def test_array_and_list_inputs_give_int_tuples():
+    s = Seed(np.array(A2), [[1, 0], [0, 1]])
+    assert s == Seed.initial(A2) and hash(s) == hash(Seed.initial(np.array(A2)))
+    assert s.B == ((0, 1), (-1, 0)) and all(type(x) is int for row in s.B for x in row)
+    assert mutate_matrix(np.array(A3), 2) == mutate_matrix(A3, 2)
+    with pytest.raises(TypeError):
+        Seed([[0, 1.0], [-1, 0]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        mutate_matrix([[0, 1], [-1]], 1)
+
+
+def test_matrices_that_are_not_skew_symmetric_are_rejected():
+    from flipgroupoid.surface import QuiverWithPotential
+
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        Seed.initial([[0, 1], [1, 0]]).validate()
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        QuiverWithPotential(2, [[0, 1], [0, 0]], ((1, 2),), ())
+    with pytest.raises(ValueError, match=r"\|B\| <= 2"):
+        QuiverWithPotential(2, [[0, 3], [-3, 0]], ((1, 2),) * 3, ())
+    Seed.initial(A3).validate()
+
+
 def test_mutate_seed_example():
     s = mutate_seed(Seed.initial(A2), 1)
-    assert s.C.tolist() == [[-1, 0], [0, 1]]
+    assert s.C == ((-1, 0), (0, 1))
 
 
 def test_involution_random():
@@ -84,7 +107,7 @@ def test_canonical_key_golden():
 def test_canonical_form_base_identity():
     B2, C2, perm = canonical_form(Seed.initial(A3))
     assert perm == (1, 2, 3)
-    assert (C2 == np.eye(3, dtype=np.int64)).all()
+    assert C2 == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_key_stable_across_processes():
@@ -109,16 +132,31 @@ WALK_QUIVERS = [
 ]
 
 
+def int_tuples(M) -> bool:
+    return type(M) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in M
+    )
+
+
+def as_tuples(array) -> tuple:
+    return tuple(map(tuple, array.tolist()))
+
+
 @given(st.sampled_from(WALK_QUIVERS), st.lists(st.integers(0, 10**6), max_size=30))
 def test_canonical_form_matches_numpy_reference(B, walk):
     s = Seed.initial(B)
     for step in [None, *walk]:
         if step is not None:
-            s = mutate_seed(s, 1 + step % s.n)
+            k = 1 + step % s.n
+            rB, rC = ref_mutate_seed(s, k)
+            assert mutate_matrix(s.B, k) == as_tuples(ref_mutate_matrix(s.B, k)) == as_tuples(rB)
+            s = mutate_seed(s, k)
+            assert int_tuples(s.B) and int_tuples(s.C)
+            assert s.B == as_tuples(rB) and s.C == as_tuples(rC)
         B2, C2, perm = canonical_form(s)
         rB2, rC2, rperm = ref_canonical_form(s)
-        assert B2.dtype == rB2.dtype and C2.dtype == rC2.dtype
-        assert B2.tolist() == rB2.tolist() and C2.tolist() == rC2.tolist()
+        assert int_tuples(B2) and int_tuples(C2)
+        assert B2 == as_tuples(rB2) and C2 == as_tuples(rC2)
         assert perm == rperm
         assert canonical_key(s) == form_key(B2, C2) == ref_canonical_key(s)
 
