@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     _surface_args(cp)
     cp.add_argument("--radius", type=int, required=True)
     cp.add_argument("--graph-radius", type=int, default=None)
-    cp.add_argument("--budget", type=int, default=None)
+    cp.add_argument("--budget", type=int, default=None, help="graph vertices and cover classes born")
     cp.add_argument("--report", choices=["fibers"], default=None)
     cp.add_argument("--out", default=None)
 

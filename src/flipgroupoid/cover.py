@@ -18,14 +18,14 @@ images are the entrywise inverses and transform by the mirrored rule,
 which is pinned down by a unit test re-deriving the two defining checks
 of the formula.
 
-The covering ball is the tree of reduced forward/backward flip words from
-a base vertex, truncated at a radius and folded by union-find closure
-under the square, pentagon and hexagonal-dumbbell rewrites.  Inside the
-interior (depth <= radius - 3, the longest relation side being 3) the
-quotient agrees with the covering graph of decorated triangulations.
-The tree is built and folded without frames; the decoration is added
-after folding, one frame per class, transported from the parent class
-across the tree move that created the class representative.
+The covering ball of radius r is the tree of reduced forward/backward
+flip words from a base vertex modulo closure under the square, pentagon
+and hexagonal-dumbbell rewrites.  Inside the interior (depth <= r - 3,
+the longest relation side being 3) it agrees with the covering graph of
+decorated triangulations.  It is grown one depth at a time from class
+representatives, by coset enumeration with folding, and the tree is
+never built: each class is born with the frame transported from its
+parent class, and merging classes with unequal frames is an error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 from . import braid
 from .braid import BraidWord
-from .exchange import ExchangeGraph, TruncationError, all_relation_instances, enumerate_graph
+from .exchange import (ExchangeGraph, TruncationError, _budget_default, all_relation_instances,
+                       enumerate_graph)
 from .surface import polygon_fan
 
 __all__ = [
@@ -264,22 +265,25 @@ def frame_at(g: ExchangeGraph, v: int, frame0: TwistFrame | None = None) -> Twis
 def disc_start_frame(g: ExchangeGraph) -> TwistFrame:
     """Twist frame at vertex 0 of a disc graph started anywhere.
 
-    The base frame sigma_1 .. sigma_n by arc label holds on the fan only, so
-    the frame is transported from the fan to the triangulation with vertex
-    0's chords and its entries are matched to vertex 0's arcs by chord.
-    When vertex 0 already has the fan's chords the fan graph is not built.
+    On a fan from any corner c the frame is sigma_1 .. sigma_n with entry i
+    on the chord {c, c+i+1}, and no graph is built.  Any other start
+    takes the frame transported from the corner-0 fan to the
+    triangulation with vertex 0's chords, its entries matched to vertex
+    0's arcs by chord.
     """
-    t0 = g.vertices[0].triangulation
-    chords = t0.disc_chords()
-    fan = polygon_fan(g.surface.m)
-    if fan.disc_chords() == chords:
-        frame, arcs = base_frame(g.surface), fan.arc_chords()
+    chords = g.vertices[0].triangulation.arc_chords()
+    m = g.surface.m
+    corner = next((c for c in range(m) if all(c in ch for ch in chords)), None)
+    if corner is not None:
+        frame = base_frame(g.surface)
+        arcs = [frozenset((corner, (corner + i + 1) % m)) for i in range(1, g.n + 1)]
     else:
-        fg = enumerate_graph(fan)
-        w = next(u for u, vx in enumerate(fg.vertices) if vx.triangulation.disc_chords() == chords)
+        fg = enumerate_graph(polygon_fan(m))
+        w = next(u for u, vx in enumerate(fg.vertices)
+                 if vx.triangulation.disc_chords() == frozenset(chords))
         frame, arcs = frame_at(fg, w), fg.vertices[w].triangulation.arc_chords()
     arc_of = {c: arc for arc, c in enumerate(arcs, 1)}
-    return TwistFrame(tuple(frame.entry(arc_of[c]) for c in t0.arc_chords()), frame.oracle)
+    return TwistFrame(tuple(frame.entry(arc_of[c]) for c in chords), frame.oracle)
 
 
 def _bfs_path(g: ExchangeGraph, v: int) -> list[int]:
@@ -313,21 +317,21 @@ def _bfs_path(g: ExchangeGraph, v: int) -> list[int]:
 FWD, BWD = 1, -1
 
 
-@dataclass
-class _Node:
-    shadow: int
-    depth: int
-    parent: int
-    inv_move: tuple[int, int] | None  # move cancelling back to the parent
-
-
 class CoverBall:
-    """Radius-truncated quotient of the flip path tree by relation closure.
+    """Radius-truncated covering ball, grown layer by layer as a quotient.
 
-    ``nodes`` is the tree; a class is named by its representative, its
-    lowest tree node.  ``frames`` maps each class to its twist frame (None
-    without an oracle group): the tree is folded first, then one frame per
-    class is transported from the parent class.
+    Each class at depth d < radius gets its missing (arc, +-1) moves as
+    newly born classes at depth d + 1, each with the frame transported
+    from its parent class; the relation closure then runs over the
+    classes a relation side could newly reach.  Merging classes with
+    different shadows or different frames raises ``RuntimeError``.
+
+    A class's id is the breadth-first path-tree index of its
+    shortlex-least move word; ``size`` counts the reduced words of length
+    <= radius that reach it, and ``nodes`` ranges over the tree indices
+    all classes stand for.  ``frames`` maps each class to its twist frame
+    (None without an oracle group).  Queries take class ids only and raise
+    ``ValueError`` on any other id.
     """
 
     def __init__(self, graph: ExchangeGraph, base: int, radius: int,
@@ -338,150 +342,165 @@ class CoverBall:
         self.base = base
         self.radius = radius
         self.budget = budget
-        self.nodes: list[_Node] = []
-        self.moves: list[dict] = []
-        self.frames: dict[int, TwistFrame] | None = None
-        self._uf: list[int] = []
-        self._depth: dict[int, int] = {}
-        self._size: dict[int, int] = {}
-        self._build_tree()
-        self._size = {i: 1 for i in range(len(self.nodes))}
-        self._classmoves: dict[int, dict] = {}
-        self._fold_and_close()
+        self._number(*self._grow(frame0))
+        self._count_sizes()
+        self.nodes = range(sum(self._size.values()))
         self._labels: dict[int, tuple] = {}
         if frame0 is not None:
-            self._transport_class_frames(frame0)
             self._discover_labels()
 
-    # -- tree ---------------------------------------------------------------
-
-    def _new_node(self, shadow, depth, parent, inv_move):
-        if len(self.nodes) >= self.budget:
-            raise TruncationError(f"cover node budget {self.budget} exceeded")
-        self.nodes.append(_Node(shadow, depth, parent, inv_move))
-        self.moves.append({})
-        self._uf.append(len(self.nodes) - 1)
-        self._depth[len(self.nodes) - 1] = depth
-        return len(self.nodes) - 1
-
-    def _build_tree(self):
+    def _grow(self, frame0):
+        """Born classes by birth order, each kept under its first-born
+        member, so a kept class of layer d has depth d."""
         g = self.graph
-        root = self._new_node(self.base, 0, -1, None)
-        queue = [root]
-        qpos = 0
-        while qpos < len(queue):
-            x = queue[qpos]
-            qpos += 1
-            node = self.nodes[x]
-            if node.depth >= self.radius:
-                continue
-            v = node.shadow
-            if g.vertices[v].frontier:
-                raise ValueError(
-                    "cover ball reaches the exchange graph's truncation frontier; "
-                    "enumerate the graph at least as deep as the ball radius"
-                )
-            for k in sorted(g.nbr[v]):
-                u, k2 = g.nbr[v][k]
-                for d in (FWD, BWD):
-                    if node.inv_move == (k, d):
-                        continue
-                    child = self._new_node(u, node.depth + 1, x, (k2, -d))
-                    self.moves[x][(k, d)] = child
-                    self.moves[child][(k2, -d)] = x
-                    queue.append(child)
+        shadow, frames, moves, uf = [self.base], [frame0], [{}], [0]
+        start = [0]  # first born id of each layer
 
-    # -- quotient -----------------------------------------------------------
+        def find(x):
+            while uf[x] != x:
+                uf[x] = uf[uf[x]]
+                x = uf[x]
+            return x
 
-    def find(self, x: int) -> int:
-        uf = self._uf
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
+        def walk(cls, word):
+            for mv in word:
+                cls = moves[cls].get(mv)
+                if cls is None:
+                    return None
+                cls = find(cls)
+            return cls
 
-    def _union(self, a: int, b: int, pending: list) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.nodes[ra].shadow != self.nodes[rb].shadow:
-            raise RuntimeError("relation closure tried to merge different shadows")
-        lo, hi = min(ra, rb), max(ra, rb)
-        self._uf[hi] = lo
-        self._depth[lo] = min(self._depth[lo], self._depth.pop(hi))
-        self._size[lo] = self._size[lo] + self._size.pop(hi)
-        mlo, mhi = self._classmoves[lo], self._classmoves.pop(hi)
-        for mv, tgt in mhi.items():
-            cur = mlo.get(mv)
-            if cur is None:
-                mlo[mv] = tgt
-            elif self.find(cur) != self.find(tgt):
-                pending.append((cur, tgt))
-        return True
+        def union(a, b, pending):
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                return False
+            if shadow[ra] != shadow[rb]:
+                raise RuntimeError("relation closure tried to merge different shadows")
+            if frames[ra] != frames[rb]:
+                raise RuntimeError("relation closure tried to merge different frames")
+            lo, hi = min(ra, rb), max(ra, rb)
+            uf[hi] = lo
+            for mv, tgt in moves[hi].items():
+                cur = moves[lo].setdefault(mv, tgt)
+                if find(cur) != find(tgt):
+                    pending.append((cur, tgt))
+            moves[hi] = None
+            return True
 
-    def _walk(self, cls: int, moves) -> int | None:
-        cur = self.find(cls)
-        for mv in moves:
-            nxt = self._classmoves[cur].get(mv)
-            if nxt is None:
-                return None
-            cur = self.find(nxt)
-        return cur
-
-    def _fold_and_close(self):
-        self._classmoves = {i: dict(m) for i, m in enumerate(self.moves)}
-        g = self.graph
-        plans: dict[int, list] = {}
-        for v in range(g.vertex_count()):
-            plans[v] = []
+        plans: dict[int, list] = {v: [] for v in range(g.vertex_count())}
         for inst in all_relation_instances(g):
-            if not inst.complete:
-                continue
-            left = [(k, FWD) for (_, k) in inst.left_steps]
-            right = [(k, FWD) for (_, k) in inst.right_steps]
-            plans[inst.base].append((left, right))
-        changed = True
-        while changed:
-            changed = False
-            pending: list = []
-            for cls in sorted(self._classmoves):
-                if self.find(cls) != cls:
+            if inst.complete:
+                plans[inst.base].append(([(k, FWD) for (_, k) in inst.left_steps],
+                                         [(k, FWD) for (_, k) in inst.right_steps]))
+        reach = max((len(side) for p in plans.values() for pair in p for side in pair), default=0)
+        for d in range(self.radius):
+            start.append(len(uf))
+            for cls in range(start[d], start[d + 1]):
+                if uf[cls] != cls:
                     continue
-                for left, right in plans[self.nodes[cls].shadow]:
-                    e1 = self._walk(cls, left)
-                    e2 = self._walk(cls, right)
-                    if e1 is not None and e2 is not None and e1 != e2:
-                        pending.append((e1, e2))
-            while pending:
-                a, b = pending.pop()
-                if self._union(a, b, pending):
-                    changed = True
+                v = shadow[cls]
+                if g.vertices[v].frontier:
+                    raise ValueError(
+                        "cover ball reaches the exchange graph's truncation frontier; "
+                        "enumerate the graph at least as deep as the ball radius"
+                    )
+                for k in sorted(g.nbr[v]):
+                    u, k2 = g.nbr[v][k]
+                    for sign in (FWD, BWD):
+                        if (k, sign) in moves[cls]:
+                            continue
+                        if len(uf) >= self.budget:
+                            layers = [sum(uf[c] == c for c in range(start[i], start[i + 1]))
+                                      for i in range(d + 1)]
+                            raise TruncationError(
+                                f"cover class budget {self.budget} exceeded while growing depth "
+                                f"{d + 1}; depth reached {d}, classes per finished layer {layers}"
+                            )
+                        moves[cls][(k, sign)] = len(uf)
+                        moves.append({(k2, -sign): cls})
+                        uf.append(len(uf))
+                        shadow.append(u)
+                        frames.append(None if frame0 is None else frame_transport_move(
+                            g, frames[cls], v, k, forward=sign == FWD)[1])
+            # a side walked from a shallower class crosses only earlier
+            # layers, and the closures after those layers joined its ends
+            first = start[max(0, d + 1 - reach)]
+            changed = True
+            while changed:
+                changed = False
+                pending: list = []
+                for cls in range(first, len(uf)):
+                    if uf[cls] == cls:
+                        for left, right in plans[shadow[cls]]:
+                            e1, e2 = walk(cls, left), walk(cls, right)
+                            if e1 is not None and e2 is not None and e1 != e2:
+                                pending.append((e1, e2))
+                while pending:
+                    a, b = pending.pop()
+                    changed = union(a, b, pending) or changed
+        return shadow, frames, moves, find
 
-    # -- frames -------------------------------------------------------------
-
-    def _transport_class_frames(self, frame0: TwistFrame):
-        """One frame per class, across the tree move into its representative.
-
-        The tree parent of a representative is a representative: its class
-        lifts the same move, and breadth-first order numbers the child of a
-        lower node first.  So in class order every parent frame is ready,
-        and each class frame is the transport along its representative's
-        tree path, the frame every node of the class carries.
+    def _number(self, shadow, frames, moves, find):
+        """Number each class by the breadth-first path-tree index of its
+        shortlex-least move word (arcs ascending, forward first).  Tree depth
+        L starts at index first[L]; children skip the move back to the
+        parent, so child p of node i at depth L is first[L+1] + (i - first[L]) (2n-1) + p.
         """
         g = self.graph
-        frames = {0: frame0}
-        for cls in self.classes()[1:]:
-            node = self.nodes[cls]
-            if self.find(node.parent) != node.parent:
-                raise RuntimeError(
-                    f"class {cls}: tree parent {node.parent} is not a class representative"
-                )
-            k2, back = node.inv_move
-            k = g.nbr[node.shadow][k2][1]
-            _, frames[cls] = frame_transport_move(
-                g, frames[node.parent], self.nodes[node.parent].shadow, k, forward=(back == BWD)
-            )
-        self.frames = frames
+        two_n = 2 * g.n
+        first = [0, 1]
+        for L in range(1, self.radius):
+            first.append(first[-1] + two_n * (two_n - 1) ** (L - 1))
+        index, depth, back = {0: 0}, {0: 0}, {0: None}
+        order = [0]
+        for cls in order:
+            L = depth[cls]
+            if L == self.radius:
+                continue
+            pos = 0
+            for k in sorted(g.nbr[shadow[cls]]):
+                for sign in (FWD, BWD):
+                    if (k, sign) == back[cls]:
+                        continue
+                    tgt = find(moves[cls][(k, sign)])
+                    if tgt not in index:
+                        index[tgt] = first[L + 1] + (index[cls] - first[L]) * (two_n - 1) + pos
+                        depth[tgt] = L + 1
+                        back[tgt] = (g.nbr[shadow[cls]][k][1], -sign)
+                        order.append(tgt)
+                    pos += 1
+        order.sort(key=index.__getitem__)
+        self._shadow = {index[c]: shadow[c] for c in order}
+        self._depth = {index[c]: depth[c] for c in order}
+        self._moves = {index[c]: {mv: index[find(t)] for mv, t in moves[c].items()} for c in order}
+        self.frames = None if frames[0] is None else {index[c]: frames[c] for c in order}
+
+    def _count_sizes(self):
+        """Reduced words of length <= radius per class, by length over (class, move back)."""
+        g = self.graph
+        self._size = dict.fromkeys(self._moves, 0)
+        layer = {(0, None): 1}
+        for L in range(self.radius + 1):
+            nxt: dict = {}
+            for (cls, back), count in layer.items():
+                self._size[cls] += count
+                for (k, sign), tgt in self._moves[cls].items():
+                    if L < self.radius and (k, sign) != back:
+                        key = (tgt, (g.nbr[self._shadow[cls]][k][1], -sign))
+                        nxt[key] = nxt.get(key, 0) + count
+            layer = nxt
+
+    def _walk(self, cls: int, moves) -> int | None:
+        for mv in moves:
+            cls = self._moves[cls].get(mv)
+            if cls is None:
+                return None
+        return cls
+
+    def _class(self, cls: int) -> int:
+        if cls not in self._moves:
+            raise ValueError(f"{cls} is not a class id of this ball")
+        return cls
 
     # -- labels (deck elements discovered from lifted twist loops) ----------
 
@@ -492,10 +511,9 @@ class CoverBall:
     def _discover_labels(self, max_len: int = 4):
         o = self.frames[0].oracle
         f0 = self.frames[0]
-        root = self.find(0)
-        self._labels = {root: o.canon(())}
+        self._labels = {0: o.canon(())}
         self.label_conflicts: list[int] = []
-        frontier = [(root, o.canon(()))]
+        frontier = [(0, o.canon(()))]
         n = self.graph.n
         for _ in range(max_len):
             new_frontier = []
@@ -518,51 +536,43 @@ class CoverBall:
     # -- queries ------------------------------------------------------------
 
     def classes(self) -> list[int]:
-        return sorted(self._classmoves)
+        return list(self._moves)  # filled in id order
 
     def class_depth(self, cls: int) -> int:
-        return self._depth[self.find(cls)]
+        return self._depth[cls]
 
     def interior(self, cls: int) -> bool:
         return self.class_depth(cls) + 3 <= self.radius
 
     def shadow(self, cls: int) -> int:
-        return self.nodes[self.find(cls)].shadow
+        return self._shadow[cls]
 
     def lift(self, start: int, moves) -> int | None:
-        """Walk a move sequence [(arc, +1/-1), ...] in the quotient."""
-        return self._walk(self.find(start), moves)
+        """Walk a move sequence [(arc, +1/-1), ...] from class ``start``."""
+        return self._walk(self._class(start), moves)
 
     def lift_twist_word(self, word) -> int | None:
         """Lift a product of local twists [(arc, sign), ...] from the base."""
-        cur = self.find(0)
-        for arc, sign in word:
-            cur = self._walk(cur, self._twist_moves(arc, sign))
-            if cur is None:
-                return None
-        return cur
+        return self._walk(0, [mv for arc, sign in word for mv in self._twist_moves(arc, sign)])
 
     def label(self, cls: int):
-        return self._labels.get(self.find(cls))
+        """Deck label of a class id, None where no twist loop reached it."""
+        return self._labels.get(self._class(cls))
 
     def frame(self, cls: int) -> TwistFrame | None:
-        if self.frames is None:
-            return None
-        return self.frames[self.find(cls)]
+        """Twist frame of a class id, None without an oracle group."""
+        return None if self.frames is None else self.frames[self._class(cls)]
 
     def same_vertex(self, a: int, b: int) -> str:
-        """Equal / Distinct / Inconclusive for two ball nodes (or classes)."""
-        if not (0 <= a < len(self.nodes) and 0 <= b < len(self.nodes)):
-            raise ValueError("nodes outside this ball")
-        ca, cb = self.find(a), self.find(b)
-        if ca == cb:
+        """Equal / Distinct / Inconclusive for two class ids."""
+        if self._class(a) == self._class(b):
             return "Equal"
-        if self.interior(ca) and self.interior(cb):
+        if self.interior(a) and self.interior(b):
             return "Distinct"
-        la, lb = self._labels.get(ca), self._labels.get(cb)
+        la, lb = self._labels.get(a), self._labels.get(b)
         if la is not None and lb is not None and self.frames is not None:
             o = self.frames[0].oracle
-            if self.nodes[ca].shadow == self.nodes[cb].shadow:
+            if self._shadow[a] == self._shadow[b]:
                 return "Equal" if o.eq(la, lb) else "Distinct"
         return "Inconclusive"
 
@@ -591,10 +601,7 @@ class CoverBall:
 
     def class_graph(self) -> dict[int, dict]:
         """Quotient adjacency: class -> {(arc, dir) -> class}."""
-        return {
-            cls: {mv: self.find(t) for mv, t in self._classmoves[cls].items()}
-            for cls in self.classes()
-        }
+        return {cls: dict(moves) for cls, moves in self._moves.items()}
 
     def to_json(self) -> dict:
         return {
@@ -612,8 +619,8 @@ class CoverBall:
                     if self.frames is None
                     else [list(e) for e in self.frames[cls].entries],
                     "moves": {
-                        f"{arc}{'+' if d > 0 else '-'}": self.find(t)
-                        for (arc, d), t in sorted(self._classmoves[cls].items())
+                        f"{arc}{'+' if d > 0 else '-'}": t
+                        for (arc, d), t in sorted(self._moves[cls].items())
                     },
                 }
                 for cls in self.classes()
@@ -621,24 +628,16 @@ class CoverBall:
         }
 
 
-def build_cover_ball(
-    graph: ExchangeGraph,
-    radius: int,
-    base: int = 0,
-    frame0: TwistFrame | None = None,
-    budget: int | None = None,
-    with_frames: bool = True,
-) -> CoverBall:
-    """Rooted relation-closure quotient of the flip path tree.
+def build_cover_ball(graph: ExchangeGraph, radius: int, base: int = 0,
+                     budget: int | None = None) -> CoverBall:
+    """Covering ball of the given radius around graph vertex ``base``.
 
-    Frames are attached when the surface has an oracle group (disc or
-    once-marked annulus) unless ``with_frames`` is False.  They are
-    transported once per class after the tree is folded, not per tree node.
+    Frames start from :func:`disc_start_frame` on a disc and from the base
+    frame on the once-marked annulus; other surfaces get none.  ``budget``
+    bounds the classes born (default ``FLIPGROUPOID_BUDGET`` or 10^6).
     """
-    from .exchange import _budget_default
-
-    if budget is None:
-        budget = _budget_default()
-    if frame0 is None and with_frames and oracle_for_surface(graph.surface) is not None:
-        frame0 = frame_at(graph, base)
+    frame0 = None
+    if oracle_for_surface(graph.surface) is not None:
+        frame0 = frame_at(graph, base, disc_start_frame(graph) if graph.surface.is_disc else None)
+    budget = _budget_default() if budget is None else budget
     return CoverBall(graph, base, radius, frame0, budget)

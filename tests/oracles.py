@@ -7,11 +7,31 @@ The seed references are the numpy mutation, canonical form and key that
 ``flipgroupoid.seeds`` replaced with code on tuples of int tuples; the corner
 reference is the union-find on ``(t, k)`` tuples that
 ``Triangulation._corner_classes`` replaced with flat corner indices.
+The cover reference is the builder that ``CoverBall`` replaced: it
+materialises the tree of every reduced flip word up to the radius, folds
+it by union-find relation closure, and then transports one frame per
+class from the class of its representative's tree parent.
 """
 
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+
+from flipgroupoid.cover import (
+    BWD,
+    FWD,
+    TwistFrame,
+    frame_at,
+    frame_transport_move,
+    oracle_for_surface,
+)
+from flipgroupoid.exchange import (
+    ExchangeGraph,
+    TruncationError,
+    _budget_default,
+    all_relation_instances,
+)
 
 
 def catalan(k: int) -> int:
@@ -165,3 +185,332 @@ def ref_corner_classes(tri) -> dict[tuple[int, int], int]:
             other = sl[1] if sl[0] == (t, (k - 1) % 3) else sl[0]
             union(idx[(t, k)], idx[other])
     return {c: find(idx[c]) for c in corners}
+
+
+@dataclass
+class _Node:
+    shadow: int
+    depth: int
+    parent: int
+    inv_move: tuple[int, int] | None  # move cancelling back to the parent
+
+
+class TreeCoverBall:
+    """Radius-truncated quotient of the flip path tree by relation closure.
+
+    ``nodes`` is the tree; a class is named by its representative, its
+    lowest tree node.  ``frames`` maps each class to its twist frame (None
+    without an oracle group): the tree is folded first, then one frame per
+    class is transported from the parent class.
+    """
+
+    def __init__(self, graph: ExchangeGraph, base: int, radius: int,
+                 frame0: TwistFrame | None, budget: int):
+        if radius < 1:
+            raise ValueError("radius must be >= 1")
+        self.graph = graph
+        self.base = base
+        self.radius = radius
+        self.budget = budget
+        self.nodes: list[_Node] = []
+        self.moves: list[dict] = []
+        self.frames: dict[int, TwistFrame] | None = None
+        self._uf: list[int] = []
+        self._depth: dict[int, int] = {}
+        self._size: dict[int, int] = {}
+        self._build_tree()
+        self._size = {i: 1 for i in range(len(self.nodes))}
+        self._classmoves: dict[int, dict] = {}
+        self._fold_and_close()
+        self._labels: dict[int, tuple] = {}
+        if frame0 is not None:
+            self._transport_class_frames(frame0)
+            self._discover_labels()
+
+    # -- tree ---------------------------------------------------------------
+
+    def _new_node(self, shadow, depth, parent, inv_move):
+        if len(self.nodes) >= self.budget:
+            raise TruncationError(f"cover node budget {self.budget} exceeded")
+        self.nodes.append(_Node(shadow, depth, parent, inv_move))
+        self.moves.append({})
+        self._uf.append(len(self.nodes) - 1)
+        self._depth[len(self.nodes) - 1] = depth
+        return len(self.nodes) - 1
+
+    def _build_tree(self):
+        g = self.graph
+        root = self._new_node(self.base, 0, -1, None)
+        queue = [root]
+        qpos = 0
+        while qpos < len(queue):
+            x = queue[qpos]
+            qpos += 1
+            node = self.nodes[x]
+            if node.depth >= self.radius:
+                continue
+            v = node.shadow
+            if g.vertices[v].frontier:
+                raise ValueError(
+                    "cover ball reaches the exchange graph's truncation frontier; "
+                    "enumerate the graph at least as deep as the ball radius"
+                )
+            for k in sorted(g.nbr[v]):
+                u, k2 = g.nbr[v][k]
+                for d in (FWD, BWD):
+                    if node.inv_move == (k, d):
+                        continue
+                    child = self._new_node(u, node.depth + 1, x, (k2, -d))
+                    self.moves[x][(k, d)] = child
+                    self.moves[child][(k2, -d)] = x
+                    queue.append(child)
+
+    # -- quotient -----------------------------------------------------------
+
+    def find(self, x: int) -> int:
+        uf = self._uf
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    def _union(self, a: int, b: int, pending: list) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.nodes[ra].shadow != self.nodes[rb].shadow:
+            raise RuntimeError("relation closure tried to merge different shadows")
+        lo, hi = min(ra, rb), max(ra, rb)
+        self._uf[hi] = lo
+        self._depth[lo] = min(self._depth[lo], self._depth.pop(hi))
+        self._size[lo] = self._size[lo] + self._size.pop(hi)
+        mlo, mhi = self._classmoves[lo], self._classmoves.pop(hi)
+        for mv, tgt in mhi.items():
+            cur = mlo.get(mv)
+            if cur is None:
+                mlo[mv] = tgt
+            elif self.find(cur) != self.find(tgt):
+                pending.append((cur, tgt))
+        return True
+
+    def _walk(self, cls: int, moves) -> int | None:
+        cur = self.find(cls)
+        for mv in moves:
+            nxt = self._classmoves[cur].get(mv)
+            if nxt is None:
+                return None
+            cur = self.find(nxt)
+        return cur
+
+    def _fold_and_close(self):
+        self._classmoves = {i: dict(m) for i, m in enumerate(self.moves)}
+        g = self.graph
+        plans: dict[int, list] = {}
+        for v in range(g.vertex_count()):
+            plans[v] = []
+        for inst in all_relation_instances(g):
+            if not inst.complete:
+                continue
+            left = [(k, FWD) for (_, k) in inst.left_steps]
+            right = [(k, FWD) for (_, k) in inst.right_steps]
+            plans[inst.base].append((left, right))
+        changed = True
+        while changed:
+            changed = False
+            pending: list = []
+            for cls in sorted(self._classmoves):
+                if self.find(cls) != cls:
+                    continue
+                for left, right in plans[self.nodes[cls].shadow]:
+                    e1 = self._walk(cls, left)
+                    e2 = self._walk(cls, right)
+                    if e1 is not None and e2 is not None and e1 != e2:
+                        pending.append((e1, e2))
+            while pending:
+                a, b = pending.pop()
+                if self._union(a, b, pending):
+                    changed = True
+
+    # -- frames -------------------------------------------------------------
+
+    def _transport_class_frames(self, frame0: TwistFrame):
+        """One frame per class, across the tree move into its representative.
+
+        The tree parent of a representative is a representative: its class
+        lifts the same move, and breadth-first order numbers the child of a
+        lower node first.  So in class order every parent frame is ready,
+        and each class frame is the transport along its representative's
+        tree path, the frame every node of the class carries.
+        """
+        g = self.graph
+        frames = {0: frame0}
+        for cls in self.classes()[1:]:
+            node = self.nodes[cls]
+            if self.find(node.parent) != node.parent:
+                raise RuntimeError(
+                    f"class {cls}: tree parent {node.parent} is not a class representative"
+                )
+            k2, back = node.inv_move
+            k = g.nbr[node.shadow][k2][1]
+            _, frames[cls] = frame_transport_move(
+                g, frames[node.parent], self.nodes[node.parent].shadow, k, forward=(back == BWD)
+            )
+        self.frames = frames
+
+    # -- labels (deck elements discovered from lifted twist loops) ----------
+
+    def _twist_moves(self, arc: int, sign: int):
+        k2 = self.graph.nbr[self.base][arc][1]
+        return [(arc, FWD), (k2, FWD)] if sign > 0 else [(arc, BWD), (k2, BWD)]
+
+    def _discover_labels(self, max_len: int = 4):
+        o = self.frames[0].oracle
+        f0 = self.frames[0]
+        root = self.find(0)
+        self._labels = {root: o.canon(())}
+        self.label_conflicts: list[int] = []
+        frontier = [(root, o.canon(()))]
+        n = self.graph.n
+        for _ in range(max_len):
+            new_frontier = []
+            for cls, word in frontier:
+                for arc in range(1, n + 1):
+                    for sign in (1, -1):
+                        tgt = self._walk(cls, self._twist_moves(arc, sign))
+                        if tgt is None:
+                            continue
+                        ent = f0.entry(arc)
+                        lab = o.mul(word, o.inv(ent) if sign > 0 else ent)
+                        known = self._labels.get(tgt)
+                        if known is None:
+                            self._labels[tgt] = lab
+                            new_frontier.append((tgt, lab))
+                        elif known != lab and not o.eq(known, lab):
+                            self.label_conflicts.append(tgt)
+            frontier = new_frontier
+
+    # -- queries ------------------------------------------------------------
+
+    def classes(self) -> list[int]:
+        return sorted(self._classmoves)
+
+    def class_depth(self, cls: int) -> int:
+        return self._depth[self.find(cls)]
+
+    def interior(self, cls: int) -> bool:
+        return self.class_depth(cls) + 3 <= self.radius
+
+    def shadow(self, cls: int) -> int:
+        return self.nodes[self.find(cls)].shadow
+
+    def lift(self, start: int, moves) -> int | None:
+        """Walk a move sequence [(arc, +1/-1), ...] in the quotient."""
+        return self._walk(self.find(start), moves)
+
+    def lift_twist_word(self, word) -> int | None:
+        """Lift a product of local twists [(arc, sign), ...] from the base."""
+        cur = self.find(0)
+        for arc, sign in word:
+            cur = self._walk(cur, self._twist_moves(arc, sign))
+            if cur is None:
+                return None
+        return cur
+
+    def label(self, cls: int):
+        return self._labels.get(self.find(cls))
+
+    def frame(self, cls: int) -> TwistFrame | None:
+        if self.frames is None:
+            return None
+        return self.frames[self.find(cls)]
+
+    def same_vertex(self, a: int, b: int) -> str:
+        """Equal / Distinct / Inconclusive for two ball nodes (or classes)."""
+        if not (0 <= a < len(self.nodes) and 0 <= b < len(self.nodes)):
+            raise ValueError("nodes outside this ball")
+        ca, cb = self.find(a), self.find(b)
+        if ca == cb:
+            return "Equal"
+        if self.interior(ca) and self.interior(cb):
+            return "Distinct"
+        la, lb = self._labels.get(ca), self._labels.get(cb)
+        if la is not None and lb is not None and self.frames is not None:
+            o = self.frames[0].oracle
+            if self.nodes[ca].shadow == self.nodes[cb].shadow:
+                return "Equal" if o.eq(la, lb) else "Distinct"
+        return "Inconclusive"
+
+    def fiber_report(self, shadow: int) -> list[dict]:
+        """Interior cover vertices over a graph vertex, with deck labels."""
+        out = []
+        for cls in self.classes():
+            if self.shadow(cls) != shadow or not self.interior(cls):
+                continue
+            out.append(
+                {
+                    "class": cls,
+                    "depth": self.class_depth(cls),
+                    "size": self._size[cls],
+                    "label": list(self._labels[cls]) if cls in self._labels else None,
+                }
+            )
+        labels = [tuple(r["label"]) for r in out if r["label"] is not None]
+        if self.frames is not None:
+            o = self.frames[0].oracle
+            for i in range(len(labels)):
+                for j in range(i + 1, len(labels)):
+                    if o.eq(labels[i], labels[j]):
+                        raise RuntimeError("fiber elements with equal deck labels")
+        return out
+
+    def class_graph(self) -> dict[int, dict]:
+        """Quotient adjacency: class -> {(arc, dir) -> class}."""
+        return {
+            cls: {mv: self.find(t) for mv, t in self._classmoves[cls].items()}
+            for cls in self.classes()
+        }
+
+    def to_json(self) -> dict:
+        return {
+            "base": self.base,
+            "radius": self.radius,
+            "classes": [
+                {
+                    "id": cls,
+                    "shadow": self.shadow(cls),
+                    "depth": self.class_depth(cls),
+                    "size": self._size[cls],
+                    "interior": self.interior(cls),
+                    "label": list(self._labels[cls]) if cls in self._labels else None,
+                    "frame": None
+                    if self.frames is None
+                    else [list(e) for e in self.frames[cls].entries],
+                    "moves": {
+                        f"{arc}{'+' if d > 0 else '-'}": self.find(t)
+                        for (arc, d), t in sorted(self._classmoves[cls].items())
+                    },
+                }
+                for cls in self.classes()
+            ],
+        }
+
+
+def tree_cover_ball(
+    graph: ExchangeGraph,
+    radius: int,
+    base: int = 0,
+    frame0: TwistFrame | None = None,
+    budget: int | None = None,
+    with_frames: bool = True,
+) -> TreeCoverBall:
+    """Rooted relation-closure quotient of the flip path tree.
+
+    Frames are attached when the surface has an oracle group (disc or
+    once-marked annulus) unless ``with_frames`` is False.  They are
+    transported once per class after the tree is folded, not per tree node.
+    """
+    if budget is None:
+        budget = _budget_default()
+    if frame0 is None and with_frames and oracle_for_surface(graph.surface) is not None:
+        frame0 = frame_at(graph, base)
+    return TreeCoverBall(graph, base, radius, frame0, budget)

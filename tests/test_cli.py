@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flipgroupoid import cli, homology
 from flipgroupoid.exchange import enumerate_graph, graph_to_json
-from flipgroupoid.surface import polygon_fan
+from flipgroupoid.surface import Triangulation, polygon_fan
 
 
 def run_cli(*args):
@@ -142,6 +142,28 @@ COVER_DIGESTS = [
 def test_cover_stdout_pinned(args, digest, capsys):
     assert cli.main(["cover", *args]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("shift", range(6))
+def test_cover_rotated_fan_stdout_pinned(shift, tmp_path, capsys):
+    # the hexagon fan with b0.k renamed b0.(k+shift) is the fan from
+    # another corner; it carries sigma_1 .. sigma_n on its arcs in order
+    fan = polygon_fan(6)
+    turn = {f"b0.{k}": f"b0.{(k + shift) % 6}" for k in range(6)}
+    turned = Triangulation(fan.surface, [tuple(turn.get(x, x) for x in t) for t in fan.triangles])
+    path = tmp_path / "fan.json"
+    path.write_text(turned.dumps())
+    args = ["--triangulation", str(path), "--radius", "5", "--report", "fibers"]
+    assert cli.main(["cover", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == COVER_DIGESTS[0][1]
+
+
+def test_cover_budget_truncation_names_depth(capsys):
+    code = cli.main(["cover", "--polygon", "6", "--radius", "8", "--budget", "20000"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["kind"] == "truncation"
+    assert "depth reached 6" in out["message"]
 
 
 FACES = {5: (0, 1), 6: (3, 6), 7: (28, 28), 8: (180, 120), 9: (990, 495)}

@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,16 @@ from flipgroupoid.cover import (
     oracle_for_surface,
     transport_frame,
 )
-from flipgroupoid.exchange import all_relation_instances, enumerate_graph, relation_instances
-from flipgroupoid.surface import MarkedSurface, annulus, genus_one, polygon_fan
+from flipgroupoid.exchange import (
+    TruncationError,
+    all_relation_instances,
+    enumerate_graph,
+    relation_instances,
+)
+from flipgroupoid.presentation import presentation_from_qp, verify_sound
+from flipgroupoid.surface import MarkedSurface, Triangulation, annulus, genus_one, polygon_fan
+
+from oracles import tree_cover_ball
 
 # shared across hypothesis examples, so later examples meet a filled memo
 ORACLES = [BraidOracle(4), BraidOracle(5), FreeGroupOracle(3)]
@@ -134,6 +143,59 @@ def test_disc_start_frame_on_a_fan_is_the_base_frame(m, monkeypatch):
     assert disc_start_frame(g) == base_frame(g.surface)
 
 
+def _turned(t, shift, perm):
+    """Triangulation ``t`` with b0.k renamed b0.(k+shift) and a<j> renamed a<perm[j]>."""
+    m = t.surface.m
+
+    def label(x):
+        if x.startswith("b0."):
+            return f"b0.{(int(x[3:]) + shift) % m}"
+        return f"a{perm[int(x[1:])]}"
+
+    return Triangulation(t.surface, [tuple(label(x) for x in tri) for tri in t.triangles])
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+def test_disc_start_frame_on_any_fan_corner(m, monkeypatch):
+    # the fan from corner s with shuffled arc labels: the arc on chord
+    # {s, s+j+1} carries sigma_j, and no graph is built
+    rng = random.Random(m)
+    graphs = []
+    for shift in range(m):
+        arcs = list(range(1, m - 2))
+        rng.shuffle(arcs)
+        perm = dict(zip(range(1, m - 2), arcs))
+        graphs.append((perm, enumerate_graph(_turned(polygon_fan(m), shift, perm))))
+
+    def no_fan_graph(*args, **kwargs):
+        raise AssertionError("the fan graph was enumerated")
+
+    monkeypatch.setattr(cover, "enumerate_graph", no_fan_graph)
+    for perm, g in graphs:
+        want = [None] * g.n
+        for j, arc in perm.items():
+            want[arc - 1] = (j,)
+        assert disc_start_frame(g).entries == tuple(want)
+
+
+def _flip_walk(m, seed):
+    rng = random.Random(seed)
+    t = polygon_fan(m)
+    for _ in range(4 * t.n):
+        t = t.flip(rng.randrange(1, t.n + 1))
+    return t
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_cover_root_frame_holds_relations_from_flip_walks(m):
+    for seed in range(1, 9):
+        g = enumerate_graph(_flip_walk(m, seed))
+        frame = build_cover_ball(g, radius=1).frames[0]
+        images = {i: BraidWord(frame.oracle.strands, e) for i, e in enumerate(frame.entries, 1)}
+        report = verify_sound(presentation_from_qp(g.vertices[0].triangulation.quiver()), images)
+        assert report["all_hold"], f"seed {seed}"
+
+
 def test_backward_transport_inverts_forward():
     g = enumerate_graph(polygon_fan(6))
     f0 = frame_at(g, 0)
@@ -242,7 +304,7 @@ def test_free_action_small_products():
         for arc, s in word:
             e = f0.entry(arc)
             image = o.mul(image, o.inv(e) if s > 0 else e)
-        if ball.find(tgt) == ball.find(0):
+        if tgt == 0:
             assert o.is_id(image), word
         elif ball.interior(tgt):
             assert not o.is_id(image), word
@@ -316,33 +378,56 @@ def _uncached(oracle):
     return plain
 
 
+def _shortlex_paths(ball):
+    """Each class's breadth-first path in the class graph, moves taken
+    arcs ascending, forward first: its shortlex-least move word."""
+    paths = {0: []}
+    order = [0]
+    cg = ball.class_graph()
+    for cls in order:
+        for mv in sorted(cg[cls], key=lambda mv: (mv[0], -mv[1])):
+            tgt = cg[cls][mv]
+            if tgt not in paths:
+                paths[tgt] = paths[cls] + [(cls, mv)]
+                order.append(tgt)
+    return paths
+
+
 @pytest.mark.parametrize("surface, graph_radius, radius", BALLS)
 def test_class_frame_is_transport_along_representative_path(surface, graph_radius, radius):
     g = enumerate_graph(surface(), radius=graph_radius)
     ball = build_cover_ball(g, radius=radius)
     o = _uncached(ball.frames[0].oracle)
-    root = TwistFrame(frame_at(g, 0).entries, o)
-    for cls in ball.classes():
-        path = []
-        x = cls
-        while ball.nodes[x].parent >= 0:
-            parent = ball.nodes[x].parent
-            (move,) = [mv for mv, child in ball.moves[parent].items() if child == x]
-            path.append((parent, move))
-            x = parent
+    root = TwistFrame(ball.frames[0].entries, o)
+    paths = _shortlex_paths(ball)
+    assert sorted(paths) == ball.classes()
+    for cls, path in paths.items():
+        assert len(path) == ball.class_depth(cls)
         frame = root
-        for parent, (arc, d) in reversed(path):
-            _, frame = frame_transport_move(g, frame, ball.nodes[parent].shadow, arc, forward=d > 0)
+        for parent, (arc, d) in path:
+            _, frame = frame_transport_move(g, frame, ball.shadow(parent), arc, forward=d > 0)
         assert frame == ball.frame(cls), cls
 
 
-def test_class_frames_need_representative_parents():
+def test_merge_of_unequal_frames_raises(monkeypatch):
+    # a transport that skips the conjugation at arc 1 breaks functoriality,
+    # and the relation closure must refuse to merge the disagreeing classes
     g = enumerate_graph(polygon_fan(5))
-    ball = build_cover_ball(g, radius=3, with_frames=False)
-    child = next(c for c in ball.classes() if ball.nodes[c].parent > 0)
-    ball._uf[ball.nodes[child].parent] = 0  # fold the parent into the root class
-    with pytest.raises(RuntimeError, match="not a class representative"):
-        ball._transport_class_frames(frame_at(g, 0))
+    transport = cover.frame_transport_move
+
+    def skips_arc_1(g, frame, v, k, forward=True):
+        u, out = transport(g, frame, v, k, forward)
+        if k == 1 and forward:
+            perm = g.edge_perm[(v, k)]
+            entries = [None] * frame.n
+            for l in range(1, frame.n + 1):
+                entries[perm[l - 1] - 1] = frame.entries[l - 1]
+            out = TwistFrame(tuple(entries), frame.oracle)
+        return u, out
+
+    monkeypatch.setattr(cover, "frame_transport_move", skips_arc_1)
+    with pytest.raises(RuntimeError, match="different frames"):
+        build_cover_ball(g, radius=4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -414,7 +499,7 @@ def test_local_bijectivity_of_lifted_edges(m):
     # each interior cover vertex carries exactly 2n lifted directed moves,
     # matching the 2n oriented edges at its shadow
     g = enumerate_graph(polygon_fan(m))
-    ball = build_cover_ball(g, radius=4, with_frames=False)
+    ball = build_cover_ball(g, radius=4)
     n = g.n
     expected = sorted((k, d) for k in range(1, n + 1) for d in (1, -1))
     cg = ball.class_graph()
@@ -438,7 +523,7 @@ def test_cover_nonoracle_surface_runs():
 def test_cover_ball_refuses_shallow_graph():
     g = enumerate_graph(annulus(1, 1), radius=2)
     with pytest.raises(ValueError):
-        build_cover_ball(g, radius=5, with_frames=False)
+        build_cover_ball(g, radius=5)
 
 
 def test_cover_json_deterministic():
@@ -446,3 +531,65 @@ def test_cover_json_deterministic():
     b1 = build_cover_ball(g, radius=4)
     b2 = build_cover_ball(enumerate_graph(polygon_fan(5)), radius=4)
     assert b1.to_json() == b2.to_json()
+
+
+REFERENCE_BALLS = [
+    pytest.param(lambda m=m: polygon_fan(m), None, range(1, 6), id=f"polygon{m}-fan")
+    for m in (4, 5, 6, 7)
+] + [
+    pytest.param(lambda m=m: _flip_walk(m, 3), None, range(1, 6), id=f"polygon{m}-walk")
+    for m in (4, 5, 6, 7)
+] + [
+    pytest.param(lambda: annulus(1, 1), 8, range(1, 9), id="annulus11"),
+    pytest.param(lambda: annulus(2, 2), 5, range(1, 6), id="annulus22"),
+    pytest.param(lambda: genus_one(1), 5, range(1, 6), id="genus_one1"),
+]
+
+
+@pytest.mark.parametrize("surface, graph_radius, radii", REFERENCE_BALLS)
+def test_cover_ball_matches_tree_reference(surface, graph_radius, radii):
+    g = enumerate_graph(surface(), radius=graph_radius)
+    frame0 = None  # the reference's default start frame, except on discs
+    if g.surface.is_disc:
+        frame0 = frame_at(g, 0, disc_start_frame(g))
+    for radius in radii:
+        ball = build_cover_ball(g, radius=radius)
+        ref = tree_cover_ball(g, radius, frame0=frame0)
+        assert ball.to_json() == ref.to_json(), radius
+        for v in range(g.vertex_count()):
+            assert ball.fiber_report(v) == ref.fiber_report(v), (radius, v)
+        assert len(ball.nodes) == len(ref.nodes)
+
+
+def test_hexagon_radius_8_fits_a_class_budget():
+    g = enumerate_graph(polygon_fan(6))
+    ball = build_cover_ball(g, radius=8, budget=60_000)
+    assert len(ball.classes()) == 17_960
+    assert len(ball.nodes) == 585_937
+
+
+def test_truncation_names_depth_and_finished_layers():
+    g = enumerate_graph(polygon_fan(6))
+    with pytest.raises(TruncationError) as err:
+        build_cover_ball(g, radius=6, budget=500)
+    # the budget runs out while depth 4 is born; the closure of depths
+    # 0-3 leaves the classes of the radius-3 ball
+    ball3 = build_cover_ball(g, radius=3)
+    layers = [sum(ball3.class_depth(c) == d for c in ball3.classes()) for d in range(4)]
+    assert f"depth reached 3, classes per finished layer {layers}" in str(err.value)
+
+
+def test_queries_take_class_ids_only():
+    g = enumerate_graph(polygon_fan(5))
+    ball = build_cover_ball(g, radius=4)
+    classes = set(ball.classes())
+    bad = next(i for i in ball.nodes if i not in classes)
+    for query in (
+        lambda: ball.same_vertex(0, bad),
+        lambda: ball.same_vertex(bad, 0),
+        lambda: ball.lift(bad, [(1, 1)]),
+        lambda: ball.label(bad),
+        lambda: ball.frame(bad),
+    ):
+        with pytest.raises(ValueError, match="not a class id"):
+            query()
