@@ -195,7 +195,6 @@ def main(argv=None) -> int:
     cp = sub.add_parser("cover", help="build a covering ball")
     _surface_args(cp)
     cp.add_argument("--radius", type=int, required=True)
-    cp.add_argument("--graph-radius", type=int, default=None)
     cp.add_argument("--budget", type=int, default=None, help="graph vertices and cover classes born")
     cp.add_argument("--report", choices=["fibers"], default=None)
     cp.add_argument("--out", default=None)
@@ -267,8 +266,8 @@ def _run(args) -> int:
         if args.verify:
             if not t.surface.is_disc:
                 return _fail("usage", "--verify needs a disc surface (braid oracle)", 2)
-            g = enumerate_graph(t)
-            report = local_twist_relation_report(g, 0)
+            # the twist frame needs vertex 0 only; it walks to a fan itself
+            report = local_twist_relation_report(enumerate_graph(t, radius=0), 0)
             out["verification"] = report
             code = 0 if report["all_hold"] else 1
         _write(args.out, _chunks(out))
@@ -276,9 +275,7 @@ def _run(args) -> int:
 
     if cmd == "cover":
         t = _base_triangulation(args)
-        graph_radius = args.graph_radius
-        if graph_radius is None:
-            graph_radius = None if t.surface.is_disc else args.radius
+        graph_radius = None if t.surface.is_disc else args.radius
         g = enumerate_graph(t, radius=graph_radius, budget=args.budget)
         ball = build_cover_ball(g, radius=args.radius, budget=args.budget)
         out = ball.to_json()

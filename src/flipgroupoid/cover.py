@@ -4,8 +4,10 @@ A twist frame attaches to each arc of a triangulation the braid twist of
 its dual closed arc, as an element of an oracle group where the word
 problem is decidable: the classical braid group B_aleph for discs (via
 Garside normal forms) and the free group for the once-marked annulus,
-whose twist group has no relations.  At the fan base of a disc the
-entries are sigma_1 .. sigma_n in order.
+whose twist group has no relations.  On the fan of a disc from corner c
+the arc on chord {c, c+i+1} carries sigma_i; any other disc start takes
+the frame carried back along a flip walk to such a fan, and the
+once-marked annulus starts from the generators in arc order.
 
 Crossing a forward mutation at arc k, an entry l with at least one arrow
 l -> k in the source quiver is conjugated by the entry at k,
@@ -34,9 +36,7 @@ from dataclasses import dataclass
 
 from . import braid
 from .braid import BraidWord
-from .exchange import (ExchangeGraph, TruncationError, _budget_default, all_relation_instances,
-                       enumerate_graph)
-from .surface import polygon_fan
+from .exchange import ExchangeGraph, TruncationError, _budget_default, all_relation_instances
 
 __all__ = [
     "BraidOracle",
@@ -250,14 +250,13 @@ def frame_transport_move(g: ExchangeGraph, frame: TwistFrame, v: int, k: int, fo
     return u, TwistFrame(tuple(entries), o)
 
 
-def frame_at(g: ExchangeGraph, v: int, frame0: TwistFrame | None = None) -> TwistFrame:
-    """Frame at graph vertex v, transported from the base along the BFS tree."""
-    if frame0 is None:
-        frame0 = base_frame(g.surface)
-    path = _bfs_path(g, v)
-    frame = frame0
+def frame_at(g: ExchangeGraph, v: int) -> TwistFrame:
+    """Frame at graph vertex v, transported along the BFS tree from the
+    frame at vertex 0: :func:`disc_start_frame` on a disc, the base frame
+    on the once-marked annulus."""
+    frame = disc_start_frame(g) if g.surface.is_disc else base_frame(g.surface)
     cur = 0
-    for k in path:
+    for k in _bfs_path(g, v):
         cur, frame = frame_transport_move(g, frame, cur, k, forward=True)
     return frame
 
@@ -265,25 +264,32 @@ def frame_at(g: ExchangeGraph, v: int, frame0: TwistFrame | None = None) -> Twis
 def disc_start_frame(g: ExchangeGraph) -> TwistFrame:
     """Twist frame at vertex 0 of a disc graph started anywhere.
 
-    On a fan from any corner c the frame is sigma_1 .. sigma_n with entry i
-    on the chord {c, c+i+1}, and no graph is built.  Any other start
-    takes the frame transported from the corner-0 fan to the
-    triangulation with vertex 0's chords, its entries matched to vertex
-    0's arcs by chord.
+    Take the corner c with the most arcs (the lowest on ties) and flip,
+    one at a time, the lowest arc not at c whose flip lands at c, until the
+    triangulation is the fan at c; arc ids are kept.  On that fan the arc
+    on chord {c, c+i+1} carries sigma_i, and the frame is transported back
+    along the walk, forward at each flipped arc.  A fan is the walk of no
+    flips, and no graph is built.
     """
-    chords = g.vertices[0].triangulation.arc_chords()
+    t = g.vertices[0].triangulation
     m = g.surface.m
-    corner = next((c for c in range(m) if all(c in ch for ch in chords)), None)
-    if corner is not None:
-        frame = base_frame(g.surface)
-        arcs = [frozenset((corner, (corner + i + 1) % m)) for i in range(1, g.n + 1)]
-    else:
-        fg = enumerate_graph(polygon_fan(m))
-        w = next(u for u, vx in enumerate(fg.vertices)
-                 if vx.triangulation.disc_chords() == frozenset(chords))
-        frame, arcs = frame_at(fg, w), fg.vertices[w].triangulation.arc_chords()
-    arc_of = {c: arc for arc, c in enumerate(arcs, 1)}
-    return TwistFrame(tuple(frame.entry(arc_of[c]) for c in chords), frame.oracle)
+    chords = t.arc_chords()
+    c = max(range(m), key=lambda x: (sum(x in ch for ch in chords), -x))
+    sides = {frozenset((i, (i + 1) % m)) for i in range(m)}
+    walk = []
+    while any(c not in ch for ch in chords):
+        # an arc {x, y} in a triangle (c, x, y) flips to a chord at c
+        edges = sides.union(chords)
+        k = next(a for a, ch in enumerate(chords, 1)
+                 if c not in ch and all(frozenset((c, x)) in edges for x in ch))
+        t = t.flip(k)
+        chords = t.arc_chords()
+        walk.append((t, k))
+    o = oracle_for_surface(g.surface)
+    frame = TwistFrame(tuple(o.generator((x - c) % m - 1) for ch in chords for x in ch - {c}), o)
+    for t, k in reversed(walk):
+        frame = transport_frame(frame, t.quiver(), k)
+    return frame
 
 
 def _bfs_path(g: ExchangeGraph, v: int) -> list[int]:
@@ -636,8 +642,6 @@ def build_cover_ball(graph: ExchangeGraph, radius: int, base: int = 0,
     frame on the once-marked annulus; other surfaces get none.  ``budget``
     bounds the classes born (default ``FLIPGROUPOID_BUDGET`` or 10^6).
     """
-    frame0 = None
-    if oracle_for_surface(graph.surface) is not None:
-        frame0 = frame_at(graph, base, disc_start_frame(graph) if graph.surface.is_disc else None)
+    frame0 = None if oracle_for_surface(graph.surface) is None else frame_at(graph, base)
     budget = _budget_default() if budget is None else budget
     return CoverBall(graph, base, radius, frame0, budget)

@@ -7,6 +7,8 @@ The seed references are the numpy mutation, canonical form and key that
 ``flipgroupoid.seeds`` replaced with code on tuples of int tuples; the corner
 reference is the union-find on ``(t, k)`` tuples that
 ``Triangulation._corner_classes`` replaced with flat corner indices.
+The closure reference walks every braid-relation circuit of the local
+twists, as ``relation_closure_check`` did before it counted them.
 The cover reference is the builder that ``CoverBall`` replaced: it
 materialises the tree of every reduced flip word up to the radius, folds
 it by union-find relation closure, and then transports one frame per
@@ -31,6 +33,7 @@ from flipgroupoid.exchange import (
     TruncationError,
     _budget_default,
     all_relation_instances,
+    relation_closure_check,
 )
 
 
@@ -185,6 +188,55 @@ def ref_corner_classes(tri) -> dict[tuple[int, int], int]:
             other = sl[1] if sl[0] == (t, (k - 1) % 3) else sl[0]
             union(idx[(t, k)], idx[other])
     return {c: find(idx[c]) for c in corners}
+
+
+def _twist_walk(g: ExchangeGraph, v: int, arcs: list[int]):
+    """Walk the 2-cycle loops t_{arc} in sequence; returns end vertex or None.
+
+    Each completed 2-cycle returns to its start with identity index
+    transport, so consecutive twists may reuse the original arc indices.
+    """
+    cur = v
+    for a in arcs:
+        slot = a
+        for _ in range(2):
+            if slot not in g.nbr[cur]:
+                return None
+            cur, slot = g.nbr[cur][slot]
+        if cur != v:
+            raise RuntimeError("local twist did not return to its vertex")
+    return cur
+
+
+def walked_closure_report(g: ExchangeGraph, allow_incomplete: bool = False) -> dict:
+    """The closure report with every braid-relation circuit walked: t_i t_j
+    both ways on |B_ij| = 0 and t_i t_j t_i both ways on |B_ij| = 1."""
+    report = relation_closure_check(g, allow_incomplete)
+    incomplete = report["incomplete"]
+    circuits = 0
+    for v in range(g.vertex_count()):
+        vd = g.vertices[v]
+        if vd.frontier:
+            continue
+        B = vd.seed.B
+        for i in range(1, g.n + 1):
+            for j in range(i + 1, g.n + 1):
+                entry = abs(B[i - 1][j - 1])
+                if entry == 0:
+                    pair = [_twist_walk(g, v, [i, j]), _twist_walk(g, v, [j, i])]
+                elif entry == 1:
+                    pair = [_twist_walk(g, v, [i, j, i]), _twist_walk(g, v, [j, i, j])]
+                else:
+                    continue
+                if None in pair:
+                    incomplete += 1
+                    continue
+                if pair[0] != v or pair[1] != v:
+                    raise RuntimeError(
+                        f"braid-relation circuit at vertex {v}, arcs ({i},{j}) does not close"
+                    )
+                circuits += 1
+    return {**report, "circuits": circuits, "incomplete": incomplete}
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -82,6 +83,26 @@ def test_presentation_cli():
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["verification"]["all_hold"]
+
+
+def test_presentation_verify_builds_no_graph(tmp_path, monkeypatch, capsys):
+    # a polygon-12 flip walk: the whole graph has 58,786 vertices
+    rng = random.Random(12)
+    t = polygon_fan(12)
+    for _ in range(4 * t.n):
+        t = t.flip(rng.randrange(1, t.n + 1))
+    path = tmp_path / "walk.json"
+    path.write_text(t.dumps())
+    real = cli.enumerate_graph
+
+    def vertex_0_only(base, radius=None, budget=None):
+        assert radius == 0, "presentation --verify enumerated a graph"
+        return real(base, radius=radius, budget=budget)
+
+    monkeypatch.setattr(cli, "enumerate_graph", vertex_0_only)
+    assert cli.main(["presentation", "--triangulation", str(path), "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)["verification"]
+    assert report["all_hold"] and report["checked"] > 0
 
 
 def test_export_and_budget(tmp_path):
@@ -279,6 +300,10 @@ def _rows_of_c_out_of_order(data):
     C[0], C[1] = C[1], C[0]
 
 
+def _missing_edge(data):
+    data["edges"].pop(0)
+
+
 def _vertex_on_another_surface(data):
     from flipgroupoid.surface import polygon_fan
 
@@ -301,6 +326,7 @@ LOADER_PROBES = [
     (_string_in_c, "graph vertex 2: B and C entries must be integers"),
     (_bool_in_c, "graph vertex 3: B and C entries must be integers"),
     (_rows_of_c_out_of_order, "graph vertex 4: rows of C are not in descending order"),
+    (_missing_edge, "graph vertex 0: not on the frontier but has 1 of 2 edges"),
 ]
 
 
@@ -317,6 +343,19 @@ def test_relations_rejects_a_corrupt_graph_file(corrupt, named, tmp_path, capsys
     report = json.loads(capsys.readouterr().err)
     assert report["kind"] == "usage"
     assert named in report["message"]
+
+
+def test_homology_rejects_a_graph_file_missing_an_edge(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert cli.main(["enumerate", "--polygon", "6", "--out", str(graph)]) == 0
+    data = json.loads(graph.read_text())
+    _missing_edge(data)
+    graph.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["homology", str(graph)]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["kind"] == "usage"
+    assert "graph vertex 0: not on the frontier but has 2 of 3 edges" in report["message"]
 
 
 ESCAPES = ['"', "\\", "/", "\b\f\n\r\t", "\x00\x1f\x7f", "é", "\u2028", "\U0001f600", ""]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipgroupoid import cover
+from flipgroupoid import cover, exchange
 from flipgroupoid.braid import BraidWord, equal, is_identity
 from flipgroupoid.cover import (
     BraidOracle,
@@ -119,11 +119,10 @@ def test_functoriality_polygons(m):
 
 def test_functoriality_annulus():
     g = enumerate_graph(annulus(1, 1), radius=5)
-    frames = {0: base_frame(g.surface)}
     for inst in all_relation_instances(g):
         if not inst.complete:
             continue
-        left = frame_at(g, inst.base, frames[0])
+        left = frame_at(g, inst.base)
         right = left
         for (w, k) in inst.left_steps:
             _, left = frame_transport_move(g, left, w, k, forward=True)
@@ -132,15 +131,29 @@ def test_functoriality_annulus():
         assert left == right
 
 
-@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
-def test_disc_start_frame_on_a_fan_is_the_base_frame(m, monkeypatch):
-    g = enumerate_graph(polygon_fan(m))
-
+def _no_graph_builds(monkeypatch):
     def no_fan_graph(*args, **kwargs):
         raise AssertionError("the fan graph was enumerated")
 
-    monkeypatch.setattr(cover, "enumerate_graph", no_fan_graph)
+    monkeypatch.setattr(cover, "enumerate_graph", no_fan_graph, raising=False)
+    monkeypatch.setattr(exchange, "enumerate_graph", no_fan_graph)
+
+
+def _holds_all_relations(g, frame):
+    images = {i: BraidWord(frame.oracle.strands, e) for i, e in enumerate(frame.entries, 1)}
+    pres = presentation_from_qp(g.vertices[0].triangulation.quiver())
+    return verify_sound(pres, images)["all_hold"]
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
+def test_disc_start_frame_on_a_fan_is_the_base_frame(m, monkeypatch):
+    g = enumerate_graph(polygon_fan(m))
+    walks = [enumerate_graph(_flip_walk(m, seed), radius=0) for seed in range(1, 9)]
+    _no_graph_builds(monkeypatch)
     assert disc_start_frame(g) == base_frame(g.surface)
+    # a walk start reaches a fan in n - deg(c) flips and takes its frame back
+    for seed, w in enumerate(walks, 1):
+        assert _holds_all_relations(w, disc_start_frame(w)), f"seed {seed}"
 
 
 def _turned(t, shift, perm):
@@ -166,11 +179,7 @@ def test_disc_start_frame_on_any_fan_corner(m, monkeypatch):
         rng.shuffle(arcs)
         perm = dict(zip(range(1, m - 2), arcs))
         graphs.append((perm, enumerate_graph(_turned(polygon_fan(m), shift, perm))))
-
-    def no_fan_graph(*args, **kwargs):
-        raise AssertionError("the fan graph was enumerated")
-
-    monkeypatch.setattr(cover, "enumerate_graph", no_fan_graph)
+    _no_graph_builds(monkeypatch)
     for perm, g in graphs:
         want = [None] * g.n
         for j, arc in perm.items():
@@ -184,6 +193,20 @@ def _flip_walk(m, seed):
     for _ in range(4 * t.n):
         t = t.flip(rng.randrange(1, t.n + 1))
     return t
+
+
+@pytest.mark.parametrize("m", [6, 7, 8, 9, 10])
+def test_frame_at_is_the_cover_root_frame_from_flip_walks(m):
+    # one start-frame rule: frame_at and the cover ball read the same frame
+    fans = 0
+    for seed in range(1, 9):
+        t = _flip_walk(m, seed)
+        fans += any(all(c in ch for ch in t.arc_chords()) for c in range(m))
+        g = enumerate_graph(t, radius=1)
+        frame = frame_at(g, 0)
+        assert build_cover_ball(g, radius=1).frames[0] == frame, f"seed {seed}"
+        assert _holds_all_relations(g, frame), f"seed {seed}"
+    assert fans <= 5  # most starts take their frame back along a flip walk
 
 
 @pytest.mark.parametrize("m", [6, 7])
@@ -549,12 +572,9 @@ REFERENCE_BALLS = [
 @pytest.mark.parametrize("surface, graph_radius, radii", REFERENCE_BALLS)
 def test_cover_ball_matches_tree_reference(surface, graph_radius, radii):
     g = enumerate_graph(surface(), radius=graph_radius)
-    frame0 = None  # the reference's default start frame, except on discs
-    if g.surface.is_disc:
-        frame0 = frame_at(g, 0, disc_start_frame(g))
     for radius in radii:
         ball = build_cover_ball(g, radius=radius)
-        ref = tree_cover_ball(g, radius, frame0=frame0)
+        ref = tree_cover_ball(g, radius)
         assert ball.to_json() == ref.to_json(), radius
         for v in range(g.vertex_count()):
             assert ball.fiber_report(v) == ref.fiber_report(v), (radius, v)

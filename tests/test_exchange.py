@@ -16,7 +16,7 @@ from flipgroupoid.exchange import (
 )
 from flipgroupoid.surface import annulus, genus_one, polygon_fan
 
-from oracles import catalan, polygon_flip_graph, polygon_triangulations
+from oracles import catalan, polygon_flip_graph, polygon_triangulations, walked_closure_report
 
 
 @pytest.mark.parametrize("m,count", [(5, 5), (6, 14), (7, 42), (8, 132), (9, 429)])
@@ -135,6 +135,24 @@ def test_closure_annulus_and_genus_one():
         enumerate_graph(genus_one(1), radius=4), allow_incomplete=True
     )
     assert report["instances"] > 0
+
+
+def _loaded(g):
+    return graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+
+
+@pytest.mark.parametrize("graph, allow_incomplete", [
+    *[pytest.param(lambda m=m: enumerate_graph(polygon_fan(m)), False, id=f"polygon{m}")
+      for m in (5, 6, 7, 8)],
+    pytest.param(lambda: enumerate_graph(annulus(1, 1), radius=6), False, id="annulus11-r6"),
+    pytest.param(lambda: enumerate_graph(genus_one(1), radius=4), True, id="genus_one1-r4"),
+    pytest.param(lambda: _loaded(enumerate_graph(annulus(2, 1), radius=5)), True,
+                 id="loaded-annulus21-r5"),
+])
+def test_counted_circuits_match_walked_circuits(graph, allow_incomplete):
+    g = graph()
+    report = relation_closure_check(g, allow_incomplete)
+    assert report == walked_closure_report(g, allow_incomplete)
 
 
 def test_closure_radius_guard():
