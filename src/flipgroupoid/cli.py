@@ -245,8 +245,6 @@ def _run(args) -> int:
 
     if cmd == "homology":
         g = _load_graph(args.graph)
-        if not g.is_complete():
-            return _fail("usage", "homology needs a fully enumerated graph", 2)
         betti, torsion = homology_h1(g)
         census = face_census(g)
         report = {
@@ -275,8 +273,7 @@ def _run(args) -> int:
 
     if cmd == "cover":
         t = _base_triangulation(args)
-        graph_radius = None if t.surface.is_disc else args.radius
-        g = enumerate_graph(t, radius=graph_radius, budget=args.budget)
+        g = enumerate_graph(t, radius=args.radius, budget=args.budget)
         ball = build_cover_ball(g, radius=args.radius, budget=args.budget)
         out = ball.to_json()
         if args.report == "fibers":

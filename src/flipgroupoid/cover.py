@@ -321,6 +321,7 @@ def _bfs_path(g: ExchangeGraph, v: int) -> list[int]:
 # -- covering balls ----------------------------------------------------------
 
 FWD, BWD = 1, -1
+LABEL_WORD_LENGTH = 4  # deck labels come from twist words up to this length
 
 
 class CoverBall:
@@ -352,6 +353,7 @@ class CoverBall:
         self._count_sizes()
         self.nodes = range(sum(self._size.values()))
         self._labels: dict[int, tuple] = {}
+        self.label_conflicts: list[int] = []
         if frame0 is not None:
             self._discover_labels()
 
@@ -514,14 +516,13 @@ class CoverBall:
         k2 = self.graph.nbr[self.base][arc][1]
         return [(arc, FWD), (k2, FWD)] if sign > 0 else [(arc, BWD), (k2, BWD)]
 
-    def _discover_labels(self, max_len: int = 4):
+    def _discover_labels(self):
         o = self.frames[0].oracle
         f0 = self.frames[0]
         self._labels = {0: o.canon(())}
-        self.label_conflicts: list[int] = []
         frontier = [(0, o.canon(()))]
         n = self.graph.n
-        for _ in range(max_len):
+        for _ in range(LABEL_WORD_LENGTH):
             new_frontier = []
             for cls, word in frontier:
                 for arc in range(1, n + 1):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -62,7 +63,6 @@ def _relabel(t: Triangulation, perm: tuple[int, ...]) -> Triangulation:
 class GraphVertex:
     triangulation: Triangulation
     seed: Seed
-    key: bytes
     depth: int
     frontier: bool
 
@@ -137,10 +137,8 @@ def enumerate_graph(
 
     n = base.surface.arc_count
     seed0 = Seed.initial(base.quiver().B)  # canonical already: C is the identity
-    v0 = GraphVertex(base, seed0, canonical_key(seed0), 0, False)
-
-    vertices = [v0]
-    index = {v0.key: 0}
+    vertices = [GraphVertex(base, seed0, 0, False)]
+    index = {canonical_key(seed0): 0}
     nbr: list[dict] = [{}]
     edge_perm: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -169,7 +167,7 @@ def enumerate_graph(
                 if tri.quiver().B != B2:
                     raise RuntimeError("flip/mutation mismatch: implementation bug")
                 u = len(vertices)
-                vertices.append(GraphVertex(tri, Seed.trusted(B2, C2), key, vd.depth + 1, False))
+                vertices.append(GraphVertex(tri, Seed.trusted(B2, C2), vd.depth + 1, False))
                 nbr.append({})
                 index[key] = u
                 queue.append(u)
@@ -273,12 +271,12 @@ def relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
     return out
 
 
-def all_relation_instances(g: ExchangeGraph) -> list[RelationInstance]:
-    out = []
+def all_relation_instances(g: ExchangeGraph) -> Iterator[RelationInstance]:
+    """Instances of each vertex off the frontier, in vertex order, generated
+    one vertex at a time: nothing holds those of the whole graph."""
     for v in range(g.vertex_count()):
         if not g.vertices[v].frontier:
-            out.extend(relation_instances(g, v))
-    return out
+            yield from relation_instances(g, v)
 
 
 def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> dict:
@@ -385,7 +383,7 @@ def graph_from_json(data: dict) -> ExchangeGraph:
         if key in index:
             raise ValueError(f"graph vertex {i}: same seed as vertex {index[key]}")
         index[key] = i
-        vertices.append(GraphVertex(tri, seed, key, vd["depth"], vd["frontier"]))
+        vertices.append(GraphVertex(tri, seed, vd["depth"], vd["frontier"]))
     nbr: list[dict] = [{} for _ in vertices]
     edge_perm = {}
     arcs = range(1, n + 1)

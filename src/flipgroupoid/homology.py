@@ -1,7 +1,7 @@
 """Integer homology of the square/pentagon 2-complex on an exchange graph.
 
-The 2-cells are the geometric squares and pentagons (each unoriented
-relation cycle counted once, not once per basepoint).  H_1 is computed
+The 2-cells are the geometric squares and pentagons, each unoriented
+relation cycle taken once, at its lowest corner.  H_1 is computed
 exactly over the integers: the cycle lattice of the graph has the
 fundamental cycles of the non-tree edges as a basis, and in that basis a
 cell boundary is simply its restriction to non-tree coordinates, so the
@@ -185,27 +185,25 @@ def _cycle_of(instance: RelationInstance, g: ExchangeGraph):
 
 
 def two_cells(g: ExchangeGraph) -> list[TwoCell]:
-    """Distinct unoriented squares and pentagons of the graph.
+    """Distinct unoriented squares and pentagons, each built at its lowest
+    corner (``left_end`` included), in the order of those corners.
 
     Built once per graph and kept in ``g.cell_cache``, so that
     :func:`face_census` and :func:`homology_h1` share one build.
     """
     if not g.is_complete():
         raise ValueError("2-complex needs a fully enumerated graph")
-    cells = g.cell_cache
-    if cells is None:
-        seen = {}
+    if g.cell_cache is None:
+        cells = []
         for inst in all_relation_instances(g):
             if inst.kind is RelationKind.HEX_DUMBBELL:
                 continue
             if not inst.co_terminates():
                 raise RuntimeError("relation instance does not close")
-            cyc = _cycle_of(inst, g)
-            key = frozenset(e for e, _ in cyc)
-            if key not in seen:
-                seen[key] = TwoCell(inst.kind, cyc)
-        cells = g.cell_cache = [seen[k] for k in sorted(seen, key=sorted)]
-    return list(cells)
+            if inst.base <= min(inst.left_end, *(v for v, _ in inst.left_steps + inst.right_steps)):
+                cells.append(TwoCell(inst.kind, _cycle_of(inst, g)))
+        g.cell_cache = cells
+    return list(g.cell_cache)
 
 
 def face_census(g: ExchangeGraph) -> dict:

@@ -9,12 +9,15 @@ reference is the union-find on ``(t, k)`` tuples that
 ``Triangulation._corner_classes`` replaced with flat corner indices.
 The closure reference walks every braid-relation circuit of the local
 twists, as ``relation_closure_check`` did before it counted them.
+The 2-cell reference is the ``two_cells`` that built each cell at every
+corner and kept the first copy of each edge set.
 The cover reference is the builder that ``CoverBall`` replaced: it
 materialises the tree of every reduced flip word up to the radius, folds
 it by union-find relation closure, and then transports one frame per
 class from the class of its representative's tree parent.
 """
 
+import random
 from dataclasses import dataclass
 from math import comb
 
@@ -30,11 +33,14 @@ from flipgroupoid.cover import (
 )
 from flipgroupoid.exchange import (
     ExchangeGraph,
+    RelationKind,
     TruncationError,
     _budget_default,
     all_relation_instances,
     relation_closure_check,
 )
+from flipgroupoid.homology import TwoCell, _cycle_of
+from flipgroupoid.surface import polygon_fan
 
 
 def catalan(k: int) -> int:
@@ -78,6 +84,15 @@ def polygon_triangulations(m: int) -> list[frozenset]:
 
     backtrack(0, [])
     return out
+
+
+def flip_walk(m: int, seed: int):
+    """The m-gon fan after 4n flips of arcs drawn by ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    t = polygon_fan(m)
+    for _ in range(4 * t.n):
+        t = t.flip(rng.randrange(1, t.n + 1))
+    return t
 
 
 def polygon_flip_graph(m: int) -> dict[frozenset, dict[tuple, frozenset]]:
@@ -188,6 +203,20 @@ def ref_corner_classes(tri) -> dict[tuple[int, int], int]:
             other = sl[1] if sl[0] == (t, (k - 1) % 3) else sl[0]
             union(idx[(t, k)], idx[other])
     return {c: find(idx[c]) for c in corners}
+
+
+def ref_two_cells(g: ExchangeGraph) -> list[TwoCell]:
+    """Each square and pentagon built at every corner, the copies folded
+    by their unoriented edge sets, the first copy kept."""
+    seen = {}
+    for inst in all_relation_instances(g):
+        if inst.kind is RelationKind.HEX_DUMBBELL:
+            continue
+        if not inst.co_terminates():
+            raise RuntimeError("relation instance does not close")
+        cyc = _cycle_of(inst, g)
+        seen.setdefault(frozenset(e for e, _ in cyc), TwoCell(inst.kind, cyc))
+    return [seen[k] for k in sorted(seen, key=sorted)]
 
 
 def _twist_walk(g: ExchangeGraph, v: int, arcs: list[int]):

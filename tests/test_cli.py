@@ -14,6 +14,8 @@ from flipgroupoid import cli, homology
 from flipgroupoid.exchange import enumerate_graph, graph_to_json
 from flipgroupoid.surface import Triangulation, polygon_fan
 
+from oracles import flip_walk
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -179,6 +181,21 @@ def test_cover_rotated_fan_stdout_pinned(shift, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == COVER_DIGESTS[0][1]
 
 
+def test_cover_enumerates_the_graph_to_the_ball_radius(monkeypatch, capsys):
+    # the whole polygon-10 graph has 1,430 vertices; a radius-2 ball sees 35
+    real = cli.enumerate_graph
+
+    def to_radius_2(base, radius=None, budget=None):
+        assert radius == 2, "cover enumerated past the ball radius"
+        return real(base, radius=radius, budget=budget)
+
+    monkeypatch.setattr(cli, "enumerate_graph", to_radius_2)
+    assert cli.main(["cover", "--polygon", "10", "--radius", "2", "--report", "fibers"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert {c["shadow"] for c in out["classes"]} == set(range(35))
+    assert sorted(map(int, out["fibers"])) == list(range(35))
+
+
 def test_cover_budget_truncation_names_depth(capsys):
     code = cli.main(["cover", "--polygon", "6", "--radius", "8", "--budget", "20000"])
     out = json.loads(capsys.readouterr().out)
@@ -190,10 +207,21 @@ def test_cover_budget_truncation_names_depth(capsys):
 FACES = {5: (0, 1), 6: (3, 6), 7: (28, 28), 8: (180, 120), 9: (990, 495)}
 
 
-@pytest.mark.parametrize("m", sorted(FACES))
-def test_homology_stdout_bytes(m, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "m, walk_seed",
+    [pytest.param(m, None, id=str(m)) for m in sorted(FACES)]
+    + [pytest.param(m, 0, id=f"{m}-walk0") for m in sorted(FACES)],
+)
+def test_homology_stdout_bytes(m, walk_seed, tmp_path, capsys):
+    # from a flip walk the far corner of a square can be its lowest vertex
     graph = tmp_path / "g.json"
-    assert cli.main(["enumerate", "--polygon", str(m), "--out", str(graph)]) == 0
+    if walk_seed is None:
+        start = ["--polygon", str(m)]
+    else:
+        path = tmp_path / "walk.json"
+        path.write_text(flip_walk(m, walk_seed).dumps())
+        start = ["--triangulation", str(path)]
+    assert cli.main(["enumerate", *start, "--out", str(graph)]) == 0
     assert cli.main(["homology", str(graph)]) == 0
     squares, pentagons = FACES[m]
     want = (
@@ -202,6 +230,17 @@ def test_homology_stdout_bytes(m, tmp_path, capsys):
         '  },\n  "status": "ok",\n  "torsion": []\n}\n'
     )
     assert capsys.readouterr().out == want
+
+
+def test_homology_of_a_truncated_graph_is_a_usage_error(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert cli.main(["enumerate", "--annulus", "1", "1", "--radius", "3", "--out", str(graph)]) == 0
+    assert cli.main(["homology", str(graph)]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.err)
+    assert captured.out == ""
+    assert report["kind"] == "usage"
+    assert report["message"] == "homology needs a fully enumerated graph"
 
 
 def test_homology_builds_two_cells_once(tmp_path, monkeypatch, capsys):

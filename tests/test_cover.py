@@ -29,7 +29,7 @@ from flipgroupoid.exchange import (
 from flipgroupoid.presentation import presentation_from_qp, verify_sound
 from flipgroupoid.surface import MarkedSurface, Triangulation, annulus, genus_one, polygon_fan
 
-from oracles import tree_cover_ball
+from oracles import flip_walk, tree_cover_ball
 
 # shared across hypothesis examples, so later examples meet a filled memo
 ORACLES = [BraidOracle(4), BraidOracle(5), FreeGroupOracle(3)]
@@ -148,7 +148,7 @@ def _holds_all_relations(g, frame):
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
 def test_disc_start_frame_on_a_fan_is_the_base_frame(m, monkeypatch):
     g = enumerate_graph(polygon_fan(m))
-    walks = [enumerate_graph(_flip_walk(m, seed), radius=0) for seed in range(1, 9)]
+    walks = [enumerate_graph(flip_walk(m, seed), radius=0) for seed in range(1, 9)]
     _no_graph_builds(monkeypatch)
     assert disc_start_frame(g) == base_frame(g.surface)
     # a walk start reaches a fan in n - deg(c) flips and takes its frame back
@@ -187,20 +187,12 @@ def test_disc_start_frame_on_any_fan_corner(m, monkeypatch):
         assert disc_start_frame(g).entries == tuple(want)
 
 
-def _flip_walk(m, seed):
-    rng = random.Random(seed)
-    t = polygon_fan(m)
-    for _ in range(4 * t.n):
-        t = t.flip(rng.randrange(1, t.n + 1))
-    return t
-
-
 @pytest.mark.parametrize("m", [6, 7, 8, 9, 10])
 def test_frame_at_is_the_cover_root_frame_from_flip_walks(m):
     # one start-frame rule: frame_at and the cover ball read the same frame
     fans = 0
     for seed in range(1, 9):
-        t = _flip_walk(m, seed)
+        t = flip_walk(m, seed)
         fans += any(all(c in ch for ch in t.arc_chords()) for c in range(m))
         g = enumerate_graph(t, radius=1)
         frame = frame_at(g, 0)
@@ -212,7 +204,7 @@ def test_frame_at_is_the_cover_root_frame_from_flip_walks(m):
 @pytest.mark.parametrize("m", [6, 7])
 def test_cover_root_frame_holds_relations_from_flip_walks(m):
     for seed in range(1, 9):
-        g = enumerate_graph(_flip_walk(m, seed))
+        g = enumerate_graph(flip_walk(m, seed))
         frame = build_cover_ball(g, radius=1).frames[0]
         images = {i: BraidWord(frame.oracle.strands, e) for i, e in enumerate(frame.entries, 1)}
         report = verify_sound(presentation_from_qp(g.vertices[0].triangulation.quiver()), images)
@@ -543,6 +535,23 @@ def test_cover_nonoracle_surface_runs():
     assert ball.label(n1) is None
 
 
+@pytest.mark.parametrize("surface", [genus_one(1), annulus(2, 1)], ids=["genus_one1", "annulus21"])
+def test_label_conflicts_is_a_list_on_every_surface(surface):
+    # neither surface has an oracle group: no labels, and so no conflicts
+    ball = build_cover_ball(enumerate_graph(surface, radius=4), 3)
+    assert ball.label_conflicts == []
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_ball_on_a_radius_deep_graph_matches_the_full_graph(m):
+    # a ball of radius r reaches no graph vertex past distance r
+    for t in (polygon_fan(m), flip_walk(m, 1)):
+        full = enumerate_graph(t)
+        for radius in range(1, 6):
+            want = build_cover_ball(full, radius).to_json()
+            assert build_cover_ball(enumerate_graph(t, radius=radius), radius).to_json() == want
+
+
 def test_cover_ball_refuses_shallow_graph():
     g = enumerate_graph(annulus(1, 1), radius=2)
     with pytest.raises(ValueError):
@@ -560,7 +569,7 @@ REFERENCE_BALLS = [
     pytest.param(lambda m=m: polygon_fan(m), None, range(1, 6), id=f"polygon{m}-fan")
     for m in (4, 5, 6, 7)
 ] + [
-    pytest.param(lambda m=m: _flip_walk(m, 3), None, range(1, 6), id=f"polygon{m}-walk")
+    pytest.param(lambda m=m: flip_walk(m, 3), None, range(1, 6), id=f"polygon{m}-walk")
     for m in (4, 5, 6, 7)
 ] + [
     pytest.param(lambda: annulus(1, 1), 8, range(1, 9), id="annulus11"),

@@ -1,5 +1,7 @@
 import json
 import random
+import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 
@@ -120,6 +122,23 @@ def test_instance_lengths():
             RelationKind.HEX_DUMBBELL: (3, 3),
         }[inst.kind]
         assert (len(inst.left_steps), len(inst.right_steps)) == want
+
+
+def test_relation_instances_stream_one_vertex_at_a_time():
+    g = enumerate_graph(polygon_fan(9))
+    instances = all_relation_instances(g)
+    assert isinstance(instances, Iterator)
+    assert list(instances) == [i for v in range(g.vertex_count()) for i in relation_instances(g, v)]
+    # the closure check reads each instance once, so it never holds the
+    # graph's 6,435 instances together (4.5 MB as one list)
+    tracemalloc.start()
+    try:
+        report = relation_closure_check(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["instances"] == 6435
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8])

@@ -15,6 +15,8 @@ from flipgroupoid.homology import (
 )
 from flipgroupoid.surface import annulus, polygon_fan
 
+from oracles import flip_walk, ref_two_cells
+
 
 def test_snf_identity():
     U, D, V = smith_normal_form(np.eye(3, dtype=int))
@@ -92,6 +94,18 @@ def test_cell_multiplicity_bookkeeping():
     squares = sum(c.kind.value == "Square" for c in cells)
     pentagons = sum(c.kind.value == "Pentagon" for c in cells)
     assert squares * 4 + pentagons * 5 == per_vertex
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
+def test_two_cells_match_corner_dedup_reference(m):
+    # one cell from its lowest corner is the first copy the dedup kept;
+    # the far corner of a square must count towards "lowest"
+    starts = [polygon_fan(m)] + [flip_walk(m, seed) for seed in range(8)]
+    for i, t in enumerate(starts):
+        g = enumerate_graph(t)
+        cells = [(c.kind, c.edges) for c in two_cells(g)]
+        assert len(set(cells)) == len(cells), i
+        assert set(cells) == {(c.kind, c.edges) for c in ref_two_cells(g)}, i
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8, 9, 10])
