@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .seeds import Seed, canonical_form, canonical_key, form_key, mutate_seed
-from .surface import Triangulation, arc_label
+from .surface import Triangulation
 
 __all__ = [
     "TruncationError",
@@ -54,8 +54,10 @@ class TruncationError(RuntimeError):
 
 def _relabel(t: Triangulation, perm: tuple[int, ...]) -> Triangulation:
     """Relabel arc ids by perm (1-based old -> new)."""
-    mapping = {arc_label(i + 1): arc_label(perm[i]) for i in range(len(perm))}
-    tris = [tuple(mapping.get(e, e) for e in tri) for tri in t.triangles]
+    labels = t.surface._arc_labels
+    mapping = dict(zip(labels, [labels[p - 1] for p in perm]))
+    get = mapping.get
+    tris = [(get(x, x), get(y, y), get(z, z)) for x, y, z in t.triangles]
     return Triangulation(t.surface, tris, validate=False)
 
 
@@ -136,7 +138,7 @@ def enumerate_graph(
         raise ValueError("budget must be >= 1")
 
     n = base.surface.arc_count
-    seed0 = Seed.initial(base.quiver().B)  # canonical already: C is the identity
+    seed0 = Seed.initial(base.exchange_matrix())  # canonical already: C is the identity
     vertices = [GraphVertex(base, seed0, 0, False)]
     index = {canonical_key(seed0): 0}
     nbr: list[dict] = [{}]
@@ -164,7 +166,7 @@ def enumerate_graph(
                         f"vertex budget {budget} exceeded while enumerating"
                     )
                 tri = _relabel(vd.triangulation.flip(k), perm)
-                if tri.quiver().B != B2:
+                if tri.exchange_matrix() != B2:
                     raise RuntimeError("flip/mutation mismatch: implementation bug")
                 u = len(vertices)
                 vertices.append(GraphVertex(tri, Seed.trusted(B2, C2), vd.depth + 1, False))
@@ -321,13 +323,21 @@ def export_dot(g: ExchangeGraph) -> str:
 
 
 def graph_to_json(g: ExchangeGraph) -> dict:
+    """The graph file's data.  Every vertex's triangulation holds the same
+    ``surface`` and ``edges`` objects, so the CLI writer can reuse their text."""
+    surface = g.surface.to_json()
+    edges = g.surface.edges_json()
     return {
-        "surface": g.surface.to_json(),
+        "surface": surface,
         "radius": g.radius,
         "budget": g.budget,
         "vertices": [
             {
-                "triangulation": vd.triangulation.to_json(),
+                "triangulation": {
+                    "surface": surface,
+                    "triangles": [list(t) for t in vd.triangulation.triangles],
+                    "edges": edges,
+                },
                 "B": vd.seed.B,
                 "C": vd.seed.C,
                 "depth": vd.depth,
@@ -348,25 +358,35 @@ def graph_to_json(g: ExchangeGraph) -> dict:
 def graph_from_json(data: dict) -> ExchangeGraph:
     """Load a graph file, rejecting inconsistent edges and vertices.
 
-    Bad input raises ``ValueError`` naming the vertex or edge.  A vertex off
-    the frontier must have all n edges.  B and C must be n x n lists of
-    ints, and the rows of C distinct and in the descending order
-    ``enumerate`` writes, so (B, C) is its own canonical form and gives the
-    key as it stands.  Not checked, because each costs a quiver, a flip
-    or a determinant per vertex or edge: that B is the quiver of the
-    triangulation, that C is unimodular, and that an edge's flip and
-    relabelling give its target.
+    Bad input raises ``ValueError`` naming the vertex or edge.  Each
+    vertex's triangulation must give the graph's ``surface`` object and,
+    if it has an ``edges`` table, the surface's, and must pass
+    :meth:`Triangulation.validate`.  A vertex off the frontier must have
+    all n edges.  B and C must be n x n lists of ints, and the rows of C
+    distinct and in the descending order ``enumerate`` writes, so (B, C)
+    is its own canonical form and gives the key as it stands.  Not
+    checked, because each costs a quiver, a flip or a determinant per
+    vertex or edge: that B is the quiver of the triangulation, that C is
+    unimodular, and that an edge's flip and relabelling give its target.
+
+    Each record of ``data["vertices"]`` is freed once it is read, so that
+    the parsed file and the graph are not held at once: the list is empty
+    when this returns, and partly cleared when it raises.
     """
     from .surface import MarkedSurface
 
     surface = MarkedSurface.from_json(data["surface"])
+    surface_json = surface.to_json()
     n = surface.arc_count
     vertices = []
     index: dict[bytes, int] = {}
-    for i, vd in enumerate(data["vertices"]):
-        tri = Triangulation.from_json(vd["triangulation"])
-        if tri.surface != surface:
+    records = data["vertices"]
+    for i, vd in enumerate(records):
+        records[i] = None
+        td = vd["triangulation"]
+        if td["surface"] != surface_json:
             raise ValueError(f"graph vertex {i}: surface differs from the graph's")
+        tri = Triangulation.from_json(td, surface)
         B, C = vd["B"], vd["C"]
         if not (type(B) is type(C) is list
                 and all(type(row) is list and len(row) == n for row in (B, C, *B, *C))):
@@ -384,6 +404,7 @@ def graph_from_json(data: dict) -> ExchangeGraph:
             raise ValueError(f"graph vertex {i}: same seed as vertex {index[key]}")
         index[key] = i
         vertices.append(GraphVertex(tri, seed, vd["depth"], vd["frontier"]))
+    records.clear()
     nbr: list[dict] = [{} for _ in vertices]
     edge_perm = {}
     arcs = range(1, n + 1)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .seeds import Matrix, as_matrix, is_skew_symmetric
 
@@ -93,6 +94,47 @@ class MarkedSurface:
     def is_disc(self) -> bool:
         return self.genus == 0 and self.b == 1
 
+    @cached_property
+    def _arc_labels(self) -> tuple[str, ...]:
+        """``a1 .. aN``."""
+        return tuple(arc_label(i) for i in range(1, self.arc_count + 1))
+
+    @cached_property
+    def _edges(self) -> dict[str, dict]:
+        """The ``edges`` table of every triangulation of the surface: arcs
+        a1 .. aN, then each boundary component's segments.  Built once and
+        shared; read it, never change it."""
+        edges = {lab: {"kind": "arc"} for lab in self._arc_labels}
+        for comp, count in enumerate(self.boundaries):
+            for pos in range(count):
+                edges[f"b{comp}.{pos}"] = {"kind": "boundary", "component": comp, "position": pos}
+        return edges
+
+    @cached_property
+    def _slot_counts(self) -> dict[str, int]:
+        """Triangle sides each edge fills: two per arc, one per boundary segment."""
+        return {lab: 2 if e["kind"] == "arc" else 1 for lab, e in self._edges.items()}
+
+    def edges_json(self) -> dict[str, dict]:
+        """A fresh copy of the ``edges`` table every triangulation writes."""
+        return {lab: dict(e) for lab, e in self._edges.items()}
+
+    def check_edges_json(self, edges) -> None:
+        """Raise ValueError naming the first label at which a triangulation
+        file's ``edges`` table differs from :meth:`edges_json`."""
+        want = self._edges
+        if edges == want:
+            return
+        if not isinstance(edges, dict):
+            raise ValueError("triangulation edges must be a JSON object")
+        for lab, entry in want.items():
+            if lab not in edges:
+                raise ValueError(f"edges table lacks edge {lab}")
+            if edges[lab] != entry:
+                raise ValueError(f"edges table gives edge {lab} as {edges[lab]!r}, not {entry!r}")
+        extra = next(lab for lab in edges if lab not in want)
+        raise ValueError(f"edges table names {extra!r}, not an edge of the surface")
+
     def to_json(self) -> dict:
         return {"genus": self.genus, "boundaries": list(self.boundaries)}
 
@@ -128,16 +170,23 @@ def _edge_sort_key(label: str) -> tuple[int, int, int]:
     raise ValueError(f"malformed edge label {label!r}")
 
 
+# Memo of _keyed_triangle: it grows only with the distinct triangles seen
+# (422 after the whole polygon-10 exchange graph), and a malformed
+# triangle raises before anything is stored, so errors are not cached.
+@cache
+def _keyed_triangle(tri: tuple) -> tuple[tuple, tuple]:
+    """The sort key of ``tri`` and ``tri`` rotated to start at its smallest side."""
+    if len(tri) != 3 or len(set(tri)) != 3:
+        raise ValueError(f"triangle {tri} must have three distinct sides")
+    keys = tuple(map(_edge_sort_key, tri))
+    k = keys.index(min(keys))
+    return keys[k:] + keys[:k], tri[k:] + tri[:k]
+
+
 def _canonical_triangles(triangles):
-    rotated = []
-    for tri in triangles:
-        tri = tuple(tri)
-        if len(tri) != 3 or len(set(tri)) != 3:
-            raise ValueError(f"triangle {tri} must have three distinct sides")
-        k = min(range(3), key=lambda i: _edge_sort_key(tri[i]))
-        rotated.append(tri[k:] + tri[:k])
-    rotated.sort(key=lambda t: tuple(_edge_sort_key(e) for e in t))
-    return tuple(rotated)
+    keyed = [_keyed_triangle(tuple(tri)) for tri in triangles]
+    keyed.sort(key=itemgetter(0))
+    return tuple([tri for _, tri in keyed])
 
 
 class Triangulation:
@@ -153,11 +202,11 @@ class Triangulation:
     def __init__(self, surface: MarkedSurface, triangles, validate: bool = True):
         self.surface = surface
         self.triangles = _canonical_triangles(triangles)
-        slots: dict[str, list] = {}
+        slots: dict[str, tuple] = {}
         for t, tri in enumerate(self.triangles):
             for pos, lab in enumerate(tri):
-                slots.setdefault(lab, []).append((t, pos))
-        self._slots = {lab: tuple(v) for lab, v in slots.items()}
+                slots[lab] = slots.get(lab, ()) + ((t, pos),)
+        self._slots = slots
         self._hash = hash((self.surface, self.triangles))
         if validate:
             self.validate()
@@ -169,7 +218,7 @@ class Triangulation:
         return self.surface.arc_count
 
     def arc_labels(self) -> list[str]:
-        return [arc_label(i) for i in range(1, self.n + 1)]
+        return list(self.surface._arc_labels)
 
     def slots(self, label: str) -> tuple:
         try:
@@ -184,10 +233,24 @@ class Triangulation:
 
     def validate(self) -> None:
         surf = self.surface
-        arcs = [lab for lab in self._slots if lab.startswith("a")]
-        bnds = [lab for lab in self._slots if lab.startswith("b")]
         if len(self.triangles) != surf.triangle_count:
             raise ValueError("wrong triangle count")
+        if {lab: len(sl) for lab, sl in self._slots.items()} != surf._slot_counts:
+            self._name_label_fault()
+        # Euler characteristic from the vertex cycles of the map.
+        v = self._vertex_count()
+        if v != surf.m:
+            raise ValueError(f"map has {v} vertices, surface has m={surf.m}")
+        chi = v - (self.n + surf.m) + len(self.triangles)
+        if chi != surf.euler_characteristic:
+            raise ValueError(f"Euler characteristic {chi} != {surf.euler_characteristic}")
+
+    def _name_label_fault(self) -> None:
+        """Raise the ValueError that names how the edge labels or their slot
+        counts differ from the surface's; called once they are known to."""
+        surf = self.surface
+        arcs = [lab for lab in self._slots if lab.startswith("a")]
+        bnds = [lab for lab in self._slots if lab.startswith("b")]
         if sorted(arcs, key=_edge_sort_key) != self.arc_labels():
             raise ValueError("arc labels must be exactly a1..aN")
         if len(bnds) != surf.m:
@@ -206,13 +269,7 @@ class Triangulation:
             want = 2 if lab.startswith("a") else 1
             if len(sl) != want:
                 raise ValueError(f"edge {lab} used by {len(sl)} slots, expected {want}")
-        # Euler characteristic from the vertex cycles of the map.
-        v = self._vertex_count()
-        if v != surf.m:
-            raise ValueError(f"map has {v} vertices, surface has m={surf.m}")
-        chi = v - (self.n + surf.m) + len(self.triangles)
-        if chi != surf.euler_characteristic:
-            raise ValueError(f"Euler characteristic {chi} != {surf.euler_characteristic}")
+        raise ValueError("edge labels differ from the surface's")
 
     def _corner_classes(self) -> list[int]:
         """Marked-point class of each corner of the combinatorial map.
@@ -327,6 +384,20 @@ class Triangulation:
                 counts[pair] = counts.get(pair, 0) + 1
         return counts
 
+    def exchange_matrix(self) -> Matrix:
+        """B of the quiver as tuple rows: ``B[i][j]`` counts the angles
+        from arc i+1 to arc j+1 (see :meth:`quiver`) minus those back."""
+        n = self.n
+        B = [[0] * n for _ in range(n)]
+        for tri in self.triangles:
+            for k in range(3):
+                tail, head = tri[k], tri[k - 1]
+                if tail[0] == "a" and head[0] == "a":
+                    ti, hi = int(tail[1:]) - 1, int(head[1:]) - 1
+                    B[ti][hi] += 1
+                    B[hi][ti] -= 1
+        return tuple(map(tuple, B))
+
     def quiver(self) -> "QuiverWithPotential":
         """Quiver with potential read off the triangulation.
 
@@ -334,20 +405,14 @@ class Triangulation:
         is the anticlockwise rotation of the other inside the triangle; a
         potential 3-cycle per triangle whose sides are all arcs.
         """
-        n = self.n
-        B = [[0] * n for _ in range(n)]
         arrows = []
         arrow_at = {}
         for t, tri in enumerate(self.triangles):
             for k in range(3):
                 tail, head = tri[k], tri[(k - 1) % 3]
                 if tail.startswith("a") and head.startswith("a"):
-                    ti = int(tail[1:])
-                    hi = int(head[1:])
                     arrow_at[(t, k)] = len(arrows)
-                    arrows.append((ti, hi))
-                    B[ti - 1][hi - 1] += 1
-                    B[hi - 1][ti - 1] -= 1
+                    arrows.append((int(tail[1:]), int(head[1:])))
         terms = []
         for t, tri in enumerate(self.triangles):
             if all(e.startswith("a") for e in tri):
@@ -356,7 +421,7 @@ class Triangulation:
                 k = min(range(3), key=lambda i: arrows[cyc[i]][0])
                 terms.append(cyc[k:] + cyc[:k])
         terms.sort(key=lambda cyc: tuple(arrows[i] for i in cyc))
-        return QuiverWithPotential(n, B, tuple(arrows), tuple(terms))
+        return QuiverWithPotential(self.n, self.exchange_matrix(), tuple(arrows), tuple(terms))
 
     def dual_graph(self) -> tuple[tuple[int, int, int], ...]:
         """One edge per arc joining the two adjacent triangles (multi-edges kept)."""
@@ -372,27 +437,22 @@ class Triangulation:
     # -- serialization and equality ----------------------------------------
 
     def to_json(self) -> dict:
-        edges = {}
-        for lab in sorted(self._slots, key=_edge_sort_key):
-            if lab.startswith("a"):
-                edges[lab] = {"kind": "arc"}
-            else:
-                m = _BOUNDARY_RE.match(lab)
-                edges[lab] = {
-                    "kind": "boundary",
-                    "component": int(m.group(1)),
-                    "position": int(m.group(2)),
-                }
         return {
             "surface": self.surface.to_json(),
             "triangles": [list(t) for t in self.triangles],
-            "edges": edges,
+            "edges": self.surface.edges_json(),
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Triangulation":
-        surface = MarkedSurface.from_json(data["surface"])
-        return cls(surface, [tuple(t) for t in data["triangles"]])
+    def from_json(cls, data: dict, surface: MarkedSurface | None = None) -> "Triangulation":
+        """Read and validate a triangulation.  An ``edges`` table, when
+        present, must be the surface's.  ``surface``, when given, is taken
+        for ``data["surface"]``, which the caller has checked describes it."""
+        if surface is None:
+            surface = MarkedSurface.from_json(data["surface"])
+        if "edges" in data:
+            surface.check_edges_json(data["edges"])
+        return cls(surface, data["triangles"])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)

@@ -7,6 +7,11 @@ The seed references are the numpy mutation, canonical form and key that
 ``flipgroupoid.seeds`` replaced with code on tuples of int tuples; the corner
 reference is the union-find on ``(t, k)`` tuples that
 ``Triangulation._corner_classes`` replaced with flat corner indices.
+The triangulation references are the code that the memo of rotated
+triangles, the per-surface slot-count check of ``validate`` and the B
+reader replaced: canonical triangles rotated and keyed anew for every
+triangulation, slots gathered in lists, every edge-label check run on
+every ``validate``, and B read off the arrows of the full quiver.
 The closure reference walks every braid-relation circuit of the local
 twists, as ``relation_closure_check`` did before it counted them.
 The 2-cell reference is the ``two_cells`` that built each cell at every
@@ -40,7 +45,7 @@ from flipgroupoid.exchange import (
     relation_closure_check,
 )
 from flipgroupoid.homology import TwoCell, _cycle_of
-from flipgroupoid.surface import polygon_fan
+from flipgroupoid.surface import _BOUNDARY_RE, _edge_sort_key, polygon_fan
 
 
 def catalan(k: int) -> int:
@@ -172,6 +177,77 @@ def ref_canonical_key(seed) -> bytes:
     body = ",".join(str(int(x)) for x in B2.ravel())
     body += ";" + ",".join(str(int(x)) for x in C2.ravel())
     return f"n={n};{body}".encode("ascii")
+
+
+def ref_canonical_triangles(triangles) -> tuple:
+    """Each triple rotated to start at its smallest side, the triples sorted."""
+    rotated = []
+    for tri in triangles:
+        tri = tuple(tri)
+        if len(tri) != 3 or len(set(tri)) != 3:
+            raise ValueError(f"triangle {tri} must have three distinct sides")
+        k = min(range(3), key=lambda i: _edge_sort_key(tri[i]))
+        rotated.append(tri[k:] + tri[:k])
+    rotated.sort(key=lambda t: tuple(_edge_sort_key(e) for e in t))
+    return tuple(rotated)
+
+
+def ref_slots(triangles) -> dict[str, tuple]:
+    """The (triangle, position) slots of each edge label."""
+    slots: dict[str, list] = {}
+    for t, tri in enumerate(triangles):
+        for pos, lab in enumerate(tri):
+            slots.setdefault(lab, []).append((t, pos))
+    return {lab: tuple(v) for lab, v in slots.items()}
+
+
+def ref_validate(tri) -> None:
+    """Every check of a triangulation against its surface, in order."""
+    surf = tri.surface
+    slots = ref_slots(tri.triangles)
+    arcs = [lab for lab in slots if lab.startswith("a")]
+    bnds = [lab for lab in slots if lab.startswith("b")]
+    if len(tri.triangles) != surf.triangle_count:
+        raise ValueError("wrong triangle count")
+    if sorted(arcs, key=_edge_sort_key) != [f"a{i}" for i in range(1, surf.arc_count + 1)]:
+        raise ValueError("arc labels must be exactly a1..aN")
+    if len(bnds) != surf.m:
+        raise ValueError("wrong boundary segment count")
+    per_comp: dict[int, set] = {}
+    for lab in bnds:
+        m = _BOUNDARY_RE.match(lab)
+        comp, pos = int(m.group(1)), int(m.group(2))
+        per_comp.setdefault(comp, set()).add(pos)
+    if sorted(per_comp) != list(range(surf.b)):
+        raise ValueError("boundary component labels must be 0..b-1")
+    for comp, positions in per_comp.items():
+        if positions != set(range(surf.boundaries[comp])):
+            raise ValueError(f"boundary component {comp} has wrong segments")
+    for lab, sl in slots.items():
+        want = 2 if lab.startswith("a") else 1
+        if len(sl) != want:
+            raise ValueError(f"edge {lab} used by {len(sl)} slots, expected {want}")
+    v = len(set(ref_corner_classes(tri).values()))
+    if v != surf.m:
+        raise ValueError(f"map has {v} vertices, surface has m={surf.m}")
+    chi = v - (surf.arc_count + surf.m) + len(tri.triangles)
+    if chi != surf.euler_characteristic:
+        raise ValueError(f"Euler characteristic {chi} != {surf.euler_characteristic}")
+
+
+def ref_exchange_matrix(tri) -> tuple:
+    """B from the arrows: one per angle between two arcs, from the arc
+    ``tri[k]`` to the side ``tri[k - 1]`` before it."""
+    n = tri.surface.arc_count
+    B = [[0] * n for _ in range(n)]
+    for t in tri.triangles:
+        for k in range(3):
+            tail, head = t[k], t[(k - 1) % 3]
+            if tail.startswith("a") and head.startswith("a"):
+                ti, hi = int(tail[1:]), int(head[1:])
+                B[ti - 1][hi - 1] += 1
+                B[hi - 1][ti - 1] -= 1
+    return tuple(map(tuple, B))
 
 
 def ref_corner_classes(tri) -> dict[tuple[int, int], int]:

@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flipgroupoid import cli, homology
-from flipgroupoid.exchange import enumerate_graph, graph_to_json
-from flipgroupoid.surface import Triangulation, polygon_fan
+from flipgroupoid.exchange import enumerate_graph, graph_from_json, graph_to_json
+from flipgroupoid.surface import Triangulation, annulus, genus_one, polygon_fan
 
 from oracles import flip_walk
 
@@ -349,6 +349,19 @@ def _vertex_on_another_surface(data):
     data["vertices"][1]["triangulation"] = polygon_fan(4).to_json()
 
 
+def _arc_written_as_a_boundary_segment(data):
+    edges = data["vertices"][3]["triangulation"]["edges"]
+    edges["a1"] = {"kind": "boundary", "component": 0, "position": 5}
+
+
+def _edges_table_lacks_a_label(data):
+    del data["vertices"][2]["triangulation"]["edges"]["b0.4"]
+
+
+def _edges_table_has_an_extra_label(data):
+    data["vertices"][4]["triangulation"]["edges"]["a3"] = {"kind": "arc"}
+
+
 # (corrupt the polygon 5 graph file, what the error names)
 LOADER_PROBES = [
     (_truncate_perm, "graph edge 0: perm"),
@@ -366,6 +379,9 @@ LOADER_PROBES = [
     (_bool_in_c, "graph vertex 3: B and C entries must be integers"),
     (_rows_of_c_out_of_order, "graph vertex 4: rows of C are not in descending order"),
     (_missing_edge, "graph vertex 0: not on the frontier but has 1 of 2 edges"),
+    (_arc_written_as_a_boundary_segment, "edges table gives edge a1 as"),
+    (_edges_table_lacks_a_label, "edges table lacks edge b0.4"),
+    (_edges_table_has_an_extra_label, "edges table names 'a3'"),
 ]
 
 
@@ -382,6 +398,48 @@ def test_relations_rejects_a_corrupt_graph_file(corrupt, named, tmp_path, capsys
     report = json.loads(capsys.readouterr().err)
     assert report["kind"] == "usage"
     assert named in report["message"]
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda e: e.update({"a2": {"kind": "boundary", "component": 0, "position": 0}}),
+     "edges table gives edge a2 as"),
+    (lambda e: e.pop("a3"), "edges table lacks edge a3"),
+    (lambda e: e.update({"b1.0": {"kind": "boundary", "component": 1, "position": 0}}),
+     "edges table names 'b1.0'"),
+], ids=["wrong-kind", "missing-label", "extra-label"])
+def test_triangulation_file_with_a_wrong_edges_table_is_a_usage_error(change, named, tmp_path,
+                                                                      capsys):
+    data = polygon_fan(7).to_json()
+    change(data["edges"])
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["surface", "new", "--triangulation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in json.loads(captured.err)["message"]
+    del data["edges"]  # a file without the table is read as before
+    path.write_text(json.dumps(data))
+    assert cli.main(["surface", "new", "--triangulation", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == polygon_fan(7).to_json()
+
+
+def test_graph_load_frees_the_parsed_file():
+    text = cli._dump(graph_to_json(enumerate_graph(genus_one(1), radius=10)))
+    tracemalloc.start()
+    try:
+        data = json.loads(text)
+        parsed, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        g = graph_from_json(data)
+        _, peak = tracemalloc.get_traced_memory()
+        assert data["vertices"] == []
+        del data
+        graph, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count() == 4381
+    # holding the whole parsed file until the graph is built peaks near their sum
+    assert peak < parsed + graph / 2
 
 
 def test_homology_rejects_a_graph_file_missing_an_edge(tmp_path, capsys):
@@ -462,6 +520,51 @@ def test_writer_pieces_are_graph_vertices_and_edges():
         assert cli._encode(vertex, "    ") in pieces
     for edge in data["edges"]:
         assert cli._encode(edge, "    ") in pieces
+
+
+def _same_text(got: str, want: str) -> None:
+    """Fail with a short report: pytest's diff of two long texts takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts differ at {at}: {got[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
+
+
+WRITER_GRAPHS = [(polygon_fan(m), None) for m in range(5, 10)]
+WRITER_GRAPHS += [(annulus(3, 2), 7), (genus_one(1), 6)]
+
+
+@pytest.mark.parametrize("base, radius", WRITER_GRAPHS,
+                         ids=[f"polygon{m}" for m in range(5, 10)] + ["annulus32-r7", "genus-one1-r6"])
+def test_graph_writer_matches_json_dumps(base, radius):
+    data = graph_to_json(enumerate_graph(base, radius=radius))
+    _same_text(cli._dump(data), json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def test_writer_encodes_the_shared_tables_at_most_twice_per_dump(monkeypatch):
+    data = graph_to_json(enumerate_graph(polygon_fan(7)))
+    tri = data["vertices"][0]["triangulation"]
+    shared = (tri["edges"], tri["surface"])
+    assert all(v["triangulation"]["edges"] is shared[0] for v in data["vertices"])
+    met = []
+    real = cli._encode
+    monkeypatch.setattr(cli, "_encode",
+                        lambda obj, indent: met.append(any(obj is x for x in shared))
+                        or real(obj, indent))
+    want = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    for dumps in (1, 2):
+        _same_text(cli._dump(data), want)
+        # the first two vertices; after them the text is reused
+        assert sum(met) == 4 * dumps
+
+
+def test_no_writer_memo_outlives_a_dump():
+    # each graph is dropped after its dump, so the next one's tables may be
+    # allocated where the last one's were
+    for base, radius in [(polygon_fan(6), None), (annulus(2, 1), 3)] * 3:
+        data = graph_to_json(enumerate_graph(base, radius=radius))
+        _same_text(cli._dump(data), json.dumps(data, indent=2, sort_keys=True) + "\n")
+        del data
 
 
 def test_write_streams_the_graph_file(tmp_path):

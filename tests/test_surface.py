@@ -13,7 +13,13 @@ from flipgroupoid.surface import (
     polygon_fan,
 )
 
-from oracles import ref_corner_classes
+from oracles import (
+    ref_canonical_triangles,
+    ref_corner_classes,
+    ref_exchange_matrix,
+    ref_slots,
+    ref_validate,
+)
 
 
 def test_surface_invariants():
@@ -281,3 +287,81 @@ def test_shuffled_gluings_rejected_as_by_the_reference(base, rng):
     with pytest.raises(ValueError) as info:
         t.validate()
     assert str(info.value) == f"map has {v} vertices, surface has m={m}"
+
+
+REF_BASES = [polygon_fan(m) for m in range(5, 10)]
+REF_BASES += [annulus(1, 1), annulus(3, 2), genus_one(1), genus_one(3)]
+
+
+@given(st.sampled_from(REF_BASES), st.lists(st.integers(0, 10**6), max_size=30),
+       st.randoms(use_true_random=False))
+def test_triangulations_match_the_reference(base, steps, rng):
+    for t in _walk(base, steps):
+        # the same triangles in another order, each turned by a random offset
+        scrambled = [tri[k:] + tri[:k] for tri in t.triangles for k in [rng.randrange(3)]]
+        rng.shuffle(scrambled)
+        u = Triangulation(t.surface, scrambled)
+        assert u.triangles == t.triangles == ref_canonical_triangles(scrambled)
+        assert u._slots == ref_slots(u.triangles)
+        assert u == t and hash(u) == hash(t)
+        ref_validate(u)
+        assert u.exchange_matrix() == ref_exchange_matrix(u) == u.quiver().B
+
+
+def _outcome(check, t):
+    try:
+        check(t)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.sampled_from(REF_BASES), st.randoms(use_true_random=False),
+       st.sampled_from(["shuffle", "rename", "drop"]))
+def test_validate_matches_the_reference_on_bad_gluings(base, rng, how):
+    labels = [lab for tri in base.triangles for lab in tri]
+    surf = base.surface
+    if how == "shuffle":
+        rng.shuffle(labels)
+    elif how == "rename":
+        # one side takes another label of the surface, or one it lacks
+        others = sorted(set(labels)) + [f"a{surf.arc_count + 1}", f"b0.{surf.m}", f"b{surf.b}.0"]
+        labels[rng.randrange(len(labels))] = rng.choice(others)
+    triangles = [labels[i:i + 3] for i in range(0, len(labels), 3)]
+    if how == "drop":
+        del triangles[rng.randrange(len(triangles))]
+    if any(len(set(tri)) < 3 for tri in triangles):
+        return  # rejected by the constructor before validate runs
+    t = Triangulation(surf, triangles, validate=False)
+    assert _outcome(Triangulation.validate, t) == _outcome(ref_validate, t)
+
+
+def test_triangle_memo_keeps_no_malformed_triangle():
+    from flipgroupoid import surface
+
+    base = polygon_fan(6)
+    Triangulation(base.surface, base.triangles)
+    size = surface._keyed_triangle.cache_info().currsize
+    bad = [
+        (("a1", "a1", "b0.0"), "three distinct sides"),
+        (("a1", "b0.0"), "three distinct sides"),
+        (("a1", "b0.1", "b0.2", "a2"), "three distinct sides"),
+        (("a1", "c1", "b0.0"), "malformed edge label"),
+    ]
+    for tri, message in bad:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Triangulation(base.surface, [tri, *base.triangles[1:]], validate=False)
+    assert surface._keyed_triangle.cache_info().currsize == size
+
+
+def test_edges_table_is_the_surface_s():
+    t = genus_one(2)
+    assert t.to_json()["edges"] == {
+        "a1": {"kind": "arc"}, "a2": {"kind": "arc"}, "a3": {"kind": "arc"},
+        "a4": {"kind": "arc"}, "a5": {"kind": "arc"},
+        "b0.0": {"kind": "boundary", "component": 0, "position": 0},
+        "b0.1": {"kind": "boundary", "component": 0, "position": 1},
+    }
+    assert t.to_json()["edges"] is not t.to_json()["edges"]  # a fresh copy each time
+
