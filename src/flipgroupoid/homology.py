@@ -7,28 +7,63 @@ fundamental cycles of the non-tree edges as a basis, and in that basis a
 cell boundary is simply its restriction to non-tree coordinates, so the
 first homology is read off the Smith normal form of one integer matrix.
 
-That matrix has at most five nonzeros per column.  One exact kernel,
-:func:`invariant_factors`, reduces it: sparse elimination on +-1 pivots,
-then :func:`smith_normal_form` on the residual block of columns without a
-unit entry (empty on every polygon tried, 5 to 11 sides).
+That matrix has at most five nonzeros per column, and it is built as
+sparse columns, a :class:`SparseMatrix`; no dense matrix is ever filled.
+One exact kernel, :func:`invariant_factors`, reduces it: sparse
+elimination on +-1 pivots, then :func:`smith_normal_form` on the residual
+block of columns without a unit entry (empty on every polygon tried, 5 to
+11 sides).  All arithmetic is on Python ints, in lists.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exchange import ExchangeGraph, RelationInstance, RelationKind, all_relation_instances
 
-__all__ = ["smith_normal_form", "invariant_factors", "two_cells", "homology_h1", "face_census"]
+__all__ = [
+    "SparseMatrix", "smith_normal_form", "invariant_factors", "two_cells", "homology_h1", "face_census",
+]
 
 
-def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact integer Smith normal form: returns (U, D, V) with D = U @ M @ V,
-    U and V unimodular, D diagonal with d1 | d2 | ... >= 0."""
-    A = [[int(x) for x in row] for row in np.atleast_2d(np.asarray(M))]
+class SparseMatrix:
+    """An integer matrix held as columns ``{row: entry}``; rows not listed
+    are 0, and a listed 0 (a cancelled entry) is allowed.
+
+    It has only what is read of a boundary matrix from outside the kernel:
+    ``shape``, elementwise ``M != 0`` and ``sum()``.
+    """
+
+    __slots__ = ("shape", "columns")
+
+    def __init__(self, rows: int, columns: list[dict[int, int]]):
+        self.shape = (rows, len(columns))
+        self.columns = columns
+
+    def __ne__(self, other):
+        if other != 0:
+            raise ValueError("a SparseMatrix compares elementwise with 0 only")
+        return SparseMatrix(self.shape[0], [{r: x != 0 for r, x in col.items()} for col in self.columns])
+
+    def sum(self) -> int:
+        return sum(sum(col.values()) for col in self.columns)
+
+
+def _rows(M) -> list[list[int]]:
+    """A 2-D nested sequence or array as a list of int lists; floats raise TypeError."""
+    rows = [list(map(operator.index, row)) for row in M]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("expected a 2-D matrix")
+    return rows
+
+
+def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Exact integer Smith normal form: returns (U, D, V) as lists of int
+    lists, with D = U M V, U and V unimodular, D diagonal with
+    d1 | d2 | ... >= 0.  M is any 2-D nested sequence or array of ints."""
+    A = _rows(M)
     rows = len(A)
     cols = len(A[0]) if rows else 0
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
@@ -106,11 +141,7 @@ def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return (
-        np.array(U, dtype=object),
-        np.array(A, dtype=object),
-        np.array(V, dtype=object),
-    )
+    return U, A, V
 
 
 def invariant_factors(M) -> list[int]:
@@ -123,13 +154,20 @@ def invariant_factors(M) -> list[int]:
     column operations, and the pivot row and column are dropped as one
     invariant factor 1.  The columns left without a unit entry go as one
     matrix to :func:`smith_normal_form`.  All arithmetic is in Python ints.
+
+    M is a :class:`SparseMatrix` or any 2-D nested sequence or array of
+    ints.  It is read, never changed: the elimination works on a copy of
+    its nonzero entries.
     """
-    A = np.atleast_2d(np.asarray(M))
-    cols: list[dict[int, int] | None] = [{} for _ in range(A.shape[1])]
+    if isinstance(M, SparseMatrix):
+        cols: list[dict[int, int] | None] = [{r: x for r, x in col.items() if x} for col in M.columns]
+    else:
+        A = _rows(M)
+        cols = [{r: x for r, x in enumerate(column) if x} for column in zip(*A)]
     where: dict[int, set[int]] = {}  # row -> columns with a nonzero in it
-    for r, c in zip(*np.nonzero(A)):
-        cols[c][int(r)] = int(A[r, c])
-        where.setdefault(int(r), set()).add(int(c))
+    for c, col in enumerate(cols):
+        for r in col:
+            where.setdefault(r, set()).add(c)
     heap = [(len(col), c) for c, col in enumerate(cols) if col]
     heapq.heapify(heap)
     units = 0
@@ -162,8 +200,8 @@ def invariant_factors(M) -> list[int]:
         units += 1
     rest = [col for col in cols if col]
     rows = sorted({r for col in rest for r in col})
-    _, D, _ = smith_normal_form(np.array([[col.get(r, 0) for col in rest] for r in rows], dtype=object))
-    return [1] * units + [abs(int(d)) for d in np.diag(D) if d != 0]
+    _, D, _ = smith_normal_form([[col.get(r, 0) for col in rest] for r in rows])
+    return [1] * units + [abs(row[i]) for i, row in enumerate(D) if i < len(row) and row[i]]
 
 
 @dataclass(frozen=True)
@@ -214,13 +252,25 @@ def face_census(g: ExchangeGraph) -> dict:
     }
 
 
+def _boundary(cell: TwoCell, row_of: dict) -> dict[int, int]:
+    """The cell's boundary on the non-tree rows, without cancelled entries."""
+    col: dict[int, int] = {}
+    for eid, sign in cell.edges:
+        r = row_of[eid]
+        if r is not None:
+            x = col.get(r, 0) + sign
+            if x:
+                col[r] = x
+            else:
+                del col[r]
+    return col
+
+
 def homology_h1(g: ExchangeGraph) -> tuple[int, list[int]]:
     """First Betti number and torsion of the square+pentagon 2-complex."""
     if not g.is_complete():
         raise ValueError("homology needs a fully enumerated graph")
     edges = g.unoriented_edges()
-    eindex = {(v, k): i for i, (v, k, _, _) in enumerate(edges)}
-    nv, ne = g.vertex_count(), len(edges)
 
     # spanning tree; the non-tree edges index the cycle lattice basis
     tree_edges = set()
@@ -234,19 +284,14 @@ def homology_h1(g: ExchangeGraph) -> tuple[int, list[int]]:
                 seen.add(u)
                 tree_edges.add(g.edge_id(v, k))
                 stack.append(u)
-    if len(seen) != nv:
+    if len(seen) != g.vertex_count():
         raise RuntimeError("exchange graph is not connected")
-    nontree = [i for i, (v, k, _, _) in enumerate(edges) if (v, k) not in tree_edges]
-    pos = {i: r for r, i in enumerate(nontree)}
+    row_of: dict = dict.fromkeys(tree_edges)  # edge id -> row, None on the tree
+    nontree = [(v, k) for v, k, _, _ in edges if (v, k) not in row_of]
+    row_of.update((eid, r) for r, eid in enumerate(nontree))
 
-    cells = two_cells(g)
-    M = np.zeros((len(nontree), len(cells)), dtype=np.int8)  # entries are 0, +-1
-    for c, cell in enumerate(cells):
-        for eid, sign in cell.edges:
-            r = pos.get(eindex[eid])
-            if r is not None:
-                M[r, c] += sign
-    factors = invariant_factors(M) if M.size else []
+    M = SparseMatrix(len(nontree), [_boundary(cell, row_of) for cell in two_cells(g)])
+    factors = invariant_factors(M) if nontree and M.columns else []
     rank = len(factors)
     betti = len(nontree) - rank
     torsion = [d for d in factors if d not in (1, -1)]

@@ -123,8 +123,11 @@ class Seed:
 
 def _check_sign_coherent(C: Matrix) -> None:
     for i, row in enumerate(C):
-        if min(row) >= 0 or max(row) <= 0:
-            continue
+        _check_row(i, row)
+
+
+def _check_row(i: int, row: tuple[int, ...]) -> None:
+    if min(row) < 0 < max(row):
         raise RuntimeError(
             f"sign-incoherent c-vector in row {i + 1}: {list(row)!r} "
             "(implementation bug: seeds reached from (B, I) are sign-coherent)"
@@ -132,18 +135,26 @@ def _check_sign_coherent(C: Matrix) -> None:
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Mutate B and C at vertex k (1-based).  Involutive."""
+    """Mutate B and C at vertex k (1-based).  Involutive.
+
+    Sign-coherence is checked on the rows the mutation reads or writes:
+    row k, and each rewritten row before and after.  So every row of a
+    seed reached from (B, I) is checked when it is written; an untouched
+    row of a hand-made seed is left to :meth:`Seed.validate`.
+    """
     B, C = seed.B, seed.C
     B2 = _mutate(B, k)
-    _check_sign_coherent(C)
     k0 = k - 1
     ck = C[k0]
+    _check_row(k0, ck)
     sign = 1 if min(ck) >= 0 else -1
     C2 = list(C)
     for i, brow in enumerate(B):
         coef = max(sign * brow[k0], 0)
         if coef:
-            C2[i] = tuple([x + coef * y for x, y in zip(C[i], ck)])
+            _check_row(i, C[i])
+            C2[i] = row = tuple([x + coef * y for x, y in zip(C[i], ck)])
+            _check_row(i, row)
     C2[k0] = tuple([-x for x in ck])
     return Seed.trusted(B2, tuple(C2))
 

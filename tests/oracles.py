@@ -15,7 +15,9 @@ every ``validate``, and B read off the arrows of the full quiver.
 The closure reference walks every braid-relation circuit of the local
 twists, as ``relation_closure_check`` did before it counted them.
 The 2-cell reference is the ``two_cells`` that built each cell at every
-corner and kept the first copy of each edge set.
+corner and kept the first copy of each edge set.  The boundary reference
+is the dense int8 matrix that ``homology_h1`` filled before it built
+sparse columns.
 The cover reference is the builder that ``CoverBall`` replaced: it
 materialises the tree of every reduced flip word up to the radius, folds
 it by union-find relation closure, and then transports one frame per
@@ -293,6 +295,32 @@ def ref_two_cells(g: ExchangeGraph) -> list[TwoCell]:
         cyc = _cycle_of(inst, g)
         seen.setdefault(frozenset(e for e, _ in cyc), TwoCell(inst.kind, cyc))
     return [seen[k] for k in sorted(seen, key=sorted)]
+
+
+def ref_dense_boundary(g: ExchangeGraph, cells: list[TwoCell]) -> np.ndarray:
+    """Dense int8 (non-tree edges x cells) boundary matrix on the DFS tree from vertex 0."""
+    edges = g.unoriented_edges()
+    eindex = {(v, k): i for i, (v, k, _, _) in enumerate(edges)}
+    tree_edges = set()
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for k in sorted(g.nbr[v]):
+            u, _ = g.nbr[v][k]
+            if u not in seen:
+                seen.add(u)
+                tree_edges.add(g.edge_id(v, k))
+                stack.append(u)
+    nontree = [i for i, (v, k, _, _) in enumerate(edges) if (v, k) not in tree_edges]
+    pos = {i: r for r, i in enumerate(nontree)}
+    M = np.zeros((len(nontree), len(cells)), dtype=np.int8)
+    for c, cell in enumerate(cells):
+        for eid, sign in cell.edges:
+            r = pos.get(eindex[eid])
+            if r is not None:
+                M[r, c] += sign
+    return M
 
 
 def _twist_walk(g: ExchangeGraph, v: int, arcs: list[int]):

@@ -167,7 +167,29 @@ def test_sign_incoherent_seed_message():
         "sign-incoherent c-vector in row 2: [0, 1, -1] "
         "(implementation bug: seeds reached from (B, I) are sign-coherent)"
     )
-    for check in (lambda: mutate_seed(s, 1), s.validate):
+    # row 2 is the mutated row
+    for check in (lambda: mutate_seed(s, 2), s.validate):
         with pytest.raises(RuntimeError) as info:
             check()
         assert str(info.value) == want
+
+
+@pytest.mark.parametrize("row, shown", [
+    ([1, 0, -1], "[1, 0, -1]"),   # written as [1, 1, -1], still incoherent
+    ([1, -1, 0], "[1, -1, 0]"),   # written as [1, 0, 0], coherent
+    ([-1, 0, 0], "[-1, 1, 0]"),   # coherent, written as [-1, 1, 0]
+])
+def test_sign_incoherent_rewritten_row_raises(row, shown):
+    # mutation at 2 rewrites row 1: b_12 = 1 > 0 and c_2 = [0, 1, 0] >= 0
+    s = Seed(A3, [row, [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(RuntimeError) as info:
+        mutate_seed(s, 2)
+    assert f"row 1: {shown} " in str(info.value)
+
+
+def test_untouched_incoherent_row_is_left_to_validate():
+    # mutation at 1 reads row 1 and rewrites no other row (b_21 < 0, b_31 = 0)
+    s = Seed(A3, [[1, 0, 0], [0, 1, -1], [0, 0, 1]])
+    assert mutate_seed(s, 1).C == ((-1, 0, 0), (0, 1, -1), (0, 0, 1))
+    with pytest.raises(RuntimeError, match="row 2"):
+        s.validate()
