@@ -19,7 +19,12 @@ from .exchange import (
     relation_instances,
 )
 from .homology import face_census, homology_h1, invariant_factors, smith_normal_form
-from .presentation import GroupPresentation, presentation_from_qp, verify_sound
+from .presentation import (
+    GroupPresentation,
+    local_twist_relation_report,
+    presentation_from_qp,
+    verify_sound,
+)
 from .seeds import Seed, canonical_key, mutate_matrix, mutate_seed
 from .surface import (
     MarkedSurface,

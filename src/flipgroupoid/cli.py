@@ -83,67 +83,23 @@ def _encode(obj, indent: str) -> str:
     return json.dumps(obj)
 
 
-def _shares(a, b) -> bool:
-    """Whether dicts ``a`` and ``b``, or dicts nested in both under the
-    same keys, hold one non-empty container object under the same key."""
-    if type(a) is not dict or type(b) is not dict:
-        return False
-    for k, v in a.items():
-        w = b.get(k)
-        if (v is w and v and isinstance(v, (list, tuple, dict))) or _shares(v, w):
-            return True
-    return False
-
-
-def _encode_beside(obj, twin, indent: str, texts: dict) -> str:
-    """``_encode(obj, indent)`` for a value whose twin is the value at the
-    same place in the previous element of its list.  A container that is
-    its own twin, as every graph vertex's ``surface`` and ``edges`` tables
-    are, is encoded once and its text kept in ``texts``; nothing is kept
-    for a value met once."""
-    if obj is twin and isinstance(obj, (list, tuple, dict)):
-        key = (id(obj), indent)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = _encode(obj, indent)
-        return text
-    if type(obj) is not dict or type(twin) is not dict or not obj:
-        return _encode(obj, indent)
-    inner = indent + "  "
-    body = (",\n" + inner).join(
-        [
-            f"{_encode_str(k) if type(k) is str else _key(k)}: "
-            f"{_encode_beside(v, twin.get(k), inner, texts)}"
-            for k, v in sorted(obj.items())
-        ]
-    )
-    return f"{{\n{inner}{body}\n{indent}}}"
-
-
-def _stream(obj, indent: str, depth: int, texts: dict, twin=None):
+def _stream(obj, indent: str, depth: int):
     """The text of ``_encode(obj, indent)`` in pieces: containers ``depth``
-    levels deep are opened here, and each element below them is one piece.
-    When the first two elements of a list share a table, as graph vertices
-    do, each element is encoded beside the one before it."""
+    levels deep are opened here, and each element below them is one piece."""
     if depth == 0 or not isinstance(obj, (list, tuple, dict)) or not obj:
-        yield _encode(obj, indent) if twin is None else _encode_beside(obj, twin, indent, texts)
+        yield _encode(obj, indent)
         return
     inner = indent + "  "
     if isinstance(obj, dict):
         items = [(f"{_key(k)}: ", v) for k, v in sorted(obj.items())]
         brackets = "{}"
-        beside = False
     else:
         items = [("", x) for x in obj]
         brackets = "[]"
-        beside = len(obj) > 1 and _shares(obj[1], obj[0])
     lead = brackets[0] + "\n" + inner
-    prev = None
     for prefix, value in items:
         yield lead + prefix
-        yield from _stream(value, inner, depth - 1, texts, prev)
-        if beside:
-            prev = value
+        yield from _stream(value, inner, depth - 1)
         lead = ",\n" + inner
     yield "\n" + indent + brackets[1]
 
@@ -151,9 +107,8 @@ def _stream(obj, indent: str, depth: int, texts: dict, twin=None):
 def _chunks(obj):
     """The CLI's JSON text of ``obj``, byte for byte
     ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, one graph vertex,
-    graph edge or cover class at a time.  The text of a table that every
-    graph vertex shares is kept for the rest of the call, and no longer."""
-    yield from _stream(obj, "", 2, {})
+    graph edge or cover class at a time."""
+    yield from _stream(obj, "", 2)
     yield "\n"
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .seeds import Seed, canonical_form, canonical_key, form_key, mutate_seed
-from .surface import Triangulation
+from .surface import MarkedSurface, Triangulation, json_fields, triangles_json
 
 __all__ = [
     "TruncationError",
@@ -76,7 +76,6 @@ class ExchangeGraph:
     nbr: list[dict[int, tuple[int, int]]]
     edge_perm: dict[tuple[int, int], tuple[int, ...]]
     radius: int | None
-    budget: int
     # homology.two_cells keeps its result here; a graph is not changed once built
     cell_cache: list | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -174,7 +173,7 @@ def enumerate_graph(
                 index[key] = u
                 queue.append(u)
             _link(nbr, edge_perm, v, k, u, perm[k - 1], perm)
-    return ExchangeGraph(base.surface, vertices, nbr, edge_perm, radius, budget)
+    return ExchangeGraph(base.surface, vertices, nbr, edge_perm, radius)
 
 
 class RelationKind(Enum):
@@ -323,21 +322,15 @@ def export_dot(g: ExchangeGraph) -> str:
 
 
 def graph_to_json(g: ExchangeGraph) -> dict:
-    """The graph file's data.  Every vertex's triangulation holds the same
-    ``surface`` and ``edges`` objects, so the CLI writer can reuse their text."""
-    surface = g.surface.to_json()
-    edges = g.surface.edges_json()
+    """The graph file's data: the surface once, then each vertex's
+    triangles, seed, depth and frontier flag, then each unoriented edge
+    with its index transport."""
     return {
-        "surface": surface,
+        "surface": g.surface.to_json(),
         "radius": g.radius,
-        "budget": g.budget,
         "vertices": [
             {
-                "triangulation": {
-                    "surface": surface,
-                    "triangles": [list(t) for t in vd.triangulation.triangles],
-                    "edges": edges,
-                },
+                "triangles": [list(t) for t in vd.triangulation.triangles],
                 "B": vd.seed.B,
                 "C": vd.seed.C,
                 "depth": vd.depth,
@@ -355,65 +348,80 @@ def graph_to_json(g: ExchangeGraph) -> dict:
     }
 
 
-def graph_from_json(data: dict) -> ExchangeGraph:
+def graph_from_json(data) -> ExchangeGraph:
     """Load a graph file, rejecting inconsistent edges and vertices.
 
-    Bad input raises ``ValueError`` naming the vertex or edge.  Each
-    vertex's triangulation must give the graph's ``surface`` object and,
-    if it has an ``edges`` table, the surface's, and must pass
-    :meth:`Triangulation.validate`.  A vertex off the frontier must have
-    all n edges.  B and C must be n x n lists of ints, and the rows of C
-    distinct and in the descending order ``enumerate`` writes, so (B, C)
-    is its own canonical form and gives the key as it stands.  Not
-    checked, because each costs a quiver, a flip or a determinant per
-    vertex or edge: that B is the quiver of the triangulation, that C is
-    unimodular, and that an edge's flip and relabelling give its target.
+    Bad input raises ``ValueError`` naming the vertex, edge or field.  The
+    file and each record must have every key :func:`graph_to_json`
+    writes; ``radius`` is null or an int >= 0.  A vertex's ``triangles``
+    is a list of [str, str, str] lists that, on the file's ``surface``,
+    passes :meth:`Triangulation.validate`; its ``depth`` is an int >= 0
+    and ``frontier`` a bool.  B and C must be n x n lists of ints, B the
+    exchange matrix of the triangles, and the rows of C distinct and in
+    the descending order ``enumerate`` writes, so (B, C) is its own
+    canonical form and gives the key as it stands.  A vertex off the
+    frontier must have all n edges.  Not checked, because each costs a
+    flip or a determinant per vertex or edge: that C is unimodular, and
+    that an edge's flip and relabelling give its target.
 
     Each record of ``data["vertices"]`` is freed once it is read, so that
     the parsed file and the graph are not held at once: the list is empty
     when this returns, and partly cleared when it raises.
     """
-    from .surface import MarkedSurface
-
-    surface = MarkedSurface.from_json(data["surface"])
-    surface_json = surface.to_json()
+    surface, radius, records, edges = json_fields(
+        data, ("surface", "radius", "vertices", "edges"), "graph file"
+    )
+    surface = MarkedSurface.from_json(surface)
+    if radius is not None and not (type(radius) is int and radius >= 0):
+        raise ValueError("graph file: radius must be null or an integer >= 0")
+    if type(records) is not list or type(edges) is not list:
+        raise ValueError("graph file: vertices and edges must be lists")
     n = surface.arc_count
     vertices = []
     index: dict[bytes, int] = {}
-    records = data["vertices"]
     for i, vd in enumerate(records):
         records[i] = None
-        td = vd["triangulation"]
-        if td["surface"] != surface_json:
-            raise ValueError(f"graph vertex {i}: surface differs from the graph's")
-        tri = Triangulation.from_json(td, surface)
-        B, C = vd["B"], vd["C"]
+        triangles, B, C, depth, frontier = json_fields(
+            vd, ("triangles", "B", "C", "depth", "frontier"), f"graph vertex {i}"
+        )
+        try:
+            tri = Triangulation(surface, triangles_json(triangles))
+        except ValueError as exc:
+            raise ValueError(f"graph vertex {i}: {exc}") from None
         if not (type(B) is type(C) is list
                 and all(type(row) is list and len(row) == n for row in (B, C, *B, *C))):
             raise ValueError(f"graph vertex {i}: B and C must be {n} x {n}")
         if not all(type(x) is int for row in (*B, *C) for x in row):
             raise ValueError(f"graph vertex {i}: B and C entries must be integers")
-        C = tuple(map(tuple, C))
+        B, C = tuple(map(tuple, B)), tuple(map(tuple, C))
+        if B != tri.exchange_matrix():
+            raise ValueError(f"graph vertex {i}: B is not the exchange matrix of the triangles")
         if len(set(C)) != n:
             raise ValueError(f"graph vertex {i}: duplicate c-vectors; C cannot be unimodular")
         if any(a < b for a, b in zip(C, C[1:])):
             raise ValueError(f"graph vertex {i}: rows of C are not in descending order")
-        seed = Seed.trusted(tuple(map(tuple, B)), C)
-        key = form_key(seed.B, C)
+        if type(depth) is not int or depth < 0:
+            raise ValueError(f"graph vertex {i}: depth must be an integer >= 0")
+        if type(frontier) is not bool:
+            raise ValueError(f"graph vertex {i}: frontier must be true or false")
+        key = form_key(B, C)
         if key in index:
             raise ValueError(f"graph vertex {i}: same seed as vertex {index[key]}")
         index[key] = i
-        vertices.append(GraphVertex(tri, seed, vd["depth"], vd["frontier"]))
+        vertices.append(GraphVertex(tri, Seed.trusted(B, C), depth, frontier))
     records.clear()
     nbr: list[dict] = [{} for _ in vertices]
     edge_perm = {}
     arcs = range(1, n + 1)
-    for idx, e in enumerate(data["edges"]):
-        v, k, u, k2 = e["ends"]
-        perm = tuple(e["perm"])
-        if not all(type(x) is int for x in (v, k, u, k2, *perm)):
+    for idx, e in enumerate(edges):
+        ends, perm = json_fields(e, ("ends", "perm"), f"graph edge {idx}")
+        if not (type(ends) is type(perm) is list and len(ends) == 4):
+            raise ValueError(f"graph edge {idx}: ends must be a list of four integers, perm a list")
+        if not all(type(x) is int for x in (*ends, *perm)):
             raise ValueError(f"graph edge {idx}: ends and perm must be integers")
-        if sorted(perm) != list(arcs):
+        v, k, u, k2 = ends
+        perm = tuple(perm)
+        if len(perm) != n or sorted(perm) != list(arcs):
             raise ValueError(f"graph edge {idx}: perm {list(perm)} is not a permutation of 1..{n}")
         if not (0 <= v < len(vertices) and 0 <= u < len(vertices)):
             raise ValueError(f"graph edge {idx}: end vertex out of range 0..{len(vertices) - 1}")
@@ -429,4 +437,4 @@ def graph_from_json(data: dict) -> ExchangeGraph:
             raise ValueError(
                 f"graph vertex {i}: not on the frontier but has {len(nb)} of {n} edges"
             )
-    return ExchangeGraph(surface, vertices, nbr, edge_perm, data["radius"], data["budget"])
+    return ExchangeGraph(surface, vertices, nbr, edge_perm, radius)

@@ -139,8 +139,34 @@ class MarkedSurface:
         return {"genus": self.genus, "boundaries": list(self.boundaries)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "MarkedSurface":
-        return cls(genus=data["genus"], boundaries=tuple(data["boundaries"]))
+    def from_json(cls, data) -> "MarkedSurface":
+        genus, boundaries = json_fields(data, ("genus", "boundaries"), "surface")
+        if type(genus) is not int:
+            raise ValueError("surface: genus must be an integer")
+        if type(boundaries) is not list or not all(type(x) is int for x in boundaries):
+            raise ValueError("surface: boundaries must be a list of integers")
+        return cls(genus=genus, boundaries=tuple(boundaries))
+
+
+def json_fields(data, keys, what: str) -> list:
+    """The values of ``keys`` in the JSON object ``data``.  The ValueError
+    raised when ``data`` is not an object, or lacks a key, names ``what``."""
+    if type(data) is not dict:
+        raise ValueError(f"{what}: not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f'{what}: no "{key}"')
+    return [data[key] for key in keys]
+
+
+def triangles_json(triangles) -> list:
+    """``triangles`` if it is a list of [side, side, side] lists of str."""
+    if type(triangles) is not list or not all(
+        type(tri) is list and len(tri) == 3 and all(type(side) is str for side in tri)
+        for tri in triangles
+    ):
+        raise ValueError("triangles must be a list of [str, str, str] lists")
+    return triangles
 
 
 class PairClass(Enum):
@@ -444,15 +470,14 @@ class Triangulation:
         }
 
     @classmethod
-    def from_json(cls, data: dict, surface: MarkedSurface | None = None) -> "Triangulation":
+    def from_json(cls, data) -> "Triangulation":
         """Read and validate a triangulation.  An ``edges`` table, when
-        present, must be the surface's.  ``surface``, when given, is taken
-        for ``data["surface"]``, which the caller has checked describes it."""
-        if surface is None:
-            surface = MarkedSurface.from_json(data["surface"])
+        present, must be the surface's."""
+        surface, triangles = json_fields(data, ("surface", "triangles"), "triangulation")
+        surface = MarkedSurface.from_json(surface)
         if "edges" in data:
             surface.check_edges_json(data["edges"])
-        return cls(surface, data["triangles"])
+        return cls(surface, triangles_json(triangles))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)

@@ -1,13 +1,17 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipgroupoid import cli, homology
@@ -254,14 +258,15 @@ def test_homology_builds_two_cells_once(tmp_path, monkeypatch, capsys):
     assert len(builds) == 1
 
 
-# sha256 of stdout, pinned from the enumeration that computed the
-# canonical form twice per mutation
+# sha256 of stdout.  Each is the file pinned from the enumeration that
+# computed the canonical form twice per mutation, with every vertex's
+# "triangulation" cut to its "triangles" and "budget" dropped
 ENUMERATE_DIGESTS = [
-    (["--polygon", "8"], "8d755003b80e21c3b2971caaabf8071254977492ca4f446228c688c5835efdf5"),
+    (["--polygon", "8"], "78c849c3fd7d36b044fe022d141a2166808cef894f043f97c8d95104ad5d0ede"),
     (["--annulus", "2", "2", "--radius", "5"],
-     "5c3644d667a00e1369c6d3d73e921b3df813e7e215e26611287363b3851976f5"),
+     "8455a17e3e9963217053162e561632ce431ccc6711f30e4db5892e973190fa94"),
     (["--genus-one", "1", "--radius", "6"],
-     "0dca60d90a004059f01c1b7c18c05e21256ac57a83183dc6dfb797a0d0f5d785"),
+     "ad3c8ad5654d1ecd335852ee98bee44ce609e83ec3bfa178d80f050dab52dbe3"),
 ]
 RELATIONS_GENUS_ONE_R6 = "aec955fadaf3b406f9913bee561435a369af34a127a2d8d09fbc85baa7801c3d"
 
@@ -343,23 +348,54 @@ def _missing_edge(data):
     data["edges"].pop(0)
 
 
-def _vertex_on_another_surface(data):
-    from flipgroupoid.surface import polygon_fan
-
-    data["vertices"][1]["triangulation"] = polygon_fan(4).to_json()
+def _radius_a_string(data):
+    data["radius"] = "4"
 
 
-def _arc_written_as_a_boundary_segment(data):
-    edges = data["vertices"][3]["triangulation"]["edges"]
-    edges["a1"] = {"kind": "boundary", "component": 0, "position": 5}
+def _perm_an_int(data):
+    data["edges"][0]["perm"] = 5
 
 
-def _edges_table_lacks_a_label(data):
-    del data["vertices"][2]["triangulation"]["edges"]["b0.4"]
+def _triangle_of_ints(data):
+    data["vertices"][1]["triangles"][0] = [1, 2, 3]
 
 
-def _edges_table_has_an_extra_label(data):
-    data["vertices"][4]["triangulation"]["edges"]["a3"] = {"kind": "arc"}
+def _frontier_a_string(data):
+    data["vertices"][2]["frontier"] = "no"
+
+
+def _depth_a_string(data):
+    data["vertices"][3]["depth"] = "0"
+
+
+def _missing_b(data):
+    del data["vertices"][4]["B"]
+
+
+def _wrong_triangle_count(data):
+    data["vertices"][2]["triangles"].pop()
+
+
+def _polygon_4_vertex(data):
+    data["vertices"][1]["triangles"] = polygon_fan(4).to_json()["triangles"]
+
+
+def _unknown_label(data):
+    tri = data["vertices"][3]["triangles"][0]
+    tri[tri.index("a1")] = "c1"
+
+
+def _b_off_the_triangles(data):
+    B = data["vertices"][0]["B"]
+    B[0][1], B[1][0] = B[1][0], B[0][1]
+
+
+def _parent_format(data):
+    # the format that wrote the surface and edges tables into every vertex
+    data["budget"] = 10**6
+    for vertex in data["vertices"]:
+        tri = Triangulation(polygon_fan(5).surface, vertex.pop("triangles"))
+        vertex["triangulation"] = tri.to_json()
 
 
 # (corrupt the polygon 5 graph file, what the error names)
@@ -372,16 +408,23 @@ LOADER_PROBES = [
     (_arc_out_of_range, "graph edge 0: arc out of range"),
     (_perm_misses_target_arc, "graph edge 0: perm sends arc"),
     (_slot_used_twice, "graph edge 5: slot already has an edge"),
-    (_vertex_on_another_surface, "graph vertex 1: surface differs"),
     (_equal_rows_of_c, "graph vertex 2: duplicate c-vectors"),
     (_float_in_b, "graph vertex 1: B and C entries must be integers"),
     (_string_in_c, "graph vertex 2: B and C entries must be integers"),
     (_bool_in_c, "graph vertex 3: B and C entries must be integers"),
     (_rows_of_c_out_of_order, "graph vertex 4: rows of C are not in descending order"),
     (_missing_edge, "graph vertex 0: not on the frontier but has 1 of 2 edges"),
-    (_arc_written_as_a_boundary_segment, "edges table gives edge a1 as"),
-    (_edges_table_lacks_a_label, "edges table lacks edge b0.4"),
-    (_edges_table_has_an_extra_label, "edges table names 'a3'"),
+    (_radius_a_string, "graph file: radius must be null or an integer >= 0"),
+    (_perm_an_int, "graph edge 0: ends must be a list of four integers, perm a list"),
+    (_triangle_of_ints, "graph vertex 1: triangles must be a list of [str, str, str] lists"),
+    (_frontier_a_string, "graph vertex 2: frontier must be true or false"),
+    (_depth_a_string, "graph vertex 3: depth must be an integer >= 0"),
+    (_missing_b, 'graph vertex 4: no "B"'),
+    (_wrong_triangle_count, "graph vertex 2: wrong triangle count"),
+    (_polygon_4_vertex, "graph vertex 1: wrong triangle count"),
+    (_unknown_label, "graph vertex 3: malformed edge label 'c1'"),
+    (_b_off_the_triangles, "graph vertex 0: B is not the exchange matrix of the triangles"),
+    (_parent_format, 'graph vertex 0: no "triangles"'),
 ]
 
 
@@ -421,6 +464,61 @@ def test_triangulation_file_with_a_wrong_edges_table_is_a_usage_error(change, na
     path.write_text(json.dumps(data))
     assert cli.main(["surface", "new", "--triangulation", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == polygon_fan(7).to_json()
+
+
+def _triangles_an_int(data):
+    data["triangles"] = 7
+
+
+def _genus_null(data):
+    data["surface"]["genus"] = None
+
+
+def _boundaries_a_string(data):
+    data["surface"]["boundaries"] = "7"
+
+
+def _boundary_a_float(data):
+    data["surface"]["boundaries"] = [7.0]
+
+
+def _no_surface(data):
+    del data["surface"]
+
+
+def _triangle_of_two_sides(data):
+    data["triangles"][2] = data["triangles"][2][:2]
+
+
+def _a_list_not_an_object(data):
+    data["edges"] = list(data["edges"].items())
+
+
+# (corrupt the heptagon fan's triangulation file, what the error names)
+TRIANGULATION_PROBES = [
+    (_triangles_an_int, "triangles must be a list of [str, str, str] lists"),
+    (_genus_null, "surface: genus must be an integer"),
+    (_boundaries_a_string, "surface: boundaries must be a list of integers"),
+    (_boundary_a_float, "surface: boundaries must be a list of integers"),
+    (_no_surface, 'triangulation: no "surface"'),
+    (_triangle_of_two_sides, "triangles must be a list of [str, str, str] lists"),
+    (_a_list_not_an_object, "triangulation edges must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("corrupt, named", TRIANGULATION_PROBES,
+                         ids=[f.__name__.lstrip("_") for f, _ in TRIANGULATION_PROBES])
+def test_surface_new_rejects_a_corrupt_triangulation_file(corrupt, named, tmp_path, capsys):
+    data = polygon_fan(7).to_json()
+    corrupt(data)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["surface", "new", "--triangulation", str(path)]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.err)
+    assert captured.out == ""
+    assert report["kind"] == "usage"
+    assert named in report["message"]
 
 
 def test_graph_load_frees_the_parsed_file():
@@ -512,6 +610,65 @@ def test_writer_raises_where_json_dumps_does(obj):
     _check_writer(obj)
 
 
+@functools.cache
+def _fuzz_files() -> list[tuple[list[str], str]]:
+    """(command, file text) for the loader fuzz: two small graph files for
+    ``relations`` and a triangulation file for ``surface new``."""
+    graphs = [enumerate_graph(polygon_fan(5)), enumerate_graph(annulus(2, 1), radius=3)]
+    files = [(["relations"], cli._dump(graph_to_json(g))) for g in graphs]
+    files.append((["surface", "new", "--triangulation"], flip_walk(6, 0).dumps()))
+    return files
+
+
+def _json_paths(value, path=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield path
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _json_paths(v, (*path, k))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _json_paths(v, (*path, i))
+
+
+# random JSON, and values one step from those the files hold
+NEAR_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from(["a1", "a3", "b0.0", "b1.0", "b0.5", "0", True, False, None, [], {}, 1.0]),
+)
+
+
+@settings(max_examples=300)
+@given(st.data())
+@pytest.mark.parametrize("which", range(3), ids=["polygon5", "annulus21-r3", "triangulation"])
+def test_a_file_with_one_value_replaced_is_read_or_refused(which, data):
+    command, text = _fuzz_files()[which]
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+    value = data.draw(st.one_of(JSON_VALUES, NEAR_VALUES), label="value")
+    if path:
+        at = doc
+        for key in path[:-1]:
+            at = at[key]
+        at[path[-1]] = value
+    else:
+        doc = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = f"{tmp}/in.json"
+        with open(file, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*command, file])
+    assert code in (0, 2), (code, out.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["kind"] == "usage"
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+
+
 def test_writer_pieces_are_graph_vertices_and_edges():
     data = graph_to_json(enumerate_graph(polygon_fan(6)))
     pieces = list(cli._chunks(data))
@@ -541,26 +698,9 @@ def test_graph_writer_matches_json_dumps(base, radius):
     _same_text(cli._dump(data), json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def test_writer_encodes_the_shared_tables_at_most_twice_per_dump(monkeypatch):
-    data = graph_to_json(enumerate_graph(polygon_fan(7)))
-    tri = data["vertices"][0]["triangulation"]
-    shared = (tri["edges"], tri["surface"])
-    assert all(v["triangulation"]["edges"] is shared[0] for v in data["vertices"])
-    met = []
-    real = cli._encode
-    monkeypatch.setattr(cli, "_encode",
-                        lambda obj, indent: met.append(any(obj is x for x in shared))
-                        or real(obj, indent))
-    want = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    for dumps in (1, 2):
-        _same_text(cli._dump(data), want)
-        # the first two vertices; after them the text is reused
-        assert sum(met) == 4 * dumps
-
-
 def test_no_writer_memo_outlives_a_dump():
-    # each graph is dropped after its dump, so the next one's tables may be
-    # allocated where the last one's were
+    # each graph is dropped after its dump, so the next one's lists may be
+    # allocated where the last one's were, and no text of them may be reused
     for base, radius in [(polygon_fan(6), None), (annulus(2, 1), 3)] * 3:
         data = graph_to_json(enumerate_graph(base, radius=radius))
         _same_text(cli._dump(data), json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -568,7 +708,7 @@ def test_no_writer_memo_outlives_a_dump():
 
 
 def test_write_streams_the_graph_file(tmp_path):
-    data = graph_to_json(enumerate_graph(polygon_fan(9)))
+    data = graph_to_json(enumerate_graph(polygon_fan(10)))
     path = tmp_path / "g.json"
     tracemalloc.start()
     try:
