@@ -18,7 +18,7 @@ from .exchange import (
     relation_closure_check,
     relation_instances,
 )
-from .homology import face_census, homology_h1, invariant_factors, smith_normal_form
+from .homology import face_census, homology_h1, invariant_factors
 from .presentation import (
     GroupPresentation,
     local_twist_relation_report,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import braid
 from .braid import BraidWord
-from .exchange import ExchangeGraph, TruncationError, _budget_default, all_relation_instances
+from .exchange import DEFAULT_BUDGET, ExchangeGraph, TruncationError, all_relation_instances
 
 __all__ = [
     "BraidOracle",
@@ -641,8 +641,8 @@ def build_cover_ball(graph: ExchangeGraph, radius: int, base: int = 0,
 
     Frames start from :func:`disc_start_frame` on a disc and from the base
     frame on the once-marked annulus; other surfaces get none.  ``budget``
-    bounds the classes born (default ``FLIPGROUPOID_BUDGET`` or 10^6).
+    bounds the classes born (default ``DEFAULT_BUDGET``, 10^6).
     """
     frame0 = None if oracle_for_surface(graph.surface) is None else frame_at(graph, base)
-    budget = _budget_default() if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     return CoverBall(graph, base, radius, frame0, budget)

@@ -18,7 +18,6 @@ between the pair.
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,11 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
-
-
-def _budget_default() -> int:
-    env = os.environ.get("FLIPGROUPOID_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 class TruncationError(RuntimeError):
@@ -132,7 +126,7 @@ def enumerate_graph(
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be >= 0")
-    budget = _budget_default() if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
@@ -357,12 +351,12 @@ def graph_from_json(data) -> ExchangeGraph:
     is a list of [str, str, str] lists that, on the file's ``surface``,
     passes :meth:`Triangulation.validate`; its ``depth`` is an int >= 0
     and ``frontier`` a bool.  B and C must be n x n lists of ints, B the
-    exchange matrix of the triangles, and the rows of C distinct and in
-    the descending order ``enumerate`` writes, so (B, C) is its own
-    canonical form and gives the key as it stands.  A vertex off the
-    frontier must have all n edges.  Not checked, because each costs a
-    flip or a determinant per vertex or edge: that C is unimodular, and
-    that an edge's flip and relabelling give its target.
+    exchange matrix of the triangles, and the rows of C sign-coherent,
+    distinct and in the descending order ``enumerate`` writes, so (B, C)
+    is its own canonical form and gives the key as it stands.  A vertex
+    off the frontier must have all n edges.  Not checked, because each
+    costs a flip or a determinant per vertex or edge: that C is
+    unimodular, and that an edge's flip and relabelling give its target.
 
     Each record of ``data["vertices"]`` is freed once it is read, so that
     the parsed file and the graph are not held at once: the list is empty
@@ -400,6 +394,9 @@ def graph_from_json(data) -> ExchangeGraph:
             raise ValueError(f"graph vertex {i}: duplicate c-vectors; C cannot be unimodular")
         if any(a < b for a, b in zip(C, C[1:])):
             raise ValueError(f"graph vertex {i}: rows of C are not in descending order")
+        for j, row in enumerate(C, 1):
+            if min(row) < 0 < max(row):
+                raise ValueError(f"graph vertex {i}: c-vector in row {j} has mixed signs")
         if type(depth) is not int or depth < 0:
             raise ValueError(f"graph vertex {i}: depth must be an integer >= 0")
         if type(frontier) is not bool:

@@ -9,22 +9,25 @@ first homology is read off the Smith normal form of one integer matrix.
 
 That matrix has at most five nonzeros per column, and it is built as
 sparse columns, a :class:`SparseMatrix`; no dense matrix is ever filled.
-One exact kernel, :func:`invariant_factors`, reduces it: sparse
-elimination on +-1 pivots, then :func:`smith_normal_form` on the residual
-block of columns without a unit entry (empty on every polygon tried, 5 to
-11 sides).  All arithmetic is on Python ints, in lists.
+One exact kernel, :func:`invariant_factors`, reduces it by sparse
+elimination: +-1 pivots first, then Euclid steps on the columns left
+without a unit entry (none, on every polygon tried, 5 to 11 sides).  All
+arithmetic is on Python ints.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .exchange import ExchangeGraph, RelationInstance, RelationKind, all_relation_instances
 
 __all__ = [
-    "SparseMatrix", "smith_normal_form", "invariant_factors", "two_cells", "homology_h1", "face_census",
+    "SparseMatrix", "invariant_factors", "two_cells", "homology_h1", "face_census",
 ]
 
 
@@ -51,141 +54,34 @@ class SparseMatrix:
         return sum(sum(col.values()) for col in self.columns)
 
 
-def _rows(M) -> list[list[int]]:
-    """A 2-D nested sequence or array as a list of int lists; floats raise TypeError."""
-    rows = [list(map(operator.index, row)) for row in M]
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("expected a 2-D matrix")
-    return rows
+def _pivot(cols: list, where: dict[int, set[int]], heap: list, r: int, c: int) -> int:
+    """Reduce at the pivot (r, c) until it is alone in its row and column,
+    drop both, and return the pivot's absolute value.
 
-
-def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Exact integer Smith normal form: returns (U, D, V) as lists of int
-    lists, with D = U M V, U and V unimodular, D diagonal with
-    d1 | d2 | ... >= 0.  M is any 2-D nested sequence or array of ints."""
-    A = _rows(M)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(r1, r2, q):  # A[r1] -= q * A[r2]
-        A[r1] = [a - q * b for a, b in zip(A[r1], A[r2])]
-        U[r1] = [a - q * b for a, b in zip(U[r1], U[r2])]
-
-    def col_op(c1, c2, q):  # A[:,c1] -= q * A[:,c2]
-        for r in range(rows):
-            A[r][c1] -= q * A[r][c2]
-        for r in range(cols):
-            V[r][c1] -= q * V[r][c2]
-
-    def swap_rows(r1, r2):
-        A[r1], A[r2] = A[r2], A[r1]
-        U[r1], U[r2] = U[r2], U[r1]
-
-    def swap_cols(c1, c2):
-        for r in range(rows):
-            A[r][c1], A[r][c2] = A[r][c2], A[r][c1]
-        for r in range(cols):
-            V[r][c1], V[r][c2] = V[r][c2], V[r][c1]
-
-    t = 0
-    while t < min(rows, cols):
-        # smallest nonzero entry of the trailing block as pivot
-        best = None
-        for r in range(t, rows):
-            for c in range(t, cols):
-                if A[r][c] != 0 and (best is None or abs(A[r][c]) < abs(A[best[0]][best[1]])):
-                    best = (r, c)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            p = A[t][t]
-            done = True
-            for r in range(t + 1, rows):
-                if A[r][t] != 0:
-                    q = A[r][t] // p
-                    row_op(r, t, q)
-                    if A[r][t] != 0:  # remainder becomes the better pivot
-                        swap_rows(t, r)
-                        done = False
-                        break
-            if not done:
-                continue
-            for c in range(t + 1, cols):
-                if A[t][c] != 0:
-                    q = A[t][c] // p
-                    col_op(c, t, q)
-                    if A[t][c] != 0:
-                        swap_cols(t, c)
-                        done = False
-                        break
-            if done:
-                break
-        # divisibility: pivot must divide the whole trailing block
-        p = A[t][t]
-        offender = None
-        for r in range(t + 1, rows):
-            for c in range(t + 1, cols):
-                if A[r][c] % p != 0:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # A[t] += A[offender], restart this pivot
-            continue
-        if p < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return U, A, V
-
-
-def invariant_factors(M) -> list[int]:
-    """Nonzero diagonal d1 | d2 | ... (all positive) of the Smith normal form.
-
-    Sparse exact elimination on unit pivots first: the shortest column
-    still holding a +-1 entry is the pivot column (a heap keyed on column
-    length; of its unit entries, the one in the fewest columns is the
-    pivot), the pivot row is cleared from the other columns by integer
-    column operations, and the pivot row and column are dropped as one
-    invariant factor 1.  The columns left without a unit entry go as one
-    matrix to :func:`smith_normal_form`.  All arithmetic is in Python ints.
-
-    M is a :class:`SparseMatrix` or any 2-D nested sequence or array of
-    ints.  It is read, never changed: the elimination works on a copy of
-    its nonzero entries.
+    Column operations take every other entry of row r to its remainder
+    mod the pivot p, and push each column they change and leave nonempty
+    on the heap again.
+    Once the row is clear, row operations change column c only: they take
+    its entries mod p, which clears it when p is a unit.  A remainder left
+    in the row or the column is smaller than p and is the next pivot.
     """
-    if isinstance(M, SparseMatrix):
-        cols: list[dict[int, int] | None] = [{r: x for r, x in col.items() if x} for col in M.columns]
-    else:
-        A = _rows(M)
-        cols = [{r: x for r, x in enumerate(column) if x} for column in zip(*A)]
-    where: dict[int, set[int]] = {}  # row -> columns with a nonzero in it
-    for c, col in enumerate(cols):
-        for r in col:
-            where.setdefault(r, set()).add(c)
-    heap = [(len(col), c) for c, col in enumerate(cols) if col]
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        size, c = heapq.heappop(heap)
+    while True:
         col = cols[c]
-        if col is None or size != len(col):
-            continue  # eliminated, or pushed again since it changed
-        pivots = [r for r, x in col.items() if x in (1, -1)]
-        if not pivots:
-            continue  # pushed again if a later pivot changes it
-        r = min(pivots, key=lambda r: len(where[r]))
+        p = col[r]
         cols[c] = None
         for r2 in col:
             where[r2].discard(c)
+        left = {c}  # columns with a nonzero in row r
         for c2 in where.pop(r):
             col2 = cols[c2]
-            q = col2.pop(r) * col[r]  # col2 -= q * col clears row r
+            y = col2.pop(r)
+            q = y // p  # col2 -= q * col
+            y -= q * p
+            if y:
+                col2[r] = y
+                left.add(c2)
+            if not q:
+                continue
             for r2, x in col.items():
                 if r2 == r:
                     continue
@@ -196,12 +92,77 @@ def invariant_factors(M) -> list[int]:
                 else:
                     del col2[r2]
                     where[r2].discard(c2)
-            heapq.heappush(heap, (len(col2), c2))
-        units += 1
-    rest = [col for col in cols if col]
-    rows = sorted({r for col in rest for r in col})
-    _, D, _ = smith_normal_form([[col.get(r, 0) for col in rest] for r in rows])
-    return [1] * units + [abs(row[i]) for i, row in enumerate(D) if i < len(row) and row[i]]
+            if col2:
+                heapq.heappush(heap, (len(col2), c2))
+        if len(left) == 1:
+            col = {} if p in (1, -1) else {r2: y for r2, x in col.items() if (y := x % p)}
+            if not col:
+                return abs(p)
+            col[r] = p
+        where[r] = left
+        cols[c] = col
+        for r2 in col:
+            where[r2].add(c)
+        if len(left) > 1:
+            c = min(left, key=lambda c2: abs(cols[c2][r]))
+        else:
+            r = min(col, key=lambda r2: abs(col[r2]))
+
+
+def invariant_factors(M: SparseMatrix) -> list[int]:
+    """Nonzero diagonal d1 | d2 | ... (all positive) of the Smith normal form.
+
+    Sparse exact elimination, unit pivots first: the shortest column
+    still holding a +-1 entry is the pivot column (a heap keyed on column
+    length; of its unit entries, the one in the fewest columns is the
+    pivot).  A column popped without a unit entry waits, and once no unit
+    column is left, the waiting entry of least absolute value is the
+    pivot.  :func:`_pivot` clears each pivot's row and column by Euclid
+    steps, and a gcd/lcm pass turns the pivots into a divisibility chain.
+    All arithmetic is in Python ints; an entry that is not an int raises
+    TypeError.
+
+    M is read, never changed: the elimination works on a copy of its
+    nonzero entries.
+    """
+    for _ in map(operator.index, chain.from_iterable(col.values() for col in M.columns)):
+        pass  # raises TypeError on an entry that is not an int
+    cols: list[dict[int, int] | None] = [{r: x for r, x in col.items() if x} for col in M.columns]
+    where: dict[int, set[int]] = defaultdict(set)  # row -> columns with a nonzero in it
+    for c, col in enumerate(cols):
+        for r in col:
+            where[r].add(c)
+    heap = [(len(col), c) for c, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    waiting: set[int] = set()  # columns popped without a unit entry
+    units = 0
+    factors: list[int] = []
+    while True:
+        if heap:
+            size, c = heapq.heappop(heap)
+            col = cols[c]
+            if col is None or size != len(col):
+                continue  # eliminated, or pushed again since it changed
+            pivots = [r for r, x in col.items() if x in (1, -1)]
+            if not pivots:
+                waiting.add(c)
+                continue
+            r = pivots[0] if len(pivots) == 1 else min(pivots, key=lambda r: len(where[r]))
+        else:
+            waiting = {c for c in waiting if cols[c]}
+            if not waiting:
+                break
+            _, r, c = min((abs(x), r, c) for c in waiting for r, x in cols[c].items())
+        d = _pivot(cols, where, heap, r, c)
+        if d == 1:
+            units += 1
+        else:
+            factors.append(d)
+    for i in range(len(factors)):  # gcd/lcm pass: factors[i] divides factors[j] for j > i
+        for j in range(i + 1, len(factors)):
+            g = math.gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return [1] * units + factors
 
 
 @dataclass(frozen=True)

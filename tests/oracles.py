@@ -17,13 +17,16 @@ twists, as ``relation_closure_check`` did before it counted them.
 The 2-cell reference is the ``two_cells`` that built each cell at every
 corner and kept the first copy of each edge set.  The boundary reference
 is the dense int8 matrix that ``homology_h1`` filled before it built
-sparse columns.
+sparse columns.  The Smith form reference is the dense elimination, with
+its unimodular transforms, that ``invariant_factors`` ran on the columns
+left without a unit entry before its sparse elimination took any pivot.
 The cover reference is the builder that ``CoverBall`` replaced: it
 materialises the tree of every reduced flip word up to the radius, folds
 it by union-find relation closure, and then transports one frame per
 class from the class of its representative's tree parent.
 """
 
+import operator
 import random
 from dataclasses import dataclass
 from math import comb
@@ -41,8 +44,8 @@ from flipgroupoid.cover import (
 from flipgroupoid.exchange import (
     ExchangeGraph,
     RelationKind,
+    DEFAULT_BUDGET,
     TruncationError,
-    _budget_default,
     all_relation_instances,
     relation_closure_check,
 )
@@ -321,6 +324,99 @@ def ref_dense_boundary(g: ExchangeGraph, cells: list[TwoCell]) -> np.ndarray:
             if r is not None:
                 M[r, c] += sign
     return M
+
+
+def _rows(M) -> list[list[int]]:
+    """A 2-D nested sequence or array as a list of int lists; floats raise TypeError."""
+    rows = [list(map(operator.index, row)) for row in M]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("expected a 2-D matrix")
+    return rows
+
+
+def ref_smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Exact integer Smith normal form: returns (U, D, V) as lists of int
+    lists, with D = U M V, U and V unimodular, D diagonal with
+    d1 | d2 | ... >= 0.  M is any 2-D nested sequence or array of ints."""
+    A = _rows(M)
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(r1, r2, q):  # A[r1] -= q * A[r2]
+        A[r1] = [a - q * b for a, b in zip(A[r1], A[r2])]
+        U[r1] = [a - q * b for a, b in zip(U[r1], U[r2])]
+
+    def col_op(c1, c2, q):  # A[:,c1] -= q * A[:,c2]
+        for r in range(rows):
+            A[r][c1] -= q * A[r][c2]
+        for r in range(cols):
+            V[r][c1] -= q * V[r][c2]
+
+    def swap_rows(r1, r2):
+        A[r1], A[r2] = A[r2], A[r1]
+        U[r1], U[r2] = U[r2], U[r1]
+
+    def swap_cols(c1, c2):
+        for r in range(rows):
+            A[r][c1], A[r][c2] = A[r][c2], A[r][c1]
+        for r in range(cols):
+            V[r][c1], V[r][c2] = V[r][c2], V[r][c1]
+
+    t = 0
+    while t < min(rows, cols):
+        # smallest nonzero entry of the trailing block as pivot
+        best = None
+        for r in range(t, rows):
+            for c in range(t, cols):
+                if A[r][c] != 0 and (best is None or abs(A[r][c]) < abs(A[best[0]][best[1]])):
+                    best = (r, c)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            p = A[t][t]
+            done = True
+            for r in range(t + 1, rows):
+                if A[r][t] != 0:
+                    q = A[r][t] // p
+                    row_op(r, t, q)
+                    if A[r][t] != 0:  # remainder becomes the better pivot
+                        swap_rows(t, r)
+                        done = False
+                        break
+            if not done:
+                continue
+            for c in range(t + 1, cols):
+                if A[t][c] != 0:
+                    q = A[t][c] // p
+                    col_op(c, t, q)
+                    if A[t][c] != 0:
+                        swap_cols(t, c)
+                        done = False
+                        break
+            if done:
+                break
+        # divisibility: pivot must divide the whole trailing block
+        p = A[t][t]
+        offender = None
+        for r in range(t + 1, rows):
+            for c in range(t + 1, cols):
+                if A[r][c] % p != 0:
+                    offender = r
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_op(t, offender, -1)  # A[t] += A[offender], restart this pivot
+            continue
+        if p < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+    return U, A, V
 
 
 def _twist_walk(g: ExchangeGraph, v: int, arcs: list[int]):
@@ -695,7 +791,7 @@ def tree_cover_ball(
     transported once per class after the tree is folded, not per tree node.
     """
     if budget is None:
-        budget = _budget_default()
+        budget = DEFAULT_BUDGET
     if frame0 is None and with_frames and oracle_for_surface(graph.surface) is not None:
         frame0 = frame_at(graph, base)
     return TreeCoverBall(graph, base, radius, frame0, budget)

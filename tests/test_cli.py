@@ -121,20 +121,6 @@ def test_export_and_budget(tmp_path):
     assert json.loads(r.stdout)["kind"] == "truncation"
 
 
-def test_budget_env(tmp_path):
-    import os
-
-    env = dict(os.environ, FLIPGROUPOID_BUDGET="5")
-    r = subprocess.run(
-        [sys.executable, "-m", "flipgroupoid.cli", "enumerate", "--annulus", "1", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert r.returncode == 1
-    assert json.loads(r.stdout)["kind"] == "truncation"
-
-
 def test_determinism_across_runs_and_threads(tmp_path):
     cases = [
         ["surface", "new", "--polygon", "7"],
@@ -344,6 +330,11 @@ def _rows_of_c_out_of_order(data):
     C[0], C[1] = C[1], C[0]
 
 
+def _mixed_signs_in_c(data):
+    # C is [[1, 1], [0, -1]]; the rows stay distinct and descending
+    data["vertices"][2]["C"][0] = [1, -1]
+
+
 def _missing_edge(data):
     data["edges"].pop(0)
 
@@ -413,6 +404,7 @@ LOADER_PROBES = [
     (_string_in_c, "graph vertex 2: B and C entries must be integers"),
     (_bool_in_c, "graph vertex 3: B and C entries must be integers"),
     (_rows_of_c_out_of_order, "graph vertex 4: rows of C are not in descending order"),
+    (_mixed_signs_in_c, "graph vertex 2: c-vector in row 1 has mixed signs"),
     (_missing_edge, "graph vertex 0: not on the frontier but has 1 of 2 edges"),
     (_radius_a_string, "graph file: radius must be null or an integer >= 0"),
     (_perm_an_int, "graph edge 0: ends must be a list of four integers, perm a list"),

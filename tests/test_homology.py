@@ -12,42 +12,42 @@ from hypothesis import strategies as st
 
 import flipgroupoid
 from flipgroupoid.exchange import enumerate_graph
-from flipgroupoid.homology import (
-    SparseMatrix,
-    face_census,
-    homology_h1,
-    invariant_factors,
-    smith_normal_form,
-    two_cells,
-)
+from flipgroupoid.homology import SparseMatrix, face_census, homology_h1, invariant_factors, two_cells
 from flipgroupoid.surface import annulus, polygon_fan
 
-from oracles import flip_walk, ref_dense_boundary, ref_two_cells
+from oracles import flip_walk, ref_dense_boundary, ref_smith_normal_form, ref_two_cells
+
+
+def sparse(rows) -> SparseMatrix:
+    """Nested int rows as a SparseMatrix that lists only their nonzero entries."""
+    return SparseMatrix(len(rows), [{r: x for r, x in enumerate(column) if x} for column in zip(*rows)])
+
+
+def ref_factors(rows) -> list[int]:
+    """The nonzero diagonal of the reference Smith normal form."""
+    _, D, _ = ref_smith_normal_form(rows)
+    return [d for d in (row[i] for i, row in enumerate(D) if i < len(row)) if d]
 
 
 def test_snf_identity():
-    U, D, V = smith_normal_form(np.eye(3, dtype=int))
+    U, D, V = ref_smith_normal_form(np.eye(3, dtype=int))
     assert np.diag(D).tolist() == [1, 1, 1]
+    assert invariant_factors(sparse(np.eye(3, dtype=int).tolist())) == [1, 1, 1]
 
 
 def test_snf_example():
     M = np.array([[2, 4], [6, 8]], dtype=object)
-    U, D, V = smith_normal_form(M)
+    U, D, V = ref_smith_normal_form(M)
     assert np.diag(D).tolist() == [2, 4]
     assert (U @ M @ V == D).all()
-
-
-def test_snf_returns_lists_of_int_lists():
-    U, D, V = smith_normal_form(np.array([[2, 4, 4], [-6, 6, 12]]))
-    assert D == [[2, 0, 0], [0, 6, 0]]
-    assert all(type(T) is list and all(type(x) is int for row in T for x in row) for T in (U, D, V))
-    assert (len(U), len(V)) == (2, 3)
+    assert invariant_factors(sparse(M.tolist())) == [2, 4]
 
 
 def test_snf_zero():
-    U, D, V = (np.array(T, dtype=object) for T in smith_normal_form(np.zeros((2, 3), dtype=int)))
+    U, D, V = (np.array(T, dtype=object) for T in ref_smith_normal_form(np.zeros((2, 3), dtype=int)))
     assert (D == 0).all()
-    assert invariant_factors(np.zeros((2, 3), dtype=int)) == []
+    assert invariant_factors(sparse([[0, 0, 0], [0, 0, 0]])) == []
+    assert invariant_factors(SparseMatrix(2, [{}, {0: 0, 1: 0}, {1: 0}])) == []
 
 
 def test_snf_random_agree_and_unimodular():
@@ -55,13 +55,13 @@ def test_snf_random_agree_and_unimodular():
     for _ in range(80):
         r, c = rng.randrange(1, 6), rng.randrange(1, 6)
         M = np.array([[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)], dtype=object)
-        U, D, V = (np.array(T, dtype=object) for T in smith_normal_form(M))
+        U, D, V = (np.array(T, dtype=object) for T in ref_smith_normal_form(M))
         assert (U @ M @ V == D).all()
         # divisibility chain
         diag = [int(D[i, i]) for i in range(min(r, c))]
         for a, b in zip(diag, diag[1:]):
             assert b == 0 or (a != 0 and b % a == 0) or a == 0 and b == 0
-        assert invariant_factors(M) == [d for d in diag if d != 0]
+        assert invariant_factors(sparse(M.tolist())) == [d for d in diag if d != 0]
         # transforms are unimodular: integer inverse exists iff det = +-1
         for T in (U, V):
             det = int(round(float(np.linalg.det(T.astype(np.float64)))))
@@ -70,8 +70,10 @@ def test_snf_random_agree_and_unimodular():
 
 def test_torsion_detected():
     # boundary matrix of RP^2-style gluing has torsion Z/2
-    assert invariant_factors([[2]]) == [2]
-    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert invariant_factors(sparse([[2]])) == [2]
+    # no unit entry anywhere: the gcd/lcm pass makes [2, 3] a chain
+    assert invariant_factors(sparse([[2, 0], [0, 3]])) == [1, 6]
+    assert invariant_factors(sparse([[4, 0, 0], [0, 6, 0], [0, 0, 9]])) == [1, 6, 36]
 
 
 @settings(max_examples=300, deadline=None)
@@ -85,10 +87,27 @@ def test_torsion_detected():
     )
 )
 def test_invariant_factors_match_snf(rows):
-    # unit pivots, fill-in, residual-only and torsion blocks all occur
-    M = np.array(rows, dtype=object)
-    _, D, _ = smith_normal_form(M)
-    assert invariant_factors(M) == [abs(int(d)) for d in np.diag(D) if d != 0]
+    # unit pivots, fill-in, blocks without a unit and torsion all occur
+    assert invariant_factors(sparse(rows)) == ref_factors(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]), min_size=c, max_size=c),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_invariant_factors_without_a_unit_entry_match_snf(rows):
+    # every pivot is taken by Euclid steps: remainders in the pivot's row
+    # and in its column are pivots in turn, and the gcd/lcm pass orders them
+    M = sparse(rows)
+    before = copy.deepcopy(M.columns)
+    assert invariant_factors(M) == ref_factors(rows)
+    assert M.columns == before
 
 
 def test_face_census_hexagon():
@@ -207,7 +226,7 @@ def test_invariant_factors_of_sparse_columns_match_nested_lists(entries):
     M = SparseMatrix(len(rows), cols)
     before = copy.deepcopy(cols)
     assert int((M != 0).sum()) == sum(x != 0 for row in rows for x in row)
-    assert invariant_factors(M) == invariant_factors(rows)
+    assert invariant_factors(M) == ref_factors(rows)
     assert M.columns == before and M.shape == (len(rows), len(rows[0]))
 
 
@@ -216,20 +235,22 @@ def test_listed_zero_in_a_pivot_column():
     assert invariant_factors(SparseMatrix(3, [{0: 1, 1: 0}, {0: 1, 2: 1}])) == [1, 1]
 
 
-def test_invariant_factors_leave_nested_input_alone():
-    rows = [[2, 1, 0], [1, 0, 3], [0, 6, -6]]
-    before = copy.deepcopy(rows)
-    assert invariant_factors(rows) == invariant_factors(np.array(rows)) == [1, 1, 30]
-    assert rows == before
+def test_invariant_factors_leave_their_input_alone():
+    M = sparse([[2, 1, 0], [1, 0, 3], [0, 6, -6]])
+    before = copy.deepcopy(M.columns)
+    assert invariant_factors(M) == [1, 1, 30]
+    assert M.columns == before and M.shape == (3, 3)
 
 
 def test_matrix_entries_must_be_ints():
     with pytest.raises(TypeError):
-        invariant_factors([[1.0, 2]])
+        invariant_factors(SparseMatrix(1, [{0: 1.0}, {0: 2}]))
     with pytest.raises(TypeError):
-        smith_normal_form(np.array([[0.5]]))
+        invariant_factors(SparseMatrix(2, [{0: 2}, {1: 0.0}]))
+    with pytest.raises(TypeError):
+        ref_smith_normal_form(np.array([[0.5]]))
     with pytest.raises(ValueError):
-        invariant_factors([[1, 2], [3]])
+        ref_smith_normal_form([[1, 2], [3]])
 
 
 def test_no_module_imports_numpy():
