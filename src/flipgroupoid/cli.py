@@ -248,7 +248,10 @@ def _run(args) -> int:
 
     if cmd == "homology":
         g = _load_graph(args.graph)
-        betti, torsion = homology_h1(g)
+        try:
+            betti, torsion = homology_h1(g)
+        except RuntimeError as exc:
+            return _fail("check", str(exc))
         census = face_census(g)
         report = {
             "status": "ok" if betti == 0 and not torsion else "nontrivial",

@@ -1,7 +1,8 @@
 """BFS enumeration of exchange graphs and their relation instances.
 
-Vertices are clusters: triangulations deduplicated by the canonical seed
-key of :mod:`flipgroupoid.seeds`.  Each vertex stores its triangulation
+Vertices are clusters: triangulations deduplicated by the canonical form
+(B, C) of their seeds (:func:`flipgroupoid.seeds.canonical_form`), held
+as tuples and compared as they stand.  Each vertex stores its triangulation
 with arcs relabelled into the canonical order of its seed, so arcs,
 matrix indices and edge labels all agree.  Every unoriented edge stands
 for the 2-cycle of forward mutations joining its endpoints; a directed
@@ -12,7 +13,11 @@ Relation instances follow the three local shapes at a vertex: a pair of
 arcs sharing no triangle gives a square (x^2 = y^2), sharing one triangle
 a pentagon (x^2 = y^3), sharing two triangles a hexagonal dumbbell
 (x^2 y = y x^2), with x the forward mutation at the source of the arrows
-between the pair.
+between the pair.  :func:`relation_closure_check` and
+:func:`flipgroupoid.homology.two_cells` walk both sides of every
+instance on one adjacency table of ints, built once per call, and build
+no :class:`RelationInstance`; :func:`relation_instances` still builds
+them, for the closure of :mod:`flipgroupoid.cover` and for the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .seeds import Seed, canonical_form, canonical_key, form_key, mutate_seed
+from .seeds import Seed, canonical_form, mutate_seed
 from .surface import MarkedSurface, Triangulation, json_fields, triangles_json
 
 __all__ = [
@@ -115,10 +120,10 @@ def enumerate_graph(
     radius: int | None = None,
     budget: int | None = None,
 ) -> ExchangeGraph:
-    """BFS over flips from ``base``, deduplicating by canonical seed key.
+    """BFS over flips from ``base``, deduplicating by canonical seed.
 
     Each mutation gets one :func:`canonical_form`: its permutation relabels
-    the flipped triangulation and its (B', C') gives the key.
+    the flipped triangulation and its (B', C') is the key.
 
     ``radius=None`` means full enumeration (only sensible when the graph is
     finite; the vertex budget turns runaway enumerations into a loud
@@ -133,7 +138,7 @@ def enumerate_graph(
     n = base.surface.arc_count
     seed0 = Seed.initial(base.exchange_matrix())  # canonical already: C is the identity
     vertices = [GraphVertex(base, seed0, 0, False)]
-    index = {canonical_key(seed0): 0}
+    index = {(seed0.B, seed0.C): 0}  # canonical (B, C) -> vertex
     nbr: list[dict] = [{}]
     edge_perm: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -151,7 +156,7 @@ def enumerate_graph(
                 continue
             mutated = mutate_seed(vd.seed, k)
             B2, C2, perm = canonical_form(mutated)
-            key = form_key(B2, C2)
+            key = (B2, C2)
             u = index.get(key)
             if u is None:
                 if len(vertices) >= budget:
@@ -218,51 +223,63 @@ def _pair_walk(g: ExchangeGraph, v: int, a: int, b: int, plan: str):
     return tuple(steps), v, (a, b)
 
 
-def relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
-    """One instance per unordered arc pair at vertex v."""
+# the kinds as module names: the walkers below compare them once per arc pair
+_SQUARE, _PENTAGON, _HEX_DUMBBELL = RelationKind.SQUARE, RelationKind.PENTAGON, RelationKind.HEX_DUMBBELL
+
+
+def _relation_pairs(g: ExchangeGraph, v: int) -> Iterator[tuple]:
+    """(kind, arcs, head, tail, plans) for each arc pair i < j at vertex v.
+
+    The kind is the number of triangles the pair shares, checked against
+    |B|; the tail is the source of the arrows between the pair.  A plan
+    spells one side's flips: 'a' flips the head's transported slot, 'b'
+    the tail's.
+    """
     vd = g.vertices[v]
-    tri = vd.triangulation
     B = vd.seed.B
-    shared = tri.shared_triangle_counts()
-    out = []
+    shared = vd.triangulation.shared_triangle_counts()
     n = g.n
     for i in range(1, n + 1):
+        row = B[i - 1]
         for j in range(i + 1, n + 1):
             count = shared.get((i, j), 0)
-            bij = B[i - 1][j - 1]
+            bij = row[j - 1]
             if count == 0:
                 if bij != 0:
                     raise RuntimeError("disjoint arcs must have B entry 0")
-                kind, head, tail = RelationKind.SQUARE, i, j
-                left_plan, right_plan = "ba", "ab"
+                yield _SQUARE, (i, j), i, j, ("ba", "ab")
             elif count == 1:
                 if abs(bij) != 1:
                     raise RuntimeError("one shared triangle must give |B| = 1")
                 tail, head = (i, j) if bij > 0 else (j, i)
-                kind = RelationKind.PENTAGON
-                left_plan, right_plan = "ba", "aba"
+                yield _PENTAGON, (i, j), head, tail, ("ba", "aba")
             else:
                 if abs(bij) != 2:
                     raise RuntimeError("two shared triangles must give |B| = 2")
                 tail, head = (i, j) if bij > 0 else (j, i)
-                kind = RelationKind.HEX_DUMBBELL
-                left_plan, right_plan = "baa", "aab"
-            ls, le, lp = _pair_walk(g, v, head, tail, left_plan)
-            rs, re, rp = _pair_walk(g, v, head, tail, right_plan)
-            out.append(
-                RelationInstance(
-                    kind=kind,
-                    base=v,
-                    arcs=(i, j),
-                    left_steps=ls,
-                    right_steps=rs,
-                    left_end=le,
-                    right_end=re,
-                    left_pair=lp,
-                    right_pair=rp,
-                    complete=le is not None and re is not None,
-                )
+                yield _HEX_DUMBBELL, (i, j), head, tail, ("baa", "aab")
+
+
+def relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
+    """One instance per unordered arc pair at vertex v."""
+    out = []
+    for kind, arcs, head, tail, (left_plan, right_plan) in _relation_pairs(g, v):
+        ls, le, lp = _pair_walk(g, v, head, tail, left_plan)
+        rs, re, rp = _pair_walk(g, v, head, tail, right_plan)
+        out.append(
+            RelationInstance(
+                kind=kind,
+                base=v,
+                arcs=arcs,
+                left_steps=ls,
+                right_steps=rs,
+                left_end=le,
+                right_end=re,
+                left_pair=lp,
+                right_pair=rp,
+                complete=le is not None and re is not None,
             )
+        )
     return out
 
 
@@ -272,6 +289,68 @@ def all_relation_instances(g: ExchangeGraph) -> Iterator[RelationInstance]:
     for v in range(g.vertex_count()):
         if not g.vertices[v].frontier:
             yield from relation_instances(g, v)
+
+
+def _adjacency(g: ExchangeGraph) -> list[list]:
+    """``adj[v][k] = (target, k2, perm)`` for the edge v --k--> target, and
+    None where v has no edge k; each perm is the tuple in ``g.edge_perm``."""
+    edge_perm = g.edge_perm
+    adj = []
+    for v, nb in enumerate(g.nbr):
+        row = [None] * (g.n + 1)
+        for k, (u, k2) in nb.items():
+            row[k] = (u, k2, edge_perm[(v, k)])
+        adj.append(row)
+    return adj
+
+
+def _walk(adj: list[list], v: int, a: int, b: int, plan: str):
+    """Walk ``plan`` from v on the adjacency table, as :func:`_pair_walk`
+    does on the graph.  Returns (end, a, b, lowest vertex of the walk), or
+    None at a missing edge."""
+    lo = v
+    for ch in plan:
+        step = adj[v][a if ch == "a" else b]
+        if step is None:
+            return None
+        v, _, perm = step
+        a, b = perm[a - 1], perm[b - 1]
+        if v < lo:
+            lo = v
+    return v, a, b, lo
+
+
+def _walk_relations(g: ExchangeGraph, adj: list[list]) -> Iterator[tuple]:
+    """(v, kind, arcs, head, tail, plans, lo) for each relation instance at
+    each vertex v off the frontier, in the order of
+    :func:`all_relation_instances`, walked on ints with no
+    :class:`RelationInstance` built.
+
+    ``lo`` is the lowest vertex on either side, ends included, and None
+    when a side meets a missing edge.  Both sides must end at the same
+    vertex with the (head, tail) slots carried to the same positions, or
+    swapped on a pentagon (see :meth:`RelationInstance.co_terminates`);
+    an instance whose sides are complete but do not close raises
+    RuntimeError naming it.
+    """
+    for v in range(len(adj)):
+        if g.vertices[v].frontier:
+            continue
+        for kind, arcs, head, tail, plans in _relation_pairs(g, v):
+            left = _walk(adj, v, head, tail, plans[0])
+            right = _walk(adj, v, head, tail, plans[1])
+            if left is None or right is None:
+                yield v, kind, arcs, head, tail, plans, None
+                continue
+            end, a, b, lo = left
+            if kind is _PENTAGON:
+                a, b = b, a
+            end2, a2, b2, lo2 = right
+            if end != end2 or a != a2 or b != b2:
+                raise RuntimeError(
+                    f"relation instance {kind.value} at vertex {v}, arcs {arcs} does not close"
+                )
+            yield v, kind, arcs, head, tail, plans, lo if lo < lo2 else lo2
 
 
 def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> dict:
@@ -287,17 +366,12 @@ def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> 
     if g.radius is not None and g.radius < 4 and not allow_incomplete:
         raise ValueError("closure check needs radius >= 4")
     checked = incomplete = circuits = 0
-    for inst in all_relation_instances(g):
-        circuits += inst.kind is not RelationKind.HEX_DUMBBELL
-        if not inst.complete:
+    for _, kind, _, _, _, _, lo in _walk_relations(g, _adjacency(g)):
+        circuits += kind is not _HEX_DUMBBELL
+        if lo is None:
             incomplete += 1
-            continue
-        if not inst.co_terminates():
-            raise RuntimeError(
-                f"relation instance {inst.kind.value} at vertex {inst.base}, "
-                f"arcs {inst.arcs} does not close"
-            )
-        checked += 1
+        else:
+            checked += 1
     return {"instances": checked, "circuits": circuits, "incomplete": incomplete}
 
 
@@ -353,7 +427,7 @@ def graph_from_json(data) -> ExchangeGraph:
     and ``frontier`` a bool.  B and C must be n x n lists of ints, B the
     exchange matrix of the triangles, and the rows of C sign-coherent,
     distinct and in the descending order ``enumerate`` writes, so (B, C)
-    is its own canonical form and gives the key as it stands.  A vertex
+    is its own canonical form and is the key as it stands.  A vertex
     off the frontier must have all n edges.  Not checked, because each
     costs a flip or a determinant per vertex or edge: that C is
     unimodular, and that an edge's flip and relabelling give its target.
@@ -372,7 +446,7 @@ def graph_from_json(data) -> ExchangeGraph:
         raise ValueError("graph file: vertices and edges must be lists")
     n = surface.arc_count
     vertices = []
-    index: dict[bytes, int] = {}
+    index: dict[tuple, int] = {}  # (B, C) -> vertex
     for i, vd in enumerate(records):
         records[i] = None
         triangles, B, C, depth, frontier = json_fields(
@@ -401,7 +475,7 @@ def graph_from_json(data) -> ExchangeGraph:
             raise ValueError(f"graph vertex {i}: depth must be an integer >= 0")
         if type(frontier) is not bool:
             raise ValueError(f"graph vertex {i}: frontier must be true or false")
-        key = form_key(B, C)
+        key = (B, C)
         if key in index:
             raise ValueError(f"graph vertex {i}: same seed as vertex {index[key]}")
         index[key] = i

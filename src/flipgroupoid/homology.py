@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
-from .exchange import ExchangeGraph, RelationInstance, RelationKind, all_relation_instances
+from .exchange import ExchangeGraph, RelationKind, _adjacency, _walk_relations
 
 __all__ = [
     "SparseMatrix", "invariant_factors", "two_cells", "homology_h1", "face_census",
@@ -171,37 +171,48 @@ class TwoCell:
     edges: tuple  # signed canonical edge ids around the cycle
 
 
-def _cycle_of(instance: RelationInstance, g: ExchangeGraph):
-    """Signed canonical edges around left path then reversed right path."""
-    cyc = []
-    for (v, k) in instance.left_steps:
-        eid = g.edge_id(v, k)
-        cyc.append((eid, 1 if eid == (v, k) else -1))
-    for (v, k) in reversed(instance.right_steps):
-        eid = g.edge_id(v, k)
-        cyc.append((eid, -1 if eid == (v, k) else 1))
-    return tuple(cyc)
+def _cycle(adj: list[list], v: int, head: int, tail: int, plans: tuple[str, str]) -> tuple:
+    """Signed canonical edges around the left side, then the reversed right
+    side, of the instance at v whose walks :func:`_walk_relations` closed."""
+    sides = []
+    for plan in plans:
+        side = []
+        u, a, b = v, head, tail
+        for ch in plan:
+            k = a if ch == "a" else b
+            w, k2, perm = adj[u][k]
+            side.append(((u, k), (w, k2)))
+            a, b = perm[a - 1], perm[b - 1]
+            u = w
+        sides.append(side)
+    left, right = sides
+    return tuple(
+        [(e, 1) if e <= f else (f, -1) for e, f in left]
+        + [(e, -1) if e <= f else (f, 1) for e, f in reversed(right)]
+    )
 
 
 def two_cells(g: ExchangeGraph) -> list[TwoCell]:
     """Distinct unoriented squares and pentagons, each built at its lowest
-    corner (``left_end`` included), in the order of those corners.
+    corner (the far corner included), in the order of those corners.
 
-    Built once per graph and kept in ``g.cell_cache``, so that
-    :func:`face_census` and :func:`homology_h1` share one build.
+    :func:`_walk_relations` walks every relation instance on the graph's
+    adjacency table of ints, and one that does not close raises the
+    RuntimeError naming it that :func:`relation_closure_check` raises;
+    only the walks of an instance at its lowest corner are taken again,
+    to read the cell's edges.  Built once per graph and kept in
+    ``g.cell_cache``, so that :func:`face_census` and
+    :func:`homology_h1` share one build.
     """
     if not g.is_complete():
         raise ValueError("2-complex needs a fully enumerated graph")
     if g.cell_cache is None:
-        cells = []
-        for inst in all_relation_instances(g):
-            if inst.kind is RelationKind.HEX_DUMBBELL:
-                continue
-            if not inst.co_terminates():
-                raise RuntimeError("relation instance does not close")
-            if inst.base <= min(inst.left_end, *(v for v, _ in inst.left_steps + inst.right_steps)):
-                cells.append(TwoCell(inst.kind, _cycle_of(inst, g)))
-        g.cell_cache = cells
+        adj = _adjacency(g)
+        g.cell_cache = [
+            TwoCell(kind, _cycle(adj, v, head, tail, plans))
+            for v, kind, _, head, tail, plans, lo in _walk_relations(g, adj)
+            if v == lo and kind is not RelationKind.HEX_DUMBBELL
+        ]
     return list(g.cell_cache)
 
 

@@ -209,6 +209,22 @@ def _keyed_triangle(tri: tuple) -> tuple[tuple, tuple]:
     return keys[k:] + keys[:k], tri[k:] + tri[:k]
 
 
+# Memo of what B and the relation kinds read of a triangle, kept like
+# _keyed_triangle's: one entry per distinct triangle, so that labels are
+# parsed once, not at every vertex that holds the triangle.
+@cache
+def _triangle_arcs(tri: tuple) -> tuple[tuple, tuple]:
+    """The arc pairs (i, j), i < j, of ``tri``, and its angles between
+    two arcs as 0-based (tail, head) indices, tail followed by head."""
+    arcs = sorted(int(lab[1:]) for lab in tri if lab[0] == "a")
+    angles = tuple(
+        (int(tri[k][1:]) - 1, int(tri[k - 1][1:]) - 1)
+        for k in range(3)
+        if tri[k][0] == "a" and tri[k - 1][0] == "a"
+    )
+    return tuple(combinations(arcs, 2)), angles
+
+
 def _canonical_triangles(triangles):
     keyed = [_keyed_triangle(tuple(tri)) for tri in triangles]
     keyed.sort(key=itemgetter(0))
@@ -405,8 +421,7 @@ class Triangulation:
         this is the count behind :meth:`classify_pair`."""
         counts: dict[tuple[int, int], int] = {}
         for tri in self.triangles:
-            arcs = sorted(int(lab[1:]) for lab in tri if lab.startswith("a"))
-            for pair in combinations(arcs, 2):
+            for pair in _triangle_arcs(tri)[0]:
                 counts[pair] = counts.get(pair, 0) + 1
         return counts
 
@@ -416,12 +431,9 @@ class Triangulation:
         n = self.n
         B = [[0] * n for _ in range(n)]
         for tri in self.triangles:
-            for k in range(3):
-                tail, head = tri[k], tri[k - 1]
-                if tail[0] == "a" and head[0] == "a":
-                    ti, hi = int(tail[1:]) - 1, int(head[1:]) - 1
-                    B[ti][hi] += 1
-                    B[hi][ti] -= 1
+            for ti, hi in _triangle_arcs(tri)[1]:
+                B[ti][hi] += 1
+                B[hi][ti] -= 1
         return tuple(map(tuple, B))
 
     def quiver(self) -> "QuiverWithPotential":

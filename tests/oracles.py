@@ -14,6 +14,9 @@ triangulation, slots gathered in lists, every edge-label check run on
 every ``validate``, and B read off the arrows of the full quiver.
 The closure reference walks every braid-relation circuit of the local
 twists, as ``relation_closure_check`` did before it counted them.
+The relation closure reference is the ``relation_closure_check`` that
+built a ``RelationInstance`` for every arc pair at every vertex, before
+the walk on the adjacency table of ints.
 The 2-cell reference is the ``two_cells`` that built each cell at every
 corner and kept the first copy of each edge set.  The boundary reference
 is the dense int8 matrix that ``homology_h1`` filled before it built
@@ -49,7 +52,7 @@ from flipgroupoid.exchange import (
     all_relation_instances,
     relation_closure_check,
 )
-from flipgroupoid.homology import TwoCell, _cycle_of
+from flipgroupoid.homology import TwoCell
 from flipgroupoid.surface import _BOUNDARY_RE, _edge_sort_key, polygon_fan
 
 
@@ -284,6 +287,45 @@ def ref_corner_classes(tri) -> dict[tuple[int, int], int]:
             other = sl[1] if sl[0] == (t, (k - 1) % 3) else sl[0]
             union(idx[(t, k)], idx[other])
     return {c: find(idx[c]) for c in corners}
+
+
+def ref_relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> dict:
+    """Walk both sides of every relation instance; one that does not close
+    is a hard failure.
+
+    ``circuits`` counts the braid-relation circuits of the local twists,
+    t_i t_j = t_j t_i on a square and t_i t_j t_i = t_j t_i t_j on a
+    pentagon.  Each is a product of 2-cycles, and a 2-cycle from a vertex
+    off the frontier closes by construction: every edge is stored with its
+    reverse, and such a vertex has all n edges.
+    """
+    if g.radius is not None and g.radius < 4 and not allow_incomplete:
+        raise ValueError("closure check needs radius >= 4")
+    checked = incomplete = circuits = 0
+    for inst in all_relation_instances(g):
+        circuits += inst.kind is not RelationKind.HEX_DUMBBELL
+        if not inst.complete:
+            incomplete += 1
+            continue
+        if not inst.co_terminates():
+            raise RuntimeError(
+                f"relation instance {inst.kind.value} at vertex {inst.base}, "
+                f"arcs {inst.arcs} does not close"
+            )
+        checked += 1
+    return {"instances": checked, "circuits": circuits, "incomplete": incomplete}
+
+
+def _cycle_of(instance, g: ExchangeGraph):
+    """Signed canonical edges around left path then reversed right path."""
+    cyc = []
+    for (v, k) in instance.left_steps:
+        eid = g.edge_id(v, k)
+        cyc.append((eid, 1 if eid == (v, k) else -1))
+    for (v, k) in reversed(instance.right_steps):
+        eid = g.edge_id(v, k)
+        cyc.append((eid, -1 if eid == (v, k) else 1))
+    return tuple(cyc)
 
 
 def ref_two_cells(g: ExchangeGraph) -> list[TwoCell]:

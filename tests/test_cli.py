@@ -238,10 +238,29 @@ def test_homology_builds_two_cells_once(tmp_path, monkeypatch, capsys):
     graph = tmp_path / "g.json"
     assert cli.main(["enumerate", "--polygon", "7", "--out", str(graph)]) == 0
     builds = []
-    real = homology.all_relation_instances
-    monkeypatch.setattr(homology, "all_relation_instances", lambda g: builds.append(g) or real(g))
+    real = homology._walk_relations
+    monkeypatch.setattr(homology, "_walk_relations", lambda g, adj: builds.append(g) or real(g, adj))
     assert cli.main(["homology", str(graph)]) == 0
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("command", ["relations", "homology"])
+def test_a_relation_that_does_not_close_is_a_check_failure(tmp_path, capsys, command):
+    # a polygon-6 file with the targets of edges 0 and 7 swapped passes the
+    # loader, which does not flip edges, but its pentagon at vertex 0 is open
+    data = json.loads(json.dumps(graph_to_json(enumerate_graph(polygon_fan(6)))))
+    edges = data["edges"]
+    edges[0]["ends"][2], edges[7]["ends"][2] = edges[7]["ends"][2], edges[0]["ends"][2]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(data))
+    assert cli.main([command, str(graph)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "status": "error",
+        "kind": "check",
+        "message": "relation instance Pentagon at vertex 0, arcs (1, 2) does not close",
+    }
 
 
 # sha256 of stdout.  Each is the file pinned from the enumeration that

@@ -113,6 +113,19 @@ def test_annulus_hex_instance():
     assert insts[0].left_end == insts[0].right_end
 
 
+def test_dumbbell_sides_start_at_opposite_arcs():
+    # the left side flips the source of the double arrow first, the right
+    # side its target; both sides close either way, so only this tells them apart
+    g = enumerate_graph(annulus(2, 1), radius=5)
+    hexes = [i for i in all_relation_instances(g) if i.kind is RelationKind.HEX_DUMBBELL]
+    assert hexes
+    for inst in hexes:
+        i, j = inst.arcs
+        tail, head = (i, j) if g.vertices[inst.base].seed.B[i - 1][j - 1] == 2 else (j, i)
+        assert inst.left_steps[0] == (inst.base, tail)
+        assert inst.right_steps[0] == (inst.base, head)
+
+
 def test_instance_lengths():
     g = enumerate_graph(polygon_fan(6))
     for inst in all_relation_instances(g):

@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import random
 import subprocess
@@ -7,15 +8,29 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flipgroupoid
-from flipgroupoid.exchange import enumerate_graph
+from flipgroupoid.exchange import (
+    _adjacency,
+    _walk_relations,
+    all_relation_instances,
+    enumerate_graph,
+    graph_from_json,
+    graph_to_json,
+    relation_closure_check,
+)
 from flipgroupoid.homology import SparseMatrix, face_census, homology_h1, invariant_factors, two_cells
-from flipgroupoid.surface import annulus, polygon_fan
+from flipgroupoid.surface import annulus, genus_one, polygon_fan
 
-from oracles import flip_walk, ref_dense_boundary, ref_smith_normal_form, ref_two_cells
+from oracles import (
+    flip_walk,
+    ref_dense_boundary,
+    ref_relation_closure_check,
+    ref_smith_normal_form,
+    ref_two_cells,
+)
 
 
 def sparse(rows) -> SparseMatrix:
@@ -279,3 +294,94 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "False\n"
+
+
+# -- the int relation walker against the RelationInstance references --------
+
+# (base triangulation, radius): complete polygon graphs, and balls of the
+# annuli and the torus, whose frontier leaves instances incomplete
+WALKER_STARTS = st.one_of(
+    st.tuples(st.sampled_from([polygon_fan(m) for m in range(5, 10)]), st.none()),
+    st.tuples(st.sampled_from([annulus(2, 1), annulus(3, 2)]), st.integers(2, 6)),
+    st.tuples(st.just(genus_one(1)), st.integers(0, 6)),
+)
+
+
+def _flipped(t, seed: int):
+    """``t`` after 4n flips of arcs drawn by ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    for _ in range(4 * t.n):
+        t = t.flip(rng.randrange(1, t.n + 1))
+    return t
+
+
+def _cells(g):
+    return [(c.kind, c.edges) for c in two_cells(g)]
+
+
+@settings(max_examples=60)
+@given(WALKER_STARTS, st.integers(0, 2**32 - 1))
+def test_walker_matches_the_instance_references(start, seed):
+    base, radius = start
+    g = enumerate_graph(_flipped(base, seed), radius=radius)
+    report = relation_closure_check(g, allow_incomplete=True)
+    assert report == ref_relation_closure_check(g, allow_incomplete=True)
+    # each walked instance in the reference's order, with the lowest vertex
+    # of its walks (its far corner included), or None where it is incomplete
+    walked = [(v, kind, arcs, lo) for v, kind, arcs, _, _, _, lo in _walk_relations(g, _adjacency(g))]
+    assert walked == [
+        (i.base, i.kind, i.arcs,
+         min(i.left_end, *(v for v, _ in i.left_steps + i.right_steps)) if i.complete else None)
+        for i in all_relation_instances(g)
+    ]
+    if g.is_complete():
+        cells = _cells(g)
+        assert len(set(cells)) == len(cells)
+        assert set(cells) == {(c.kind, c.edges) for c in ref_two_cells(g)}
+
+
+def _outcome(check, g):
+    """What ``check(g)`` returns, or the message of the RuntimeError it raises."""
+    try:
+        return check(g)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_corrupted_graph_fails_where_the_references_fail(data):
+    # swap the targets of two edges that enter the same arc slot, so that
+    # the file still loads; the walks then may not close, at any corner
+    complete = data.draw(st.booleans(), label="complete")
+    if complete:
+        base, radius = polygon_fan(data.draw(st.integers(5, 8), label="m")), None
+    else:
+        base, radius = annulus(2, 1), 5
+    # the edges are drawn uniformly, not shrunk towards the first ones, which
+    # all meet vertex 0, the lowest corner of every instance there
+    rng = data.draw(st.randoms(use_true_random=False))
+    g = enumerate_graph(_flipped(base, rng.randrange(2**32)), radius)
+    d = json.loads(json.dumps(graph_to_json(g)))
+    edges = d["edges"]
+    i = rng.randrange(len(edges))
+    _, _, u, k2 = edges[i]["ends"]
+    others = [j for j, e in enumerate(edges) if e["ends"][3] == k2 and e["ends"][2] != u]
+    assume(others)
+    j = rng.choice(others)
+    edges[i]["ends"][2], edges[j]["ends"][2] = edges[j]["ends"][2], u
+    try:
+        bad = graph_from_json(d)
+    except ValueError:
+        assume(False)
+    closure = _outcome(lambda h: relation_closure_check(h, allow_incomplete=True), bad)
+    assert closure == _outcome(lambda h: ref_relation_closure_check(h, allow_incomplete=True), bad)
+    if not complete:
+        return
+    # a polygon has no dumbbell, so the cells fail where the closure fails
+    ref_cells = _outcome(ref_two_cells, bad)
+    if isinstance(closure, str):
+        assert _outcome(two_cells, bad) == closure
+        assert ref_cells == "relation instance does not close"
+    else:
+        assert set(_cells(bad)) == {(c.kind, c.edges) for c in ref_cells}
