@@ -1,16 +1,22 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 mathematical check failure (with a JSON report on
-stdout), 2 usage error.  All artifacts are byte-deterministic for a given
-invocation; the --threads flag is accepted for interface compatibility and
-never changes output bytes.
+stdout), 2 usage error.  Every JSON output, reports and graph files alike,
+is written one record per line (see :func:`_chunks`) by the standard
+library's C encoder, and is byte-deterministic for a given invocation; the
+--threads flag is accepted for interface compatibility and never changes
+output bytes.  A file named by --out is opened before the command's work
+starts and appears only when the command has written all of it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+from collections.abc import Iterator
 
 from . import braid
 from .braid import BraidWord
@@ -20,7 +26,7 @@ from .exchange import (
     enumerate_graph,
     export_dot,
     graph_from_json,
-    graph_to_json,
+    graph_records,
     relation_closure_check,
 )
 from .homology import face_census, homology_h1
@@ -28,101 +34,66 @@ from .presentation import local_twist_relation_report, presentation_from_qp
 from .surface import Triangulation, annulus, genus_one, polygon_fan
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _key(key) -> str:
-    """A dict key as json.dumps writes it: a str escaped; a bool, None, int
-    or float as its JSON text in quotes; anything else is a TypeError."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):
-        return f'"{json.dumps(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _encode(obj, indent: str) -> str:
-    """The text ``json.dumps(obj, indent=2, sort_keys=True)`` gives, for a
-    value nested at ``indent``; values that are not containers, strings,
-    ints, bools or None go to ``json.dumps`` (floats, or a TypeError)."""
-    # plain ints, strs and str keys, most of a graph file, are written in place
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        body = (",\n" + inner).join(
-            [
-                str(x) if type(x) is int else _encode_str(x) if type(x) is str else _encode(x, inner)
-                for x in obj
-            ]
-        )
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join(
-            [
-                f"{_encode_str(k) if type(k) is str else _key(k)}: {_encode(v, inner)}"
-                for k, v in sorted(obj.items())
-            ]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if type(obj) is int:
-        return str(obj)
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    return json.dumps(obj)
-
-
-def _stream(obj, indent: str, depth: int):
-    """The text of ``_encode(obj, indent)`` in pieces: containers ``depth``
-    levels deep are opened here, and each element below them is one piece."""
-    if depth == 0 or not isinstance(obj, (list, tuple, dict)) or not obj:
-        yield _encode(obj, indent)
-        return
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [(f"{_key(k)}: ", v) for k, v in sorted(obj.items())]
-        brackets = "{}"
-    else:
-        items = [("", x) for x in obj]
-        brackets = "[]"
-    lead = brackets[0] + "\n" + inner
-    for prefix, value in items:
-        yield lead + prefix
-        yield from _stream(value, inner, depth - 1)
-        lead = ",\n" + inner
-    yield "\n" + indent + brackets[1]
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _chunks(obj):
-    """The CLI's JSON text of ``obj``, byte for byte
-    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, one graph vertex,
-    graph edge or cover class at a time."""
-    yield from _stream(obj, "", 2)
-    yield "\n"
+    """The CLI's JSON text of ``obj`` in pieces, ending in a newline.
+
+    The members of a top-level object go one per line, in sorted key
+    order.  Each element of a list or tuple member goes on a line of its
+    own, and so does each element of a member that is an iterator, written
+    as it is consumed.  Everything else is written inline by
+    ``json.JSONEncoder(sort_keys=True)``, which raises the TypeError
+    ``json.dumps`` raises on a value it cannot write.
+    """
+    if type(obj) is not dict or not obj:
+        yield _encode(obj) + "\n"
+        return
+    sep = "{\n"
+    # sorted as the encoder sorts a dict's items, so that errors match too
+    for key, value in sorted(obj.items()):
+        if isinstance(value, (list, tuple, Iterator)):
+            # '{"key": []}' cut to '"key": ', the key written by the encoder
+            yield sep + _encode({key: ()})[1:-3] + "["
+            lead = "\n"
+            for x in value:
+                yield lead + _encode(x)
+                lead = ",\n"
+            yield "]" if lead == "\n" else "\n]"
+        else:
+            yield sep + _encode({key: value})[1:-1]
+        sep = ",\n"
+    yield "\n}\n"
 
 
 def _dump(obj) -> str:
     return "".join(_chunks(obj))
 
 
-def _write(path: str | None, chunks) -> None:
-    """Send text pieces to ``path``; stdout when it is None or '-'."""
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text stream a command writes: stdout when ``path`` is None or
+    '-'.  Otherwise a file beside ``path``, opened before the command's
+    work starts, so that an unwritable place fails at once; it replaces
+    ``path`` when the block ends and is removed if the block raises, so
+    ``path`` is never left half written."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+        yield sys.stdout
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _fail(kind: str, message: str, code: int = 1, **detail) -> int:
@@ -226,13 +197,15 @@ def _run(args) -> int:
 
     if cmd == "surface":
         t = _base_triangulation(args)
-        _write(args.out, _chunks(t.to_json()))
+        with _output(args.out) as fh:
+            fh.writelines(_chunks(t.to_json()))
         return 0
 
     if cmd == "enumerate":
         t = _base_triangulation(args)
-        g = enumerate_graph(t, radius=args.radius, budget=args.budget)
-        _write(args.out, _chunks(graph_to_json(g)))
+        with _output(args.out) as fh:
+            g = enumerate_graph(t, radius=args.radius, budget=args.budget)
+            fh.writelines(_chunks(graph_records(g)))
         return 0
 
     if cmd == "relations":
@@ -264,27 +237,29 @@ def _run(args) -> int:
 
     if cmd == "presentation":
         t = _base_triangulation(args)
-        pres = presentation_from_qp(t.quiver())
-        out = {"presentation": pres.to_json()}
-        code = 0
-        if args.verify:
-            if not t.surface.is_disc:
-                return _fail("usage", "--verify needs a disc surface (braid oracle)", 2)
-            # the twist frame needs vertex 0 only; it walks to a fan itself
-            report = local_twist_relation_report(enumerate_graph(t, radius=0), 0)
-            out["verification"] = report
-            code = 0 if report["all_hold"] else 1
-        _write(args.out, _chunks(out))
+        if args.verify and not t.surface.is_disc:
+            return _fail("usage", "--verify needs a disc surface (braid oracle)", 2)
+        with _output(args.out) as fh:
+            pres = presentation_from_qp(t.quiver())
+            out = {"presentation": pres.to_json()}
+            code = 0
+            if args.verify:
+                # the twist frame needs vertex 0 only; it walks to a fan itself
+                report = local_twist_relation_report(enumerate_graph(t, radius=0), 0)
+                out["verification"] = report
+                code = 0 if report["all_hold"] else 1
+            fh.writelines(_chunks(out))
         return code
 
     if cmd == "cover":
         t = _base_triangulation(args)
-        g = enumerate_graph(t, radius=args.radius, budget=args.budget)
-        ball = build_cover_ball(g, radius=args.radius, budget=args.budget)
-        out = ball.to_json()
-        if args.report == "fibers":
-            out["fibers"] = {str(v): ball.fiber_report(v) for v in range(g.vertex_count())}
-        _write(args.out, _chunks(out))
+        with _output(args.out) as fh:
+            g = enumerate_graph(t, radius=args.radius, budget=args.budget)
+            ball = build_cover_ball(g, radius=args.radius, budget=args.budget)
+            out = ball.to_json()
+            if args.report == "fibers":
+                out["fibers"] = {str(v): ball.fiber_report(v) for v in range(g.vertex_count())}
+            fh.writelines(_chunks(out))
         return 0
 
     if cmd == "braid":
@@ -309,11 +284,9 @@ def _run(args) -> int:
         return 0
 
     if cmd == "export":
-        g = _load_graph(args.graph)
-        if args.format == "dot":
-            _write(args.out, [export_dot(g)])
-        else:
-            _write(args.out, _chunks(graph_to_json(g)))
+        with _output(args.out) as fh:
+            g = _load_graph(args.graph)
+            fh.writelines([export_dot(g)] if args.format == "dot" else _chunks(graph_records(g)))
         return 0
 
     raise AssertionError(f"unhandled command {cmd}")

@@ -40,6 +40,7 @@ __all__ = [
     "all_relation_instances",
     "relation_closure_check",
     "export_dot",
+    "graph_records",
     "graph_to_json",
     "graph_from_json",
 ]
@@ -60,7 +61,7 @@ def _relabel(t: Triangulation, perm: tuple[int, ...]) -> Triangulation:
     return Triangulation(t.surface, tris, validate=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphVertex:
     triangulation: Triangulation
     seed: Seed
@@ -87,13 +88,16 @@ class ExchangeGraph:
 
     def unoriented_edges(self) -> list[tuple[int, int, int, int]]:
         """Canonical unoriented edges as (u, k_u, v, k_v), u-side minimal."""
-        out = []
+        return list(self._edges_in_order())
+
+    def _edges_in_order(self) -> Iterator[tuple[int, int, int, int]]:
+        """The edges of :meth:`unoriented_edges`, in its sorted order,
+        generated one at a time."""
         for v, nb in enumerate(self.nbr):
-            for k, (u, k2) in nb.items():
+            for k in sorted(nb):
+                u, k2 = nb[k]
                 if (v, k) <= (u, k2):
-                    out.append((v, k, u, k2))
-        out.sort()
-        return out
+                    yield v, k, u, k2
 
     def edge_id(self, v: int, k: int) -> tuple[int, int]:
         u, k2 = self.nbr[v][k]
@@ -103,16 +107,33 @@ class ExchangeGraph:
         return all(not v.frontier for v in self.vertices)
 
 
-def _link(nbr, edge_perm, v: int, k: int, u: int, k2: int, perm: tuple[int, ...]) -> None:
+def _link(nbr, edge_perm, v: int, k: int, u: int, k2: int, perm: tuple[int, ...], share) -> None:
     """Insert the edge v --k--> u and its reverse u --k2--> v, whose index
-    transport is the inverse permutation."""
+    transport is the inverse permutation.  ``share`` is the build's
+    :func:`_sharer`: both permutations are stored as its copies."""
     inv = [0] * len(perm)
     for i, p in enumerate(perm, 1):
         inv[p - 1] = i
     nbr[v][k] = (u, k2)
-    edge_perm[(v, k)] = perm
+    edge_perm[(v, k)] = share(perm)
     nbr[u][k2] = (v, k)
-    edge_perm[(u, k2)] = tuple(inv)
+    edge_perm[(u, k2)] = share(tuple(inv))
+
+
+def _sharer():
+    """``share(x)``: the first tuple equal to ``x`` that this sharer was
+    given.  One graph build stores each distinct row of B and C, each B
+    and each permutation once, as these copies; the table is freed with
+    the build."""
+    seen: dict[tuple, tuple] = {}
+    setdefault = seen.setdefault
+    return lambda x: setdefault(x, x)
+
+
+def _shared_seed(share, B, C) -> Seed:
+    """The seed (B, C), B and C given as sequences of int tuples, built
+    from ``share``'s copies of B and of each row."""
+    return Seed.trusted(share(tuple([share(row) for row in B])), tuple([share(row) for row in C]))
 
 
 def enumerate_graph(
@@ -136,7 +157,9 @@ def enumerate_graph(
         raise ValueError("budget must be >= 1")
 
     n = base.surface.arc_count
+    share = _sharer()
     seed0 = Seed.initial(base.exchange_matrix())  # canonical already: C is the identity
+    seed0 = _shared_seed(share, seed0.B, seed0.C)
     vertices = [GraphVertex(base, seed0, 0, False)]
     index = {(seed0.B, seed0.C): 0}  # canonical (B, C) -> vertex
     nbr: list[dict] = [{}]
@@ -167,11 +190,12 @@ def enumerate_graph(
                 if tri.exchange_matrix() != B2:
                     raise RuntimeError("flip/mutation mismatch: implementation bug")
                 u = len(vertices)
-                vertices.append(GraphVertex(tri, Seed.trusted(B2, C2), vd.depth + 1, False))
+                seed = _shared_seed(share, B2, C2)
+                vertices.append(GraphVertex(tri, seed, vd.depth + 1, False))
                 nbr.append({})
-                index[key] = u
+                index[(seed.B, seed.C)] = u
                 queue.append(u)
-            _link(nbr, edge_perm, v, k, u, perm[k - 1], perm)
+            _link(nbr, edge_perm, v, k, u, perm[k - 1], perm, share)
     return ExchangeGraph(base.surface, vertices, nbr, edge_perm, radius)
 
 
@@ -389,31 +413,40 @@ def export_dot(g: ExchangeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(g: ExchangeGraph) -> dict:
-    """The graph file's data: the surface once, then each vertex's
+def graph_records(g: ExchangeGraph) -> dict:
+    """The graph file's members: the surface once, then each vertex's
     triangles, seed, depth and frontier flag, then each unoriented edge
-    with its index transport."""
+    with its index transport.  ``vertices`` and ``edges`` are generators
+    of records that hold the graph's own tuples, so that a writer can
+    stream them without a list of the whole graph."""
+    edge_perm = g.edge_perm
     return {
         "surface": g.surface.to_json(),
         "radius": g.radius,
-        "vertices": [
+        "vertices": (
             {
-                "triangles": [list(t) for t in vd.triangulation.triangles],
+                "triangles": vd.triangulation.triangles,
                 "B": vd.seed.B,
                 "C": vd.seed.C,
                 "depth": vd.depth,
                 "frontier": vd.frontier,
             }
             for vd in g.vertices
-        ],
-        "edges": [
-            {
-                "ends": [v, k, u, k2],
-                "perm": list(g.edge_perm[(v, k)]),
-            }
-            for (v, k, u, k2) in g.unoriented_edges()
-        ],
+        ),
+        "edges": ({"ends": e, "perm": edge_perm[e[:2]]} for e in g._edges_in_order()),
     }
+
+
+def graph_to_json(g: ExchangeGraph) -> dict:
+    """The records of :func:`graph_records` as plain data: lists of
+    vertex and edge records, with triangles, edge ends and permutations as
+    lists (B and C stay tuples of int tuples)."""
+    data = graph_records(g)
+    data["vertices"] = [
+        {**rec, "triangles": [list(t) for t in rec["triangles"]]} for rec in data["vertices"]
+    ]
+    data["edges"] = [{"ends": list(rec["ends"]), "perm": list(rec["perm"])} for rec in data["edges"]]
+    return data
 
 
 def graph_from_json(data) -> ExchangeGraph:
@@ -434,7 +467,9 @@ def graph_from_json(data) -> ExchangeGraph:
 
     Each record of ``data["vertices"]`` is freed once it is read, so that
     the parsed file and the graph are not held at once: the list is empty
-    when this returns, and partly cleared when it raises.
+    when this returns, and partly cleared when it raises.  The graph keeps
+    one copy of each distinct row of B and C, of each B and of each
+    permutation, and no vertex keeps a slot table.
     """
     surface, radius, records, edges = json_fields(
         data, ("surface", "radius", "vertices", "edges"), "graph file"
@@ -447,6 +482,7 @@ def graph_from_json(data) -> ExchangeGraph:
     n = surface.arc_count
     vertices = []
     index: dict[tuple, int] = {}  # (B, C) -> vertex
+    share = _sharer()
     for i, vd in enumerate(records):
         records[i] = None
         triangles, B, C, depth, frontier = json_fields(
@@ -461,7 +497,8 @@ def graph_from_json(data) -> ExchangeGraph:
             raise ValueError(f"graph vertex {i}: B and C must be {n} x {n}")
         if not all(type(x) is int for row in (*B, *C) for x in row):
             raise ValueError(f"graph vertex {i}: B and C entries must be integers")
-        B, C = tuple(map(tuple, B)), tuple(map(tuple, C))
+        seed = _shared_seed(share, map(tuple, B), map(tuple, C))
+        B, C = seed.B, seed.C
         if B != tri.exchange_matrix():
             raise ValueError(f"graph vertex {i}: B is not the exchange matrix of the triangles")
         if len(set(C)) != n:
@@ -479,7 +516,7 @@ def graph_from_json(data) -> ExchangeGraph:
         if key in index:
             raise ValueError(f"graph vertex {i}: same seed as vertex {index[key]}")
         index[key] = i
-        vertices.append(GraphVertex(tri, Seed.trusted(B, C), depth, frontier))
+        vertices.append(GraphVertex(tri, seed, depth, frontier))
     records.clear()
     nbr: list[dict] = [{} for _ in vertices]
     edge_perm = {}
@@ -502,7 +539,7 @@ def graph_from_json(data) -> ExchangeGraph:
             raise ValueError(f"graph edge {idx}: perm sends arc {k} to {perm[k - 1]}, not {k2}")
         if k in nbr[v] or k2 in nbr[u] or (v, k) == (u, k2):
             raise ValueError(f"graph edge {idx}: slot already has an edge")
-        _link(nbr, edge_perm, v, k, u, k2, perm)
+        _link(nbr, edge_perm, v, k, u, k2, perm, share)
     for i, nb in enumerate(nbr):
         if not vertices[i].frontier and len(nb) != n:
             raise ValueError(

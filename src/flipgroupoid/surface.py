@@ -236,20 +236,17 @@ class Triangulation:
 
     ``triangles`` is canonicalised on construction (each triple rotated so
     its smallest side comes first, triples sorted), so equality is labelled
-    combinatorial-map equality.
+    combinatorial-map equality.  The slot table and the hash are built on
+    first use: a triangulation that is only stored, as most vertices of an
+    exchange graph are, holds its triangles and nothing else.
     """
 
-    __slots__ = ("surface", "triangles", "_slots", "_hash")
+    __slots__ = ("surface", "triangles", "_slot_table", "_hash")
 
     def __init__(self, surface: MarkedSurface, triangles, validate: bool = True):
         self.surface = surface
         self.triangles = _canonical_triangles(triangles)
-        slots: dict[str, tuple] = {}
-        for t, tri in enumerate(self.triangles):
-            for pos, lab in enumerate(tri):
-                slots[lab] = slots.get(lab, ()) + ((t, pos),)
-        self._slots = slots
-        self._hash = hash((self.surface, self.triangles))
+        self._slot_table = self._hash = None
         if validate:
             self.validate()
 
@@ -261,6 +258,21 @@ class Triangulation:
 
     def arc_labels(self) -> list[str]:
         return list(self.surface._arc_labels)
+
+    def _slot_map(self) -> dict[str, tuple]:
+        """The (triangle, position) slots of each edge label."""
+        slots: dict[str, tuple] = {}
+        for t, tri in enumerate(self.triangles):
+            for pos, lab in enumerate(tri):
+                slots[lab] = slots.get(lab, ()) + ((t, pos),)
+        return slots
+
+    @property
+    def _slots(self) -> dict[str, tuple]:
+        """The slot table, built on first use and then kept."""
+        if self._slot_table is None:
+            self._slot_table = self._slot_map()
+        return self._slot_table
 
     def slots(self, label: str) -> tuple:
         try:
@@ -274,25 +286,29 @@ class Triangulation:
         return arc_label(arc)
 
     def validate(self) -> None:
+        """Raise ValueError unless the triangles glue into the surface.  A
+        slot table this builds is not kept."""
         surf = self.surface
         if len(self.triangles) != surf.triangle_count:
             raise ValueError("wrong triangle count")
-        if {lab: len(sl) for lab, sl in self._slots.items()} != surf._slot_counts:
-            self._name_label_fault()
+        slots = self._slot_table or self._slot_map()
+        if {lab: len(sl) for lab, sl in slots.items()} != surf._slot_counts:
+            self._name_label_fault(slots)
         # Euler characteristic from the vertex cycles of the map.
-        v = self._vertex_count()
+        v = self._vertex_count(slots)
         if v != surf.m:
             raise ValueError(f"map has {v} vertices, surface has m={surf.m}")
         chi = v - (self.n + surf.m) + len(self.triangles)
         if chi != surf.euler_characteristic:
             raise ValueError(f"Euler characteristic {chi} != {surf.euler_characteristic}")
 
-    def _name_label_fault(self) -> None:
+    def _name_label_fault(self, slots: dict[str, tuple]) -> None:
         """Raise the ValueError that names how the edge labels or their slot
-        counts differ from the surface's; called once they are known to."""
+        counts in ``slots`` differ from the surface's; called once they are
+        known to."""
         surf = self.surface
-        arcs = [lab for lab in self._slots if lab.startswith("a")]
-        bnds = [lab for lab in self._slots if lab.startswith("b")]
+        arcs = [lab for lab in slots if lab.startswith("a")]
+        bnds = [lab for lab in slots if lab.startswith("b")]
         if sorted(arcs, key=_edge_sort_key) != self.arc_labels():
             raise ValueError("arc labels must be exactly a1..aN")
         if len(bnds) != surf.m:
@@ -307,14 +323,15 @@ class Triangulation:
         for comp, positions in per_comp.items():
             if positions != set(range(surf.boundaries[comp])):
                 raise ValueError(f"boundary component {comp} has wrong segments")
-        for lab, sl in self._slots.items():
+        for lab, sl in slots.items():
             want = 2 if lab.startswith("a") else 1
             if len(sl) != want:
                 raise ValueError(f"edge {lab} used by {len(sl)} slots, expected {want}")
         raise ValueError("edge labels differ from the surface's")
 
-    def _corner_classes(self) -> list[int]:
-        """Marked-point class of each corner of the combinatorial map.
+    def _corner_classes(self, slots: dict[str, tuple] | None = None) -> list[int]:
+        """Marked-point class of each corner of the combinatorial map, read
+        from ``slots``, the slot table by default.
 
         Corner ``3*t + k`` sits between incoming side t[k-1] and outgoing
         t[k].  Crossing an arc keeps us at the same marked point: the corner
@@ -322,7 +339,7 @@ class Triangulation:
         ends.  Entry c is the root corner of c's class.
         """
         parent = list(range(3 * len(self.triangles)))
-        for lab, sl in self._slots.items():
+        for lab, sl in (self._slots if slots is None else slots).items():
             if not lab.startswith("a"):
                 continue
             (t1, p1), (t2, p2) = sl
@@ -342,8 +359,8 @@ class Triangulation:
             parent[c] = root
         return parent
 
-    def _vertex_count(self) -> int:
-        return len(set(self._corner_classes()))
+    def _vertex_count(self, slots: dict[str, tuple] | None = None) -> int:
+        return len(set(self._corner_classes(slots)))
 
     def disc_chords(self) -> frozenset:
         """For a disc, the triangulation as a set of chords {i, j} between
@@ -502,6 +519,8 @@ class Triangulation:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.surface, self.triangles))
         return self._hash
 
     def __repr__(self):

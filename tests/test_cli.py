@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipgroupoid import cli, homology
-from flipgroupoid.exchange import enumerate_graph, graph_from_json, graph_to_json
+from flipgroupoid.exchange import enumerate_graph, graph_from_json, graph_records, graph_to_json
 from flipgroupoid.surface import Triangulation, annulus, genus_one, polygon_fan
 
 from oracles import flip_walk
@@ -139,14 +139,16 @@ def test_determinism_across_runs_and_threads(tmp_path):
 
 
 # sha256 of stdout, pinned from the builder that transported a frame to
-# every tree node; frames per class must give the same bytes
+# every tree node; frames per class must give the same bytes.  Re-pinned
+# for the one-record-per-line layout: the indented text pinned before
+# parses to the same value, and _dump of that value gives these bytes
 COVER_DIGESTS = [
     (["--polygon", "6", "--radius", "5", "--report", "fibers"],
-     "b4055581217a9bcb1d07220ad8cf652685b1721bfa2d8a164ed264426faa8a11"),
+     "9e81d755848c563001964170100f6f96df41c0cb0c39943c9773d2e313494c43"),
     (["--annulus", "1", "1", "--radius", "6"],
-     "3a8e5cfa51103a1d98e2e11c6d9eddf6aaf9b5dd505a0e0ea91049cb3f6745f0"),
+     "9bb1ba517d8cec208f387e72b1597b36a4c16ab7df0020aa3acffde5b516137b"),
     (["--polygon", "6", "--radius", "6", "--report", "fibers"],
-     "cf21706d64da0e346d272963bec5e4ba08584614c962b5c770493f636c4864bb"),
+     "a0ae3cca36cbd7a774686d0492ed9a81b6e02195ae0a28c462a48de581e9cf7f"),
 ]
 
 
@@ -215,9 +217,9 @@ def test_homology_stdout_bytes(m, walk_seed, tmp_path, capsys):
     assert cli.main(["homology", str(graph)]) == 0
     squares, pentagons = FACES[m]
     want = (
-        '{\n  "betti1": 0,\n  "faces": {\n'
-        f'    "pentagons": {pentagons},\n    "squares": {squares}\n'
-        '  },\n  "status": "ok",\n  "torsion": []\n}\n'
+        '{\n"betti1": 0,\n'
+        f'"faces": {{"pentagons": {pentagons}, "squares": {squares}}},\n'
+        '"status": "ok",\n"torsion": []\n}\n'
     )
     assert capsys.readouterr().out == want
 
@@ -265,15 +267,16 @@ def test_a_relation_that_does_not_close_is_a_check_failure(tmp_path, capsys, com
 
 # sha256 of stdout.  Each is the file pinned from the enumeration that
 # computed the canonical form twice per mutation, with every vertex's
-# "triangulation" cut to its "triangles" and "budget" dropped
+# "triangulation" cut to its "triangles" and "budget" dropped, then written
+# one record per line (the indented text parses to the same value)
 ENUMERATE_DIGESTS = [
-    (["--polygon", "8"], "78c849c3fd7d36b044fe022d141a2166808cef894f043f97c8d95104ad5d0ede"),
+    (["--polygon", "8"], "29585a2f548ddf78e4d3e80b136417f34d88fc29b2de0b5622b09c25a52c472a"),
     (["--annulus", "2", "2", "--radius", "5"],
-     "8455a17e3e9963217053162e561632ce431ccc6711f30e4db5892e973190fa94"),
+     "9e4e287fd59cd5c8098b84597307af6312fd465def9c3f19930d7848db19e983"),
     (["--genus-one", "1", "--radius", "6"],
-     "ad3c8ad5654d1ecd335852ee98bee44ce609e83ec3bfa178d80f050dab52dbe3"),
+     "b43b855fd223f7e9b792ea08b1ee282273a204b5c7cae69b36b614f4fc65c03e"),
 ]
-RELATIONS_GENUS_ONE_R6 = "aec955fadaf3b406f9913bee561435a369af34a127a2d8d09fbc85baa7801c3d"
+RELATIONS_GENUS_ONE_R6 = "5d6f4f6e65f1c4d901f826f2fe266372e5137f60700fa470b1c6522c55c1dc89"
 
 
 def _sha(text: str) -> str:
@@ -597,22 +600,47 @@ ANY_VALUES = st.recursive(
 )
 
 
+def _one_record_per_line(obj) -> str:
+    """The text _dump promises, built from json.dumps: a dict's members one
+    per line in sorted key order, each element of a list or tuple member
+    on a line of its own, everything else inline."""
+    if type(obj) is not dict or not obj:
+        return json.dumps(obj, sort_keys=True) + "\n"
+    members = []
+    for key, value in sorted(obj.items()):
+        if isinstance(value, (list, tuple)):
+            name = json.dumps({key: 0})[1:-2]
+            body = ",\n".join(json.dumps(x, sort_keys=True) for x in value)
+            members.append(f"{name}[\n{body}\n]" if value else f"{name}[]")
+        else:
+            members.append(json.dumps({key: value}, sort_keys=True)[1:-1])
+    return "{\n" + ",\n".join(members) + "\n}\n"
+
+
 def _check_writer(obj):
+    """_dump(obj) parses to what json.dumps(obj) parses to, in the layout
+    of _one_record_per_line; where json.dumps raises TypeError, _dump
+    raises it with the same message."""
     try:
-        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    except TypeError:
-        with pytest.raises(TypeError):
+        want = json.dumps(obj, sort_keys=True)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
             cli._dump(obj)
-        with pytest.raises(TypeError):
-            cli._encode(obj, "")
+        assert str(got.value) == str(exc)
         return
-    assert cli._dump(obj) == want
-    assert "".join(cli._chunks(obj)) == want
-    assert cli._encode(obj, "") + "\n" == want
+    text = cli._dump(obj)
+    # compared as re-encoded text, so that a NaN compares equal to itself
+    assert json.dumps(json.loads(text)) == json.dumps(json.loads(want))
+    assert text == _one_record_per_line(obj)
 
 
 @given(JSON_VALUES)
 def test_writer_matches_json_dumps(obj):
+    _check_writer(obj)
+
+
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+def test_writer_puts_each_element_of_a_list_member_on_its_own_line(obj):
     _check_writer(obj)
 
 
@@ -681,13 +709,17 @@ def test_a_file_with_one_value_replaced_is_read_or_refused(which, data):
 
 
 def test_writer_pieces_are_graph_vertices_and_edges():
-    data = graph_to_json(enumerate_graph(polygon_fan(6)))
-    pieces = list(cli._chunks(data))
-    assert "".join(pieces) == json.dumps(data, indent=2, sort_keys=True) + "\n"
-    for vertex in data["vertices"]:
-        assert cli._encode(vertex, "    ") in pieces
-    for edge in data["edges"]:
-        assert cli._encode(edge, "    ") in pieces
+    g = enumerate_graph(polygon_fan(6))
+    data = graph_to_json(g)
+    lines = cli._dump(graph_records(g)).splitlines()
+    assert lines == cli._dump(data).splitlines()
+    # one line per vertex and per edge, each the encoder's text of the record
+    for key in ("vertices", "edges"):
+        at = lines.index(f'"{key}": [')
+        records = data[key]
+        body = lines[at + 1:at + 1 + len(records)]
+        assert [line.rstrip(",") for line in body] == [json.dumps(r, sort_keys=True) for r in records]
+        assert lines[at + 1 + len(records)].startswith("]")
 
 
 def _same_text(got: str, want: str) -> None:
@@ -705,34 +737,38 @@ WRITER_GRAPHS += [(annulus(3, 2), 7), (genus_one(1), 6)]
 @pytest.mark.parametrize("base, radius", WRITER_GRAPHS,
                          ids=[f"polygon{m}" for m in range(5, 10)] + ["annulus32-r7", "genus-one1-r6"])
 def test_graph_writer_matches_json_dumps(base, radius):
-    data = graph_to_json(enumerate_graph(base, radius=radius))
-    _same_text(cli._dump(data), json.dumps(data, indent=2, sort_keys=True) + "\n")
+    g = enumerate_graph(base, radius=radius)
+    data = graph_to_json(g)
+    text = cli._dump(graph_records(g))
+    _same_text(text, _one_record_per_line(data))
+    assert json.loads(text) == json.loads(json.dumps(data))
 
 
 def test_no_writer_memo_outlives_a_dump():
-    # each graph is dropped after its dump, so the next one's lists may be
+    # each graph is dropped after its dump, so the next one's records may be
     # allocated where the last one's were, and no text of them may be reused
     for base, radius in [(polygon_fan(6), None), (annulus(2, 1), 3)] * 3:
-        data = graph_to_json(enumerate_graph(base, radius=radius))
-        _same_text(cli._dump(data), json.dumps(data, indent=2, sort_keys=True) + "\n")
-        del data
+        g = enumerate_graph(base, radius=radius)
+        _same_text(cli._dump(graph_records(g)), _one_record_per_line(graph_to_json(g)))
+        del g
 
 
 def test_write_streams_the_graph_file(tmp_path):
-    data = graph_to_json(enumerate_graph(polygon_fan(10)))
+    g = enumerate_graph(polygon_fan(10))
     path = tmp_path / "g.json"
     tracemalloc.start()
     try:
-        cli._write(str(path), cli._chunks(data))
+        with cli._output(str(path)) as fh:
+            fh.writelines(cli._chunks(graph_records(g)))
         _, streamed = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        text = cli._dump(graph_to_json(g))
         _, whole = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
     _same_text(path.read_text(), text)
-    assert size > 1_500_000
+    assert size > 1_000_000
     assert streamed < size / 4
     assert whole > size
 
@@ -742,16 +778,18 @@ import sys
 import numpy as np
 from flipgroupoid import cli
 
-real = cli.graph_to_json
+real = cli.graph_records
 
 
 def with_a_numpy_int(g):
     data = real(g)
-    data["vertices"][-1]["depth"] = np.int64(data["vertices"][-1]["depth"])
+    vertices = list(data["vertices"])
+    vertices[-1]["depth"] = np.int64(vertices[-1]["depth"])
+    data["vertices"] = iter(vertices)
     return data
 
 
-cli.graph_to_json = with_a_numpy_int
+cli.graph_records = with_a_numpy_int
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -766,3 +804,78 @@ def test_enumerate_fails_loudly_on_an_unencodable_value(tmp_path):
     )
     assert r.returncode != 0
     assert "TypeError: Object of type int64 is not JSON serializable" in r.stderr
+    # the failure came part-way through the vertices, and left no file
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_leaves_the_old_file_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "g.json"
+    out.write_text("old\n")
+    real = cli.graph_records
+
+    def bad_last_edge(g):
+        data = real(g)
+        edges = list(data["edges"])
+        edges[-1]["perm"] = set(edges[-1]["perm"])
+        data["edges"] = iter(edges)
+        return data
+
+    monkeypatch.setattr(cli, "graph_records", bad_last_edge)
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        cli.main(["enumerate", "--polygon", "6", "--out", str(out)])
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+    monkeypatch.setattr(cli, "graph_records", real)
+    assert cli.main(["enumerate", "--polygon", "6", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["vertices"]) == 14
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--polygon", "10"],
+    ["cover", "--polygon", "6", "--radius", "5"],
+    ["presentation", "--polygon", "6", "--verify"],
+], ids=["enumerate", "cover", "presentation"])
+def test_an_unwritable_out_fails_before_the_work(command, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerated before opening --out")
+
+    monkeypatch.setattr(cli, "enumerate_graph", no_work)
+    target = tmp_path / "no such dir" / "g.json"
+    assert cli.main([*command, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["kind"] == "usage"
+    assert str(target) in report["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+COMPAT_GRAPHS = [(polygon_fan(7), None), (genus_one(1), 6)]
+
+
+@pytest.mark.parametrize("base, radius", COMPAT_GRAPHS, ids=["polygon7", "genus-one1-r6"])
+def test_graph_files_in_every_layout_load_alike(base, radius, tmp_path):
+    # the layout written before one record per line, one line, and today's
+    g = enumerate_graph(base, radius=radius)
+    data = graph_to_json(g)
+    layouts = {
+        "indented": json.dumps(data, indent=2, sort_keys=True),
+        "one-line": json.dumps(data),
+        "records": cli._dump(graph_records(g)),
+    }
+    outputs = {}
+    for name, text in layouts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        with open(path) as fh:
+            assert graph_to_json(graph_from_json(json.load(fh))) == data
+        runs = []
+        for command in (["relations", "--allow-incomplete"], ["homology"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command[0], str(path), *command[1:]])
+            runs.append((code, out.getvalue(), err.getvalue()))
+        outputs[name] = runs
+    assert outputs["indented"] == outputs["one-line"] == outputs["records"]
+    assert outputs["records"][0][0] == 0

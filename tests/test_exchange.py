@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import tracemalloc
@@ -16,7 +17,7 @@ from flipgroupoid.exchange import (
     relation_closure_check,
     relation_instances,
 )
-from flipgroupoid.surface import annulus, genus_one, polygon_fan
+from flipgroupoid.surface import Triangulation, annulus, genus_one, polygon_fan
 
 from oracles import catalan, polygon_flip_graph, polygon_triangulations, walked_closure_report
 
@@ -260,3 +261,47 @@ def test_json_roundtrip_corpus():
         assert graph_to_json(h) == graph_to_json(g)
         v = rng.randrange(g.vertex_count())
         assert h.vertices[v].triangulation == g.vertices[v].triangulation
+
+
+@pytest.fixture(scope="module")
+def genus_one_r10_file() -> str:
+    return json.dumps(graph_to_json(enumerate_graph(genus_one(1), radius=10)))
+
+
+def test_a_loaded_graph_holds_no_slot_table_and_shares_rows(genus_one_r10_file):
+    g = graph_from_json(json.loads(genus_one_r10_file))
+    assert g.vertex_count() == 4381
+    assert all(vd.triangulation._slot_table is None for vd in g.vertices)
+    # equal rows of B and C, equal B and equal permutations are one object
+    tuples = [row for vd in g.vertices for row in (*vd.seed.B, *vd.seed.C)]
+    tuples += [vd.seed.B for vd in g.vertices]
+    tuples += list(g.edge_perm.values())
+    assert len({id(x) for x in tuples}) == len(set(tuples)) < len(tuples) / 10
+
+
+def test_a_loaded_graph_retains_under_2_kb_per_vertex(genus_one_r10_file):
+    data = json.loads(genus_one_r10_file)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = graph_from_json(data)
+        del data
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2048 * g.vertex_count()
+
+
+def test_enumeration_builds_a_slot_table_only_to_flip(monkeypatch):
+    base = genus_one(1)
+    builds = []
+    real = Triangulation._slot_map
+    monkeypatch.setattr(Triangulation, "_slot_map", lambda t: builds.append(t) or real(t))
+    g = enumerate_graph(base, radius=6)
+    expanded = [vd.triangulation for vd in g.vertices if not vd.frontier]
+    frontier = [vd.triangulation for vd in g.vertices if vd.frontier]
+    assert frontier and all(t._slot_table is None for t in frontier)
+    # one table for each expanded vertex, none for the flips relabelled at once
+    assert len(builds) == len(expanded)
+    assert {id(t) for t in builds} == {id(t) for t in expanded}
