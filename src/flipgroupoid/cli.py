@@ -5,8 +5,9 @@ stdout), 2 usage error.  Every JSON output, reports and graph files alike,
 is written one record per line (see :func:`_chunks`) by the standard
 library's C encoder, and is byte-deterministic for a given invocation; the
 --threads flag is accepted for interface compatibility and never changes
-output bytes.  A file named by --out is opened before the command's work
-starts and appears only when the command has written all of it.
+output bytes.  A path named by --out is opened before the command's work
+starts; a regular file there changes only when the command has written all
+of it, and a symlink, device or pipe is written through.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from collections.abc import Iterator
 
@@ -73,13 +75,23 @@ def _dump(obj) -> str:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """The text stream a command writes: stdout when ``path`` is None or
-    '-'.  Otherwise a file beside ``path``, opened before the command's
-    work starts, so that an unwritable place fails at once; it replaces
-    ``path`` when the block ends and is removed if the block raises, so
-    ``path`` is never left half written."""
+    """The text stream a command writes, opened before the command's work
+    starts so that an unwritable place fails at once: stdout when ``path``
+    is None or '-'.  A ``path`` that is absent, or a regular file with one
+    link, is written as a file beside it that takes its mode, replaces it
+    when the block ends and is removed if the block raises, so ``path`` is
+    never left half written.  Any other ``path`` (a symlink, a device, a
+    pipe, a file with hard links) is opened and written in place."""
     if path is None or path == "-":
         yield sys.stdout
+        return
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        with open(path, "w") as fh:
+            yield fh
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -88,6 +100,8 @@ def _output(path: str | None):
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
+            if st is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             yield fh
         os.replace(tmp, path)
     except BaseException:

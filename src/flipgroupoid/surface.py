@@ -259,19 +259,16 @@ class Triangulation:
     def arc_labels(self) -> list[str]:
         return list(self.surface._arc_labels)
 
-    def _slot_map(self) -> dict[str, tuple]:
-        """The (triangle, position) slots of each edge label."""
-        slots: dict[str, tuple] = {}
-        for t, tri in enumerate(self.triangles):
-            for pos, lab in enumerate(tri):
-                slots[lab] = slots.get(lab, ()) + ((t, pos),)
-        return slots
-
     @property
     def _slots(self) -> dict[str, tuple]:
-        """The slot table, built on first use and then kept."""
+        """The (triangle, position) slots of each edge label, built on first
+        use and then kept."""
         if self._slot_table is None:
-            self._slot_table = self._slot_map()
+            slots: dict[str, tuple] = {}
+            for t, tri in enumerate(self.triangles):
+                for pos, lab in enumerate(tri):
+                    slots[lab] = slots.get(lab, ()) + ((t, pos),)
+            self._slot_table = slots
         return self._slot_table
 
     def slots(self, label: str) -> tuple:
@@ -288,27 +285,28 @@ class Triangulation:
     def validate(self) -> None:
         """Raise ValueError unless the triangles glue into the surface.  A
         slot table this builds is not kept."""
+        kept = self._slot_table is not None
         surf = self.surface
         if len(self.triangles) != surf.triangle_count:
             raise ValueError("wrong triangle count")
-        slots = self._slot_table or self._slot_map()
-        if {lab: len(sl) for lab, sl in slots.items()} != surf._slot_counts:
-            self._name_label_fault(slots)
+        if {lab: len(sl) for lab, sl in self._slots.items()} != surf._slot_counts:
+            self._name_label_fault()
         # Euler characteristic from the vertex cycles of the map.
-        v = self._vertex_count(slots)
+        v = self._vertex_count()
         if v != surf.m:
             raise ValueError(f"map has {v} vertices, surface has m={surf.m}")
         chi = v - (self.n + surf.m) + len(self.triangles)
         if chi != surf.euler_characteristic:
             raise ValueError(f"Euler characteristic {chi} != {surf.euler_characteristic}")
+        if not kept:
+            self._slot_table = None
 
-    def _name_label_fault(self, slots: dict[str, tuple]) -> None:
+    def _name_label_fault(self) -> None:
         """Raise the ValueError that names how the edge labels or their slot
-        counts in ``slots`` differ from the surface's; called once they are
-        known to."""
+        counts differ from the surface's; called once they are known to."""
         surf = self.surface
-        arcs = [lab for lab in slots if lab.startswith("a")]
-        bnds = [lab for lab in slots if lab.startswith("b")]
+        arcs = [lab for lab in self._slots if lab.startswith("a")]
+        bnds = [lab for lab in self._slots if lab.startswith("b")]
         if sorted(arcs, key=_edge_sort_key) != self.arc_labels():
             raise ValueError("arc labels must be exactly a1..aN")
         if len(bnds) != surf.m:
@@ -323,15 +321,14 @@ class Triangulation:
         for comp, positions in per_comp.items():
             if positions != set(range(surf.boundaries[comp])):
                 raise ValueError(f"boundary component {comp} has wrong segments")
-        for lab, sl in slots.items():
+        for lab, sl in self._slots.items():
             want = 2 if lab.startswith("a") else 1
             if len(sl) != want:
                 raise ValueError(f"edge {lab} used by {len(sl)} slots, expected {want}")
         raise ValueError("edge labels differ from the surface's")
 
-    def _corner_classes(self, slots: dict[str, tuple] | None = None) -> list[int]:
-        """Marked-point class of each corner of the combinatorial map, read
-        from ``slots``, the slot table by default.
+    def _corner_classes(self) -> list[int]:
+        """Marked-point class of each corner of the combinatorial map.
 
         Corner ``3*t + k`` sits between incoming side t[k-1] and outgoing
         t[k].  Crossing an arc keeps us at the same marked point: the corner
@@ -339,7 +336,7 @@ class Triangulation:
         ends.  Entry c is the root corner of c's class.
         """
         parent = list(range(3 * len(self.triangles)))
-        for lab, sl in (self._slots if slots is None else slots).items():
+        for lab, sl in self._slots.items():
             if not lab.startswith("a"):
                 continue
             (t1, p1), (t2, p2) = sl
@@ -359,8 +356,8 @@ class Triangulation:
             parent[c] = root
         return parent
 
-    def _vertex_count(self, slots: dict[str, tuple] | None = None) -> int:
-        return len(set(self._corner_classes(slots)))
+    def _vertex_count(self) -> int:
+        return len(set(self._corner_classes()))
 
     def disc_chords(self) -> frozenset:
         """For a disc, the triangulation as a set of chords {i, j} between

@@ -3,7 +3,9 @@ import functools
 import hashlib
 import io
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -849,6 +851,54 @@ def test_an_unwritable_out_fails_before_the_work(command, tmp_path, monkeypatch,
     assert report["kind"] == "usage"
     assert str(target) in report["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+def _enumerate_pentagon(out) -> str:
+    assert cli.main(["enumerate", "--polygon", "5", "--out", str(out)]) == 0
+    return cli._dump(graph_records(enumerate_graph(polygon_fan(5))))
+
+
+def test_out_writes_through_a_symlink(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    text = _enumerate_pentagon(link)
+    assert link.is_symlink() and link.resolve() == real.resolve()
+    assert real.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_out_writes_into_a_fifo(tmp_path):
+    fifo = tmp_path / "g.fifo"
+    os.mkfifo(fifo)
+    # a reader that is open already lets the writer's open return; the
+    # pentagon's text fits in the pipe's buffer, so the reads come after
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        text = _enumerate_pentagon(fifo)
+        chunks = []
+        while chunk := os.read(reader, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(reader)
+    assert b"".join(chunks).decode() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["g.fifo"]
+
+
+def test_out_keeps_a_files_mode_and_hard_links(tmp_path):
+    out = tmp_path / "g.json"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    text = _enumerate_pentagon(out)
+    assert out.read_text() == text
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    twin = tmp_path / "twin.json"
+    twin.hardlink_to(out)
+    out.write_text("old\n")
+    _enumerate_pentagon(out)
+    assert twin.read_text() == out.read_text() == text
+    assert out.stat().st_ino == twin.stat().st_ino
 
 
 COMPAT_GRAPHS = [(polygon_fan(7), None), (genus_one(1), 6)]

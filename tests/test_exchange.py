@@ -296,8 +296,14 @@ def test_a_loaded_graph_retains_under_2_kb_per_vertex(genus_one_r10_file):
 def test_enumeration_builds_a_slot_table_only_to_flip(monkeypatch):
     base = genus_one(1)
     builds = []
-    real = Triangulation._slot_map
-    monkeypatch.setattr(Triangulation, "_slot_map", lambda t: builds.append(t) or real(t))
+    real = Triangulation._slots.fget
+
+    def counted(t):
+        if t._slot_table is None:
+            builds.append(t)
+        return real(t)
+
+    monkeypatch.setattr(Triangulation, "_slots", property(counted))
     g = enumerate_graph(base, radius=6)
     expanded = [vd.triangulation for vd in g.vertices if not vd.frontier]
     frontier = [vd.triangulation for vd in g.vertices if vd.frontier]
