@@ -1,13 +1,14 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 mathematical check failure (with a JSON report on
-stdout), 2 usage error.  Every JSON output, reports and graph files alike,
-is written one record per line (see :func:`_chunks`) by the standard
-library's C encoder, and is byte-deterministic for a given invocation; the
---threads flag is accepted for interface compatibility and never changes
-output bytes.  A path named by --out is opened before the command's work
-starts; a regular file there changes only when the command has written all
-of it, and a symlink, device or pipe is written through.
+Exit codes: 0 success, 1 mathematical check failure (any RuntimeError of
+the library, with a JSON report on stdout), 2 usage error.  Every JSON
+output, reports and graph files alike, is written one record per line (see
+:func:`_chunks`) by the standard library's C encoder, and is
+byte-deterministic for a given invocation; the --threads flag is accepted
+for interface compatibility and never changes output bytes.  A path named
+by --out is opened before the command's work starts; a regular file there
+changes only when the command has written all of it, and a symlink, device
+or pipe is written through.
 """
 
 from __future__ import annotations
@@ -200,8 +201,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _run(args)
-    except TruncationError as exc:
+    except TruncationError as exc:  # a RuntimeError, so caught first
         return _fail("truncation", str(exc))
+    except RuntimeError as exc:
+        return _fail("check", str(exc))
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         return _fail("usage", str(exc), 2)
 
@@ -226,19 +229,13 @@ def _run(args) -> int:
         g = _load_graph(args.graph)
         if not g.is_complete() and not args.allow_incomplete:
             return _fail("usage", "graph is truncated; pass --allow-incomplete", 2)
-        try:
-            report = relation_closure_check(g, allow_incomplete=args.allow_incomplete)
-        except RuntimeError as exc:
-            return _fail("check", str(exc))
+        report = relation_closure_check(g, allow_incomplete=args.allow_incomplete)
         sys.stdout.write(_dump({"status": "ok", **report}))
         return 0
 
     if cmd == "homology":
         g = _load_graph(args.graph)
-        try:
-            betti, torsion = homology_h1(g)
-        except RuntimeError as exc:
-            return _fail("check", str(exc))
+        betti, torsion = homology_h1(g)
         census = face_census(g)
         report = {
             "status": "ok" if betti == 0 and not torsion else "nontrivial",

@@ -228,17 +228,16 @@ def frame_transport_move(g: ExchangeGraph, frame: TwistFrame, v: int, k: int, fo
     Backward moves invert the transport of the forward edge into v.
     """
     o = frame.oracle
-    u, k2 = g.nbr[v][k]
+    u, k2, perm = g.adj[v][k]
     n = frame.n
     if forward:
         moved = transport_frame(frame, g.vertices[v].seed.B, k)
-        perm = g.edge_perm[(v, k)]
         entries = [None] * n
         for l in range(1, n + 1):
             entries[perm[l - 1] - 1] = moved.entries[l - 1]
         return u, TwistFrame(tuple(entries), o)
     # inverse of the forward edge u ->(k2) v
-    rho = g.edge_perm[(u, k2)]
+    rho = g.adj[u][k2][2]
     Bu = g.vertices[u].seed.B
     gamma = frame.entry(k)
     entries = [None] * n
@@ -302,11 +301,10 @@ def _bfs_path(g: ExchangeGraph, v: int) -> list[int]:
         qpos += 1
         if w == v:
             break
-        for k in sorted(g.nbr[w]):
-            u, _ = g.nbr[w][k]
-            if u not in parent:
-                parent[u] = (w, k)
-                order.append(u)
+        for k, step in enumerate(g.adj[w]):
+            if step is not None and step[0] not in parent:
+                parent[step[0]] = (w, k)
+                order.append(step[0])
     if v not in parent:
         raise ValueError(f"vertex {v} not reachable")
     path = []
@@ -412,8 +410,10 @@ class CoverBall:
                         "cover ball reaches the exchange graph's truncation frontier; "
                         "enumerate the graph at least as deep as the ball radius"
                     )
-                for k in sorted(g.nbr[v]):
-                    u, k2 = g.nbr[v][k]
+                for k, step in enumerate(g.adj[v]):
+                    if step is None:
+                        continue
+                    u, k2, _ = step
                     for sign in (FWD, BWD):
                         if (k, sign) in moves[cls]:
                             continue
@@ -466,7 +466,9 @@ class CoverBall:
             if L == self.radius:
                 continue
             pos = 0
-            for k in sorted(g.nbr[shadow[cls]]):
+            for k, step in enumerate(g.adj[shadow[cls]]):
+                if step is None:
+                    continue
                 for sign in (FWD, BWD):
                     if (k, sign) == back[cls]:
                         continue
@@ -474,7 +476,7 @@ class CoverBall:
                     if tgt not in index:
                         index[tgt] = first[L + 1] + (index[cls] - first[L]) * (two_n - 1) + pos
                         depth[tgt] = L + 1
-                        back[tgt] = (g.nbr[shadow[cls]][k][1], -sign)
+                        back[tgt] = (step[1], -sign)
                         order.append(tgt)
                     pos += 1
         order.sort(key=index.__getitem__)
@@ -494,7 +496,7 @@ class CoverBall:
                 self._size[cls] += count
                 for (k, sign), tgt in self._moves[cls].items():
                     if L < self.radius and (k, sign) != back:
-                        key = (tgt, (g.nbr[self._shadow[cls]][k][1], -sign))
+                        key = (tgt, (g.adj[self._shadow[cls]][k][1], -sign))
                         nxt[key] = nxt.get(key, 0) + count
             layer = nxt
 
@@ -513,7 +515,7 @@ class CoverBall:
     # -- labels (deck elements discovered from lifted twist loops) ----------
 
     def _twist_moves(self, arc: int, sign: int):
-        k2 = self.graph.nbr[self.base][arc][1]
+        k2 = self.graph.adj[self.base][arc][1]
         return [(arc, FWD), (k2, FWD)] if sign > 0 else [(arc, BWD), (k2, BWD)]
 
     def _discover_labels(self):

@@ -9,15 +9,18 @@ for the 2-cycle of forward mutations joining its endpoints; a directed
 edge (v, k) carries the index transport permutation identifying arcs of v
 with arcs of the target.
 
-Relation instances follow the three local shapes at a vertex: a pair of
-arcs sharing no triangle gives a square (x^2 = y^2), sharing one triangle
-a pentagon (x^2 = y^3), sharing two triangles a hexagonal dumbbell
-(x^2 y = y x^2), with x the forward mutation at the source of the arrows
-between the pair.  :func:`relation_closure_check` and
-:func:`flipgroupoid.homology.two_cells` walk both sides of every
-instance on one adjacency table of ints, built once per call, and build
-no :class:`RelationInstance`; :func:`relation_instances` still builds
-them, for the closure of :mod:`flipgroupoid.cover` and for the tests.
+Relation instances follow the three local shapes at a vertex.  Write x
+for the forward mutation at the tail of a pair of arcs (the source of the
+arrows between them) and y for the one at its head, each side read in
+walk order.  A pair sharing no triangle gives a square (x y = y x),
+sharing one triangle a pentagon (x y = y x y), sharing two triangles a
+hexagonal dumbbell (x y y = y y x).  On a graph stored with its reverses
+the head's two steps go out along an edge and straight back, so a
+dumbbell's closure check cannot fail.  :func:`relation_closure_check`
+and :func:`flipgroupoid.homology.two_cells` walk both sides of every
+instance on the graph's adjacency table and build no
+:class:`RelationInstance`; :func:`relation_instances` still builds them,
+for the closure of :mod:`flipgroupoid.cover` and for the tests.
 """
 
 from __future__ import annotations
@@ -71,10 +74,15 @@ class GraphVertex:
 
 @dataclass
 class ExchangeGraph:
+    """``adj[v]`` is a list of n + 1 slots: ``adj[v][k] = (target, k2,
+    perm)`` for the edge v --k--> target, whose reverse is target --k2-->
+    v, and None where v has no edge k; slot 0 is always None.  ``perm`` is the
+    edge's index transport, 1-based: arc l of v is arc perm[l - 1] of the
+    target."""
+
     surface: object
     vertices: list[GraphVertex]
-    nbr: list[dict[int, tuple[int, int]]]
-    edge_perm: dict[tuple[int, int], tuple[int, ...]]
+    adj: list[list]
     radius: int | None
     # homology.two_cells keeps its result here; a graph is not changed once built
     cell_cache: list | None = field(default=None, init=False, repr=False, compare=False)
@@ -93,31 +101,27 @@ class ExchangeGraph:
     def _edges_in_order(self) -> Iterator[tuple[int, int, int, int]]:
         """The edges of :meth:`unoriented_edges`, in its sorted order,
         generated one at a time."""
-        for v, nb in enumerate(self.nbr):
-            for k in sorted(nb):
-                u, k2 = nb[k]
-                if (v, k) <= (u, k2):
-                    yield v, k, u, k2
+        for v, row in enumerate(self.adj):
+            for k, step in enumerate(row):
+                if step is not None and (v, k) <= step[:2]:
+                    yield v, k, step[0], step[1]
 
     def edge_id(self, v: int, k: int) -> tuple[int, int]:
-        u, k2 = self.nbr[v][k]
-        return min((v, k), (u, k2))
+        return min((v, k), self.adj[v][k][:2])
 
     def is_complete(self) -> bool:
         return all(not v.frontier for v in self.vertices)
 
 
-def _link(nbr, edge_perm, v: int, k: int, u: int, k2: int, perm: tuple[int, ...], share) -> None:
+def _link(adj: list[list], v: int, k: int, u: int, k2: int, perm: tuple[int, ...], share) -> None:
     """Insert the edge v --k--> u and its reverse u --k2--> v, whose index
     transport is the inverse permutation.  ``share`` is the build's
     :func:`_sharer`: both permutations are stored as its copies."""
     inv = [0] * len(perm)
     for i, p in enumerate(perm, 1):
         inv[p - 1] = i
-    nbr[v][k] = (u, k2)
-    edge_perm[(v, k)] = share(perm)
-    nbr[u][k2] = (v, k)
-    edge_perm[(u, k2)] = share(tuple(inv))
+    adj[v][k] = (u, k2, share(perm))
+    adj[u][k2] = (v, k, share(tuple(inv)))
 
 
 def _sharer():
@@ -162,8 +166,7 @@ def enumerate_graph(
     seed0 = _shared_seed(share, seed0.B, seed0.C)
     vertices = [GraphVertex(base, seed0, 0, False)]
     index = {(seed0.B, seed0.C): 0}  # canonical (B, C) -> vertex
-    nbr: list[dict] = [{}]
-    edge_perm: dict[tuple[int, int], tuple[int, ...]] = {}
+    adj = [[None] * (n + 1)]
 
     queue = [0]
     qpos = 0
@@ -175,7 +178,7 @@ def enumerate_graph(
             vd.frontier = True
             continue
         for k in range(1, n + 1):
-            if k in nbr[v]:
+            if adj[v][k] is not None:
                 continue
             mutated = mutate_seed(vd.seed, k)
             B2, C2, perm = canonical_form(mutated)
@@ -192,11 +195,11 @@ def enumerate_graph(
                 u = len(vertices)
                 seed = _shared_seed(share, B2, C2)
                 vertices.append(GraphVertex(tri, seed, vd.depth + 1, False))
-                nbr.append({})
+                adj.append([None] * (n + 1))
                 index[(seed.B, seed.C)] = u
                 queue.append(u)
-            _link(nbr, edge_perm, v, k, u, perm[k - 1], perm, share)
-    return ExchangeGraph(base.surface, vertices, nbr, edge_perm, radius)
+            _link(adj, v, k, u, perm[k - 1], perm, share)
+    return ExchangeGraph(base.surface, vertices, adj, radius)
 
 
 class RelationKind(Enum):
@@ -233,17 +236,19 @@ class RelationInstance:
 
 
 def _pair_walk(g: ExchangeGraph, v: int, a: int, b: int, plan: str):
-    """Walk forward mutations; 'a'/'b' in plan flips the transported slot."""
+    """Walk forward mutations; 'a'/'b' in plan flips the transported slot.
+    Returns (steps, end, (a, b)), each step a (vertex, arc), with end and
+    pair None at a missing edge."""
+    adj = g.adj
     steps = []
     for ch in plan:
         k = a if ch == "a" else b
-        if k not in g.nbr[v]:
+        step = adj[v][k]
+        if step is None:
             return tuple(steps), None, None
         steps.append((v, k))
-        u, _ = g.nbr[v][k]
-        perm = g.edge_perm[(v, k)]
+        v, _, perm = step
         a, b = perm[a - 1], perm[b - 1]
-        v = u
     return tuple(steps), v, (a, b)
 
 
@@ -315,23 +320,10 @@ def all_relation_instances(g: ExchangeGraph) -> Iterator[RelationInstance]:
             yield from relation_instances(g, v)
 
 
-def _adjacency(g: ExchangeGraph) -> list[list]:
-    """``adj[v][k] = (target, k2, perm)`` for the edge v --k--> target, and
-    None where v has no edge k; each perm is the tuple in ``g.edge_perm``."""
-    edge_perm = g.edge_perm
-    adj = []
-    for v, nb in enumerate(g.nbr):
-        row = [None] * (g.n + 1)
-        for k, (u, k2) in nb.items():
-            row[k] = (u, k2, edge_perm[(v, k)])
-        adj.append(row)
-    return adj
-
-
 def _walk(adj: list[list], v: int, a: int, b: int, plan: str):
     """Walk ``plan`` from v on the adjacency table, as :func:`_pair_walk`
-    does on the graph.  Returns (end, a, b, lowest vertex of the walk), or
-    None at a missing edge."""
+    does, recording no steps.  Returns (end, a, b, lowest vertex of the
+    walk), or None at a missing edge."""
     lo = v
     for ch in plan:
         step = adj[v][a if ch == "a" else b]
@@ -344,7 +336,7 @@ def _walk(adj: list[list], v: int, a: int, b: int, plan: str):
     return v, a, b, lo
 
 
-def _walk_relations(g: ExchangeGraph, adj: list[list]) -> Iterator[tuple]:
+def _walk_relations(g: ExchangeGraph) -> Iterator[tuple]:
     """(v, kind, arcs, head, tail, plans, lo) for each relation instance at
     each vertex v off the frontier, in the order of
     :func:`all_relation_instances`, walked on ints with no
@@ -357,6 +349,7 @@ def _walk_relations(g: ExchangeGraph, adj: list[list]) -> Iterator[tuple]:
     an instance whose sides are complete but do not close raises
     RuntimeError naming it.
     """
+    adj = g.adj
     for v in range(len(adj)):
         if g.vertices[v].frontier:
             continue
@@ -390,7 +383,7 @@ def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> 
     if g.radius is not None and g.radius < 4 and not allow_incomplete:
         raise ValueError("closure check needs radius >= 4")
     checked = incomplete = circuits = 0
-    for _, kind, _, _, _, _, lo in _walk_relations(g, _adjacency(g)):
+    for _, kind, _, _, _, _, lo in _walk_relations(g):
         circuits += kind is not _HEX_DUMBBELL
         if lo is None:
             incomplete += 1
@@ -419,7 +412,7 @@ def graph_records(g: ExchangeGraph) -> dict:
     with its index transport.  ``vertices`` and ``edges`` are generators
     of records that hold the graph's own tuples, so that a writer can
     stream them without a list of the whole graph."""
-    edge_perm = g.edge_perm
+    adj = g.adj
     return {
         "surface": g.surface.to_json(),
         "radius": g.radius,
@@ -433,7 +426,7 @@ def graph_records(g: ExchangeGraph) -> dict:
             }
             for vd in g.vertices
         ),
-        "edges": ({"ends": e, "perm": edge_perm[e[:2]]} for e in g._edges_in_order()),
+        "edges": ({"ends": e, "perm": adj[e[0]][e[1]][2]} for e in g._edges_in_order()),
     }
 
 
@@ -518,8 +511,7 @@ def graph_from_json(data) -> ExchangeGraph:
         index[key] = i
         vertices.append(GraphVertex(tri, seed, depth, frontier))
     records.clear()
-    nbr: list[dict] = [{} for _ in vertices]
-    edge_perm = {}
+    adj = [[None] * (n + 1) for _ in vertices]
     arcs = range(1, n + 1)
     for idx, e in enumerate(edges):
         ends, perm = json_fields(e, ("ends", "perm"), f"graph edge {idx}")
@@ -537,12 +529,11 @@ def graph_from_json(data) -> ExchangeGraph:
             raise ValueError(f"graph edge {idx}: arc out of range 1..{n}")
         if perm[k - 1] != k2:
             raise ValueError(f"graph edge {idx}: perm sends arc {k} to {perm[k - 1]}, not {k2}")
-        if k in nbr[v] or k2 in nbr[u] or (v, k) == (u, k2):
+        if adj[v][k] is not None or adj[u][k2] is not None or (v, k) == (u, k2):
             raise ValueError(f"graph edge {idx}: slot already has an edge")
-        _link(nbr, edge_perm, v, k, u, k2, perm, share)
-    for i, nb in enumerate(nbr):
-        if not vertices[i].frontier and len(nb) != n:
-            raise ValueError(
-                f"graph vertex {i}: not on the frontier but has {len(nb)} of {n} edges"
-            )
-    return ExchangeGraph(surface, vertices, nbr, edge_perm, radius)
+        _link(adj, v, k, u, k2, perm, share)
+    for i, row in enumerate(adj):
+        degree = n + 1 - row.count(None)
+        if not vertices[i].frontier and degree != n:
+            raise ValueError(f"graph vertex {i}: not on the frontier but has {degree} of {n} edges")
+    return ExchangeGraph(surface, vertices, adj, radius)

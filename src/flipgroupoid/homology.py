@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
-from .exchange import ExchangeGraph, RelationKind, _adjacency, _walk_relations
+from .exchange import ExchangeGraph, RelationKind, _pair_walk, _walk_relations
 
 __all__ = [
     "SparseMatrix", "invariant_factors", "two_cells", "homology_h1", "face_census",
@@ -171,25 +171,17 @@ class TwoCell:
     edges: tuple  # signed canonical edge ids around the cycle
 
 
-def _cycle(adj: list[list], v: int, head: int, tail: int, plans: tuple[str, str]) -> tuple:
+def _cycle(g: ExchangeGraph, v: int, head: int, tail: int, plans: tuple[str, str]) -> tuple:
     """Signed canonical edges around the left side, then the reversed right
     side, of the instance at v whose walks :func:`_walk_relations` closed."""
-    sides = []
-    for plan in plans:
-        side = []
-        u, a, b = v, head, tail
-        for ch in plan:
-            k = a if ch == "a" else b
-            w, k2, perm = adj[u][k]
-            side.append(((u, k), (w, k2)))
-            a, b = perm[a - 1], perm[b - 1]
-            u = w
-        sides.append(side)
-    left, right = sides
-    return tuple(
-        [(e, 1) if e <= f else (f, -1) for e, f in left]
-        + [(e, -1) if e <= f else (f, 1) for e, f in reversed(right)]
-    )
+    adj = g.adj
+    left, right = (_pair_walk(g, v, head, tail, plan)[0] for plan in plans)
+    out = []
+    for side, sign in ((left, 1), (reversed(right), -1)):
+        for e in side:
+            f = adj[e[0]][e[1]][:2]
+            out.append((e, sign) if e <= f else (f, -sign))
+    return tuple(out)
 
 
 def two_cells(g: ExchangeGraph) -> list[TwoCell]:
@@ -197,7 +189,7 @@ def two_cells(g: ExchangeGraph) -> list[TwoCell]:
     corner (the far corner included), in the order of those corners.
 
     :func:`_walk_relations` walks every relation instance on the graph's
-    adjacency table of ints, and one that does not close raises the
+    adjacency table, and one that does not close raises the
     RuntimeError naming it that :func:`relation_closure_check` raises;
     only the walks of an instance at its lowest corner are taken again,
     to read the cell's edges.  Built once per graph and kept in
@@ -207,10 +199,9 @@ def two_cells(g: ExchangeGraph) -> list[TwoCell]:
     if not g.is_complete():
         raise ValueError("2-complex needs a fully enumerated graph")
     if g.cell_cache is None:
-        adj = _adjacency(g)
         g.cell_cache = [
-            TwoCell(kind, _cycle(adj, v, head, tail, plans))
-            for v, kind, _, head, tail, plans, lo in _walk_relations(g, adj)
+            TwoCell(kind, _cycle(g, v, head, tail, plans))
+            for v, kind, _, head, tail, plans, lo in _walk_relations(g)
             if v == lo and kind is not RelationKind.HEX_DUMBBELL
         ]
     return list(g.cell_cache)
@@ -250,12 +241,11 @@ def homology_h1(g: ExchangeGraph) -> tuple[int, list[int]]:
     stack = [0]
     while stack:
         v = stack.pop()
-        for k in sorted(g.nbr[v]):
-            u, k2 = g.nbr[v][k]
-            if u not in seen:
-                seen.add(u)
+        for k, step in enumerate(g.adj[v]):
+            if step is not None and step[0] not in seen:
+                seen.add(step[0])
                 tree_edges.add(g.edge_id(v, k))
-                stack.append(u)
+                stack.append(step[0])
     if len(seen) != g.vertex_count():
         raise RuntimeError("exchange graph is not connected")
     row_of: dict = dict.fromkeys(tree_edges)  # edge id -> row, None on the tree

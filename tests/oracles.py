@@ -351,8 +351,10 @@ def ref_dense_boundary(g: ExchangeGraph, cells: list[TwoCell]) -> np.ndarray:
     stack = [0]
     while stack:
         v = stack.pop()
-        for k in sorted(g.nbr[v]):
-            u, _ = g.nbr[v][k]
+        for k, step in enumerate(g.adj[v]):
+            if step is None:
+                continue
+            u = step[0]
             if u not in seen:
                 seen.add(u)
                 tree_edges.add(g.edge_id(v, k))
@@ -471,9 +473,9 @@ def _twist_walk(g: ExchangeGraph, v: int, arcs: list[int]):
     for a in arcs:
         slot = a
         for _ in range(2):
-            if slot not in g.nbr[cur]:
+            if g.adj[cur][slot] is None:
                 return None
-            cur, slot = g.nbr[cur][slot]
+            cur, slot = g.adj[cur][slot][:2]
         if cur != v:
             raise RuntimeError("local twist did not return to its vertex")
     return cur
@@ -578,8 +580,10 @@ class TreeCoverBall:
                     "cover ball reaches the exchange graph's truncation frontier; "
                     "enumerate the graph at least as deep as the ball radius"
                 )
-            for k in sorted(g.nbr[v]):
-                u, k2 = g.nbr[v][k]
+            for k, step in enumerate(g.adj[v]):
+                if step is None:
+                    continue
+                u, k2 = step[:2]
                 for d in (FWD, BWD):
                     if node.inv_move == (k, d):
                         continue
@@ -674,7 +678,7 @@ class TreeCoverBall:
                     f"class {cls}: tree parent {node.parent} is not a class representative"
                 )
             k2, back = node.inv_move
-            k = g.nbr[node.shadow][k2][1]
+            k = g.adj[node.shadow][k2][1]
             _, frames[cls] = frame_transport_move(
                 g, frames[node.parent], self.nodes[node.parent].shadow, k, forward=(back == BWD)
             )
@@ -683,7 +687,7 @@ class TreeCoverBall:
     # -- labels (deck elements discovered from lifted twist loops) ----------
 
     def _twist_moves(self, arc: int, sign: int):
-        k2 = self.graph.nbr[self.base][arc][1]
+        k2 = self.graph.adj[self.base][arc][1]
         return [(arc, FWD), (k2, FWD)] if sign > 0 else [(arc, BWD), (k2, BWD)]
 
     def _discover_labels(self, max_len: int = 4):

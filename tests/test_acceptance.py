@@ -199,7 +199,7 @@ def test_criterion_9_cover_structure():
 
     # the braid-relation loops close from every interior class, any shadow
     def twist_moves(shadow, arc):
-        return [(arc, 1), (g5.nbr[shadow][arc][1], 1)]
+        return [(arc, 1), (g5.adj[shadow][arc][1], 1)]
 
     closed_loops = 0
     for cls in b5.classes():

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipgroupoid import cli, homology
+from flipgroupoid import cli, cover, homology
+from flipgroupoid.cover import TwistFrame
 from flipgroupoid.exchange import enumerate_graph, graph_from_json, graph_records, graph_to_json
 from flipgroupoid.surface import Triangulation, annulus, genus_one, polygon_fan
 
@@ -243,7 +244,7 @@ def test_homology_builds_two_cells_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["enumerate", "--polygon", "7", "--out", str(graph)]) == 0
     builds = []
     real = homology._walk_relations
-    monkeypatch.setattr(homology, "_walk_relations", lambda g, adj: builds.append(g) or real(g, adj))
+    monkeypatch.setattr(homology, "_walk_relations", lambda g: builds.append(g) or real(g))
     assert cli.main(["homology", str(graph)]) == 0
     assert len(builds) == 1
 
@@ -265,6 +266,44 @@ def test_a_relation_that_does_not_close_is_a_check_failure(tmp_path, capsys, com
         "kind": "check",
         "message": "relation instance Pentagon at vertex 0, arcs (1, 2) does not close",
     }
+
+
+def _skip_the_conjugation_at_arc_1(monkeypatch):
+    # the fault of test_merge_of_unequal_frames_raises: a forward move at
+    # arc 1 only relabels the frame, so the relation closure meets unequal frames
+    transport = cover.frame_transport_move
+
+    def skips_arc_1(g, frame, v, k, forward=True):
+        u, out = transport(g, frame, v, k, forward)
+        if k == 1 and forward:
+            perm = g.adj[v][k][2]
+            entries = [None] * frame.n
+            for l in range(1, frame.n + 1):
+                entries[perm[l - 1] - 1] = frame.entries[l - 1]
+            out = TwistFrame(tuple(entries), frame.oracle)
+        return u, out
+
+    monkeypatch.setattr(cover, "frame_transport_move", skips_arc_1)
+
+
+def _flip_nothing(monkeypatch):
+    # a flip that leaves the triangulation as it is disagrees with the mutation
+    monkeypatch.setattr(Triangulation, "flip", lambda t, k: t)
+
+
+@pytest.mark.parametrize("argv, fault, message", [
+    (["cover", "--polygon", "5", "--radius", "4"], _skip_the_conjugation_at_arc_1,
+     "relation closure tried to merge different frames"),
+    (["enumerate", "--polygon", "6"], _flip_nothing, "flip/mutation mismatch: implementation bug"),
+], ids=["cover", "enumerate"])
+def test_a_runtime_error_is_a_check_failure(argv, fault, message, tmp_path, monkeypatch, capsys):
+    fault(monkeypatch)
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"status": "error", "kind": "check", "message": message}
+    assert os.listdir(tmp_path) == []
 
 
 # sha256 of stdout.  Each is the file pinned from the enumeration that

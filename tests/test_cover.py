@@ -81,7 +81,7 @@ def test_conjugation_formula_direction():
     frame_c = frame_at(g, 0)  # (s1, s2, s3), arrows 1 -> 2 -> 3
     o = frame_c.oracle
     u, frame_u = frame_transport_move(g, frame_c, 0, 2, forward=True)
-    perm = g.edge_perm[(0, 2)]
+    perm = g.adj[0][2][2]
     # entry at the mutated edge: unchanged
     assert frame_u.entries[perm[1] - 1] == frame_c.entries[1]
     # no arrow 3 -> 2: unchanged
@@ -90,7 +90,7 @@ def test_conjugation_formula_direction():
     assert frame_u.entries[perm[0] - 1] == o.conj(frame_c.entries[0], frame_c.entries[1])
     # around the loop t_2: whole frame conjugated by entry 2, deck = entry^-1
     v1, f1 = frame_transport_move(g, frame_c, 0, 2, forward=True)
-    v2, f2 = frame_transport_move(g, f1, v1, g.nbr[0][2][1], forward=True)
+    v2, f2 = frame_transport_move(g, f1, v1, g.adj[0][2][1], forward=True)
     assert v2 == 0
     gamma = frame_c.entries[1]
     assert f2.entries == tuple(o.conj(e, gamma) for e in frame_c.entries)
@@ -216,7 +216,7 @@ def test_backward_transport_inverts_forward():
     f0 = frame_at(g, 0)
     for k in (1, 2, 3):
         u, f1 = frame_transport_move(g, f0, 0, k, forward=True)
-        k2 = g.nbr[0][k][1]
+        k2 = g.adj[0][k][1]
         v, f2 = frame_transport_move(g, f1, u, k2, forward=False)
         assert v == 0 and f2 == f0
 
@@ -247,7 +247,7 @@ def test_forward_backward_cancel():
     g = enumerate_graph(polygon_fan(5))
     ball = build_cover_ball(g, radius=4)
     n1 = ball.lift(0, [(1, 1)])
-    k2 = g.nbr[0][1][1]
+    k2 = g.adj[0][1][1]
     n0 = ball.lift(n1, [(k2, -1)])
     assert ball.same_vertex(0, n0) == "Equal"
 
@@ -351,7 +351,7 @@ def test_pentagon_loop_conjugates_frame_by_deck_label():
     ball = build_cover_ball(g, radius=6)
     inst = relation_instances(g, 0)[0]
     moves = [(k, 1) for (_, k) in inst.left_steps]
-    moves += [(g.nbr[v][k][1], 1) for (v, k) in reversed(inst.right_steps)]
+    moves += [(g.adj[v][k][1], 1) for (v, k) in reversed(inst.right_steps)]
     end = ball.lift(0, moves)
     assert ball.shadow(end) == 0
     beta = ball.label(end)
@@ -433,7 +433,7 @@ def test_merge_of_unequal_frames_raises(monkeypatch):
     def skips_arc_1(g, frame, v, k, forward=True):
         u, out = transport(g, frame, v, k, forward)
         if k == 1 and forward:
-            perm = g.edge_perm[(v, k)]
+            perm = g.adj[v][k][2]
             entries = [None] * frame.n
             for l in range(1, frame.n + 1):
                 entries[perm[l - 1] - 1] = frame.entries[l - 1]

@@ -56,23 +56,29 @@ def test_polygon_vertex_set_is_exactly_the_noncrossing_sets(m):
 def test_regularity():
     g = enumerate_graph(polygon_fan(7))
     for v in range(g.vertex_count()):
-        assert len(g.nbr[v]) == g.n
+        assert sum(step is not None for step in g.adj[v]) == g.n
 
 
 def test_edge_involution():
+    # the loader links its edges as enumeration does, so check both graphs
     g = enumerate_graph(polygon_fan(6))
-    for v, nb in enumerate(g.nbr):
-        for k, (u, k2) in nb.items():
-            assert g.nbr[u][k2] == (v, k)
-            perm = g.edge_perm[(v, k)]
-            inv = g.edge_perm[(u, k2)]
-            assert [inv[perm[i] - 1] for i in range(g.n)] == list(range(1, g.n + 1))
+    loaded = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+    for h in (g, loaded):
+        for v, row in enumerate(h.adj):
+            assert len(row) == h.n + 1 and row[0] is None
+            for k, step in enumerate(row):
+                if step is None:
+                    continue
+                u, k2, perm = step
+                assert h.adj[u][k2][:2] == (v, k)
+                inv = h.adj[u][k2][2]
+                assert [inv[perm[i] - 1] for i in range(h.n)] == list(range(1, h.n + 1))
 
 
 def test_annulus_is_infinite_line():
     g = enumerate_graph(annulus(1, 1), radius=5)
     assert g.vertex_count() == 11
-    degrees = sorted(len(nb) for nb in g.nbr)
+    degrees = sorted(sum(step is not None for step in row) for row in g.adj)
     assert degrees == [1, 1] + [2] * 9
     assert sum(vd.frontier for vd in g.vertices) == 2
 
@@ -125,6 +131,8 @@ def test_dumbbell_sides_start_at_opposite_arcs():
         tail, head = (i, j) if g.vertices[inst.base].seed.B[i - 1][j - 1] == 2 else (j, i)
         assert inst.left_steps[0] == (inst.base, tail)
         assert inst.right_steps[0] == (inst.base, head)
+        # the head's two steps go out along an edge and straight back
+        assert not inst.complete or (inst.left_end, inst.right_steps[2][0]) == (inst.left_steps[1][0], inst.base)
 
 
 def test_instance_lengths():
@@ -275,11 +283,11 @@ def test_a_loaded_graph_holds_no_slot_table_and_shares_rows(genus_one_r10_file):
     # equal rows of B and C, equal B and equal permutations are one object
     tuples = [row for vd in g.vertices for row in (*vd.seed.B, *vd.seed.C)]
     tuples += [vd.seed.B for vd in g.vertices]
-    tuples += list(g.edge_perm.values())
+    tuples += [step[2] for row in g.adj for step in row if step is not None]
     assert len({id(x) for x in tuples}) == len(set(tuples)) < len(tuples) / 10
 
 
-def test_a_loaded_graph_retains_under_2_kb_per_vertex(genus_one_r10_file):
+def test_a_loaded_graph_retains_under_1_kb_per_vertex(genus_one_r10_file):
     data = json.loads(genus_one_r10_file)
     gc.collect()
     tracemalloc.start()
@@ -290,7 +298,7 @@ def test_a_loaded_graph_retains_under_2_kb_per_vertex(genus_one_r10_file):
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained < 2048 * g.vertex_count()
+    assert retained < 1024 * g.vertex_count()
 
 
 def test_enumeration_builds_a_slot_table_only_to_flip(monkeypatch):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import flipgroupoid
 from flipgroupoid.exchange import (
-    _adjacency,
     _walk_relations,
     all_relation_instances,
     enumerate_graph,
@@ -328,7 +327,7 @@ def test_walker_matches_the_instance_references(start, seed):
     assert report == ref_relation_closure_check(g, allow_incomplete=True)
     # each walked instance in the reference's order, with the lowest vertex
     # of its walks (its far corner included), or None where it is incomplete
-    walked = [(v, kind, arcs, lo) for v, kind, arcs, _, _, _, lo in _walk_relations(g, _adjacency(g))]
+    walked = [(v, kind, arcs, lo) for v, kind, arcs, _, _, _, lo in _walk_relations(g)]
     assert walked == [
         (i.base, i.kind, i.arcs,
          min(i.left_end, *(v for v, _ in i.left_steps + i.right_steps)) if i.complete else None)
