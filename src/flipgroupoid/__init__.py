@@ -8,16 +8,7 @@ braid twist presentations, and bounded covering-graph quotients.
 
 from .braid import BraidWord, GarsideNF, conjugate, equal, is_identity, normal_form
 from .cover import CoverBall, TwistFrame, base_frame, build_cover_ball, frame_at, transport_frame
-from .exchange import (
-    ExchangeGraph,
-    RelationInstance,
-    RelationKind,
-    TruncationError,
-    all_relation_instances,
-    enumerate_graph,
-    relation_closure_check,
-    relation_instances,
-)
+from .exchange import ExchangeGraph, RelationKind, TruncationError, enumerate_graph, relation_closure_check
 from .homology import face_census, homology_h1, invariant_factors
 from .presentation import (
     GroupPresentation,

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 mathematical check failure (any RuntimeError of
-the library, with a JSON report on stdout), 2 usage error.  Every JSON
-output, reports and graph files alike, is written one record per line (see
+the library, with a JSON report on stdout that carries the error's witness
+under "detail" when it has one), 2 usage error.  Every JSON output,
+reports and graph files alike, is written one record per line (see
 :func:`_chunks`) by the standard library's C encoder, and is
 byte-deterministic for a given invocation; the --threads flag is accepted
 for interface compatibility and never changes output bytes.  A path named
@@ -111,9 +112,9 @@ def _output(path: str | None):
         raise
 
 
-def _fail(kind: str, message: str, code: int = 1, **detail) -> int:
+def _fail(kind: str, message: str, code: int = 1, detail: dict | None = None) -> int:
     report = {"status": "error", "kind": kind, "message": message}
-    if detail:
+    if detail is not None:
         report["detail"] = detail
     stream = sys.stderr if code == 2 else sys.stdout
     stream.write(_dump(report))
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
     except TruncationError as exc:  # a RuntimeError, so caught first
         return _fail("truncation", str(exc))
     except RuntimeError as exc:
-        return _fail("check", str(exc))
+        return _fail("check", str(exc), detail=getattr(exc, "detail", None))
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         return _fail("usage", str(exc), 2)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import braid
 from .braid import BraidWord
-from .exchange import DEFAULT_BUDGET, ExchangeGraph, TruncationError, all_relation_instances
+from .exchange import DEFAULT_BUDGET, ExchangeGraph, TruncationError, _pair_walk, _walk_relations
 
 __all__ = [
     "BraidOracle",
@@ -394,10 +394,10 @@ class CoverBall:
             return True
 
         plans: dict[int, list] = {v: [] for v in range(g.vertex_count())}
-        for inst in all_relation_instances(g):
-            if inst.complete:
-                plans[inst.base].append(([(k, FWD) for (_, k) in inst.left_steps],
-                                         [(k, FWD) for (_, k) in inst.right_steps]))
+        for v, _, _, head, tail, sides, lo in _walk_relations(g):
+            if lo is not None:
+                plans[v].append(tuple([(k, FWD) for _, k in _pair_walk(g, v, head, tail, side)[0]]
+                                      for side in sides))
         reach = max((len(side) for p in plans.values() for pair in p for side in pair), default=0)
         for d in range(self.radius):
             start.append(len(uf))
@@ -643,7 +643,10 @@ def build_cover_ball(graph: ExchangeGraph, radius: int, base: int = 0,
 
     Frames start from :func:`disc_start_frame` on a disc and from the base
     frame on the once-marked annulus; other surfaces get none.  ``budget``
-    bounds the classes born (default ``DEFAULT_BUDGET``, 10^6).
+    bounds the classes born (default ``DEFAULT_BUDGET``, 10^6).  The
+    closure rewrites by the complete relation instances of
+    :func:`flipgroupoid.exchange._walk_relations`, so a graph with an
+    instance that does not close raises its :class:`CheckFailure`.
     """
     frame0 = None if oracle_for_surface(graph.surface) is None else frame_at(graph, base)
     budget = DEFAULT_BUDGET if budget is None else budget

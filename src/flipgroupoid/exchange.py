@@ -16,11 +16,12 @@ walk order.  A pair sharing no triangle gives a square (x y = y x),
 sharing one triangle a pentagon (x y = y x y), sharing two triangles a
 hexagonal dumbbell (x y y = y y x).  On a graph stored with its reverses
 the head's two steps go out along an edge and straight back, so a
-dumbbell's closure check cannot fail.  :func:`relation_closure_check`
-and :func:`flipgroupoid.homology.two_cells` walk both sides of every
-instance on the graph's adjacency table and build no
-:class:`RelationInstance`; :func:`relation_instances` still builds them,
-for the closure of :mod:`flipgroupoid.cover` and for the tests.
+dumbbell's closure check cannot fail.  :func:`_walk_relations` is the
+one enumeration of instances: it walks both sides of each on the graph's
+adjacency table, for :func:`relation_closure_check`,
+:func:`flipgroupoid.homology.two_cells` and the closure of
+:mod:`flipgroupoid.cover`, and raises :class:`CheckFailure`, with both
+step paths as its witness, at an instance that does not close.
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ from .surface import MarkedSurface, Triangulation, json_fields, triangles_json
 
 __all__ = [
     "TruncationError",
+    "CheckFailure",
     "ExchangeGraph",
     "enumerate_graph",
     "RelationKind",
-    "RelationInstance",
-    "relation_instances",
-    "all_relation_instances",
     "relation_closure_check",
     "export_dot",
     "graph_records",
@@ -53,6 +52,15 @@ DEFAULT_BUDGET = 10**6
 
 class TruncationError(RuntimeError):
     """Raised when enumeration would exceed the vertex budget."""
+
+
+class CheckFailure(RuntimeError):
+    """Raised when a check of the paper's facts fails on a graph;
+    ``detail`` is its witness, as data the CLI writes in JSON."""
+
+    def __init__(self, message: str, detail: dict):
+        super().__init__(message)
+        self.detail = detail
 
 
 def _relabel(t: Triangulation, perm: tuple[int, ...]) -> Triangulation:
@@ -208,48 +216,21 @@ class RelationKind(Enum):
     HEX_DUMBBELL = "HexDumbbell"
 
 
-@dataclass(frozen=True)
-class RelationInstance:
-    kind: RelationKind
-    base: int
-    arcs: tuple[int, int]
-    left_steps: tuple[tuple[int, int], ...]
-    right_steps: tuple[tuple[int, int], ...]
-    left_end: int | None
-    right_end: int | None
-    left_pair: tuple[int, int] | None = field(default=None, compare=False)
-    right_pair: tuple[int, int] | None = field(default=None, compare=False)
-    complete: bool = True
-
-    def co_terminates(self) -> bool:
-        """Both sides end at the same vertex with consistent slot transport.
-
-        Squares and hexagonal dumbbells carry the (head, tail) slots to the
-        same positions along both sides; the two sides of a pentagon swap
-        them (each side flips the pair an odd total number of times).
-        """
-        if not (self.complete and self.left_end == self.right_end):
-            return False
-        if self.kind is RelationKind.PENTAGON:
-            return self.left_pair == (self.right_pair[1], self.right_pair[0])
-        return self.left_pair == self.right_pair
-
-
 def _pair_walk(g: ExchangeGraph, v: int, a: int, b: int, plan: str):
     """Walk forward mutations; 'a'/'b' in plan flips the transported slot.
-    Returns (steps, end, (a, b)), each step a (vertex, arc), with end and
-    pair None at a missing edge."""
+    Returns (steps, end), each step a (vertex, arc), with end None at a
+    missing edge."""
     adj = g.adj
     steps = []
     for ch in plan:
         k = a if ch == "a" else b
         step = adj[v][k]
         if step is None:
-            return tuple(steps), None, None
+            return tuple(steps), None
         steps.append((v, k))
         v, _, perm = step
         a, b = perm[a - 1], perm[b - 1]
-    return tuple(steps), v, (a, b)
+    return tuple(steps), v
 
 
 # the kinds as module names: the walkers below compare them once per arc pair
@@ -289,37 +270,6 @@ def _relation_pairs(g: ExchangeGraph, v: int) -> Iterator[tuple]:
                 yield _HEX_DUMBBELL, (i, j), head, tail, ("baa", "aab")
 
 
-def relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
-    """One instance per unordered arc pair at vertex v."""
-    out = []
-    for kind, arcs, head, tail, (left_plan, right_plan) in _relation_pairs(g, v):
-        ls, le, lp = _pair_walk(g, v, head, tail, left_plan)
-        rs, re, rp = _pair_walk(g, v, head, tail, right_plan)
-        out.append(
-            RelationInstance(
-                kind=kind,
-                base=v,
-                arcs=arcs,
-                left_steps=ls,
-                right_steps=rs,
-                left_end=le,
-                right_end=re,
-                left_pair=lp,
-                right_pair=rp,
-                complete=le is not None and re is not None,
-            )
-        )
-    return out
-
-
-def all_relation_instances(g: ExchangeGraph) -> Iterator[RelationInstance]:
-    """Instances of each vertex off the frontier, in vertex order, generated
-    one vertex at a time: nothing holds those of the whole graph."""
-    for v in range(g.vertex_count()):
-        if not g.vertices[v].frontier:
-            yield from relation_instances(g, v)
-
-
 def _walk(adj: list[list], v: int, a: int, b: int, plan: str):
     """Walk ``plan`` from v on the adjacency table, as :func:`_pair_walk`
     does, recording no steps.  Returns (end, a, b, lowest vertex of the
@@ -338,16 +288,17 @@ def _walk(adj: list[list], v: int, a: int, b: int, plan: str):
 
 def _walk_relations(g: ExchangeGraph) -> Iterator[tuple]:
     """(v, kind, arcs, head, tail, plans, lo) for each relation instance at
-    each vertex v off the frontier, in the order of
-    :func:`all_relation_instances`, walked on ints with no
-    :class:`RelationInstance` built.
+    each vertex v off the frontier, in vertex order and at each vertex in
+    the order of :func:`_relation_pairs`: the library's one enumeration of
+    instances, walked on ints.
 
     ``lo`` is the lowest vertex on either side, ends included, and None
-    when a side meets a missing edge.  Both sides must end at the same
-    vertex with the (head, tail) slots carried to the same positions, or
-    swapped on a pentagon (see :meth:`RelationInstance.co_terminates`);
-    an instance whose sides are complete but do not close raises
-    RuntimeError naming it.
+    when a side meets a missing edge.  An instance closes when both sides
+    end at the same vertex with the head and tail slots carried to the
+    same positions, or swapped on a pentagon, whose sides flip the pair an
+    odd total number of times.  One whose sides are complete but do not
+    close raises :class:`CheckFailure` naming it, with each side's step
+    path and end as its witness.
     """
     adj = g.adj
     for v in range(len(adj)):
@@ -364,10 +315,19 @@ def _walk_relations(g: ExchangeGraph) -> Iterator[tuple]:
                 a, b = b, a
             end2, a2, b2, lo2 = right
             if end != end2 or a != a2 or b != b2:
-                raise RuntimeError(
-                    f"relation instance {kind.value} at vertex {v}, arcs {arcs} does not close"
-                )
+                raise _open_relation(g, v, kind, arcs, head, tail, plans)
             yield v, kind, arcs, head, tail, plans, lo if lo < lo2 else lo2
+
+
+def _open_relation(g: ExchangeGraph, v: int, kind, arcs, head, tail, plans) -> CheckFailure:
+    """The failure of the instance at v whose complete sides do not close,
+    each side's steps and end walked again to serve as the witness."""
+    detail = {"kind": kind.value, "vertex": v, "arcs": arcs}
+    for side, plan in zip(("left", "right"), plans):
+        steps, end = _pair_walk(g, v, head, tail, plan)
+        detail[side] = {"steps": steps, "end": end}
+    message = f"relation instance {kind.value} at vertex {v}, arcs {arcs} does not close"
+    return CheckFailure(message, detail)
 
 
 def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> dict:
@@ -379,8 +339,12 @@ def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> 
     pentagon.  Each is a product of 2-cycles, and a 2-cycle from a vertex
     off the frontier closes by construction: every edge is stored with its
     reverse, and such a vertex has all n edges.
+
+    A truncated graph of radius below 4 is refused unless
+    ``allow_incomplete``: few of its instances are complete.  A graph
+    enumerated with a radius but found whole is checked as it stands.
     """
-    if g.radius is not None and g.radius < 4 and not allow_incomplete:
+    if g.radius is not None and g.radius < 4 and not allow_incomplete and not g.is_complete():
         raise ValueError("closure check needs radius >= 4")
     checked = incomplete = circuits = 0
     for _, kind, _, _, _, _, lo in _walk_relations(g):

@@ -190,9 +190,9 @@ def two_cells(g: ExchangeGraph) -> list[TwoCell]:
 
     :func:`_walk_relations` walks every relation instance on the graph's
     adjacency table, and one that does not close raises the
-    RuntimeError naming it that :func:`relation_closure_check` raises;
-    only the walks of an instance at its lowest corner are taken again,
-    to read the cell's edges.  Built once per graph and kept in
+    :class:`CheckFailure` naming it that :func:`relation_closure_check`
+    raises; only the walks of an instance at its lowest corner are taken
+    again, to read the cell's edges.  Built once per graph and kept in
     ``g.cell_cache``, so that :func:`face_census` and
     :func:`homology_h1` share one build.
     """

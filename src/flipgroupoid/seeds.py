@@ -8,9 +8,11 @@ different orders collapse to one key while seeds of genuinely different
 clusters stay apart.  Rows of C are pairwise distinct because C is
 unimodular, so the sort is unambiguous.
 
-One :func:`canonical_form` gives both the relabelling permutation and,
-through :func:`form_key`, the dedup key, so enumeration computes the
-canonical form once per mutation.  Matrices are tuples of int tuples.
+One :func:`canonical_form` per mutation gives both the relabelling
+permutation and the canonical (B', C'), and enumeration keys on that pair
+of tuples as it stands.  :func:`canonical_key` is the bytes form of the
+same key, written by :func:`form_key`.  Matrices are tuples of int
+tuples.
 
 Mutation indices are 1-based, matching arc ids.
 """

@@ -14,6 +14,10 @@ triangulation, slots gathered in lists, every edge-label check run on
 every ``validate``, and B read off the arrows of the full quiver.
 The closure reference walks every braid-relation circuit of the local
 twists, as ``relation_closure_check`` did before it counted them.
+The relation instance references are the ``RelationInstance`` objects
+that ``flipgroupoid.exchange`` built, one per arc pair at every vertex,
+each side's steps, end and transported slots walked and stored, before
+``_walk_relations`` became the library's one enumeration of instances.
 The relation closure reference is the ``relation_closure_check`` that
 built a ``RelationInstance`` for every arc pair at every vertex, before
 the walk on the adjacency table of ints.
@@ -31,7 +35,8 @@ class from the class of its representative's tree parent.
 
 import operator
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -49,7 +54,7 @@ from flipgroupoid.exchange import (
     RelationKind,
     DEFAULT_BUDGET,
     TruncationError,
-    all_relation_instances,
+    _relation_pairs,
     relation_closure_check,
 )
 from flipgroupoid.homology import TwoCell
@@ -289,6 +294,81 @@ def ref_corner_classes(tri) -> dict[tuple[int, int], int]:
     return {c: find(idx[c]) for c in corners}
 
 
+@dataclass(frozen=True)
+class RelationInstance:
+    kind: RelationKind
+    base: int
+    arcs: tuple[int, int]
+    left_steps: tuple[tuple[int, int], ...]
+    right_steps: tuple[tuple[int, int], ...]
+    left_end: int | None
+    right_end: int | None
+    left_pair: tuple[int, int] | None = field(default=None, compare=False)
+    right_pair: tuple[int, int] | None = field(default=None, compare=False)
+    complete: bool = True
+
+    def co_terminates(self) -> bool:
+        """Both sides end at the same vertex with consistent slot transport.
+
+        Squares and hexagonal dumbbells carry the (head, tail) slots to the
+        same positions along both sides; the two sides of a pentagon swap
+        them (each side flips the pair an odd total number of times).
+        """
+        if not (self.complete and self.left_end == self.right_end):
+            return False
+        if self.kind is RelationKind.PENTAGON:
+            return self.left_pair == (self.right_pair[1], self.right_pair[0])
+        return self.left_pair == self.right_pair
+
+
+def _ref_pair_walk(g: ExchangeGraph, v: int, a: int, b: int, plan: str):
+    """Walk forward mutations; 'a'/'b' in plan flips the transported slot.
+    Returns (steps, end, (a, b)), each step a (vertex, arc), with end and
+    pair None at a missing edge."""
+    adj = g.adj
+    steps = []
+    for ch in plan:
+        k = a if ch == "a" else b
+        step = adj[v][k]
+        if step is None:
+            return tuple(steps), None, None
+        steps.append((v, k))
+        v, _, perm = step
+        a, b = perm[a - 1], perm[b - 1]
+    return tuple(steps), v, (a, b)
+
+
+def ref_relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
+    """One instance per unordered arc pair at vertex v."""
+    out = []
+    for kind, arcs, head, tail, (left_plan, right_plan) in _relation_pairs(g, v):
+        ls, le, lp = _ref_pair_walk(g, v, head, tail, left_plan)
+        rs, re, rp = _ref_pair_walk(g, v, head, tail, right_plan)
+        out.append(
+            RelationInstance(
+                kind=kind,
+                base=v,
+                arcs=arcs,
+                left_steps=ls,
+                right_steps=rs,
+                left_end=le,
+                right_end=re,
+                left_pair=lp,
+                right_pair=rp,
+                complete=le is not None and re is not None,
+            )
+        )
+    return out
+
+
+def ref_all_relation_instances(g: ExchangeGraph) -> Iterator[RelationInstance]:
+    """Instances of each vertex off the frontier, in vertex order, generated
+    one vertex at a time: nothing holds those of the whole graph."""
+    for v in range(g.vertex_count()):
+        if not g.vertices[v].frontier:
+            yield from ref_relation_instances(g, v)
+
+
 def ref_relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> dict:
     """Walk both sides of every relation instance; one that does not close
     is a hard failure.
@@ -302,7 +382,7 @@ def ref_relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False)
     if g.radius is not None and g.radius < 4 and not allow_incomplete:
         raise ValueError("closure check needs radius >= 4")
     checked = incomplete = circuits = 0
-    for inst in all_relation_instances(g):
+    for inst in ref_all_relation_instances(g):
         circuits += inst.kind is not RelationKind.HEX_DUMBBELL
         if not inst.complete:
             incomplete += 1
@@ -332,7 +412,7 @@ def ref_two_cells(g: ExchangeGraph) -> list[TwoCell]:
     """Each square and pentagon built at every corner, the copies folded
     by their unoriented edge sets, the first copy kept."""
     seen = {}
-    for inst in all_relation_instances(g):
+    for inst in ref_all_relation_instances(g):
         if inst.kind is RelationKind.HEX_DUMBBELL:
             continue
         if not inst.co_terminates():
@@ -635,7 +715,7 @@ class TreeCoverBall:
         plans: dict[int, list] = {}
         for v in range(g.vertex_count()):
             plans[v] = []
-        for inst in all_relation_instances(g):
+        for inst in ref_all_relation_instances(g):
             if not inst.complete:
                 continue
             left = [(k, FWD) for (_, k) in inst.left_steps]

@@ -21,7 +21,7 @@ from flipgroupoid.cover import TwistFrame
 from flipgroupoid.exchange import enumerate_graph, graph_from_json, graph_records, graph_to_json
 from flipgroupoid.surface import Triangulation, annulus, genus_one, polygon_fan
 
-from oracles import flip_walk
+from oracles import flip_walk, ref_relation_instances
 
 
 def run_cli(*args):
@@ -66,6 +66,16 @@ def test_relations_guard_and_pass(tmp_path):
     r = run_cli("relations", str(full))
     assert r.returncode == 0
     assert json.loads(r.stdout)["status"] == "ok"
+
+
+def test_relations_checks_a_whole_graph_enumerated_with_a_small_radius(tmp_path, capsys):
+    # the pentagon graph has diameter 2, so radius 3 enumerates all of it
+    graph = tmp_path / "g.json"
+    assert cli.main(["enumerate", "--polygon", "5", "--radius", "3", "--out", str(graph)]) == 0
+    assert cli.main(["relations", str(graph)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "ok", "instances": 5, "circuits": 5, "incomplete": 0,
+    }
 
 
 def test_homology_cli(tmp_path):
@@ -261,10 +271,19 @@ def test_a_relation_that_does_not_close_is_a_check_failure(tmp_path, capsys, com
     assert cli.main([command, str(graph)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
+    # the witness: each side's steps and end, as the reference instance walks them
+    inst = next(i for i in ref_relation_instances(graph_from_json(data), 0) if i.arcs == (1, 2))
     assert json.loads(captured.out) == {
         "status": "error",
         "kind": "check",
         "message": "relation instance Pentagon at vertex 0, arcs (1, 2) does not close",
+        "detail": {
+            "kind": "Pentagon",
+            "vertex": 0,
+            "arcs": [1, 2],
+            "left": {"steps": [list(s) for s in inst.left_steps], "end": inst.left_end},
+            "right": {"steps": [list(s) for s in inst.right_steps], "end": inst.right_end},
+        },
     }
 
 

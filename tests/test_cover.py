@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -20,16 +21,13 @@ from flipgroupoid.cover import (
     oracle_for_surface,
     transport_frame,
 )
-from flipgroupoid.exchange import (
-    TruncationError,
-    all_relation_instances,
-    enumerate_graph,
-    relation_instances,
-)
+from flipgroupoid.exchange import TruncationError, enumerate_graph, graph_from_json, graph_to_json
 from flipgroupoid.presentation import presentation_from_qp, verify_sound
 from flipgroupoid.surface import MarkedSurface, Triangulation, annulus, genus_one, polygon_fan
 
 from oracles import flip_walk, tree_cover_ball
+from oracles import ref_all_relation_instances as all_relation_instances
+from oracles import ref_relation_instances as relation_instances
 
 # shared across hypothesis examples, so later examples meet a filled memo
 ORACLES = [BraidOracle(4), BraidOracle(5), FreeGroupOracle(3)]
@@ -443,6 +441,29 @@ def test_merge_of_unequal_frames_raises(monkeypatch):
     monkeypatch.setattr(cover, "frame_transport_move", skips_arc_1)
     with pytest.raises(RuntimeError, match="different frames"):
         build_cover_ball(g, radius=4)
+
+
+def _with_targets_swapped(g, i, j):
+    """``g`` written and loaded with the targets of edges i and j swapped:
+    the loader, which does not flip edges, takes it."""
+    data = json.loads(json.dumps(graph_to_json(g)))
+    edges = data["edges"]
+    edges[i]["ends"][2], edges[j]["ends"][2] = edges[j]["ends"][2], edges[i]["ends"][2]
+    return graph_from_json(data)
+
+
+@pytest.mark.parametrize("base, graph_radius, i, j, radius", [
+    (polygon_fan(6), None, 0, 7, 1),
+    (polygon_fan(6), None, 0, 7, 3),
+    (genus_one(1), 5, 0, 2, 5),
+], ids=["polygon6-r1", "polygon6-r3", "genus_one1-r5"])
+def test_the_cover_names_a_relation_that_does_not_close(base, graph_radius, i, j, radius):
+    # the closure rewrites only by instances that close, so the open
+    # pentagon at vertex 0 is named before any class is merged
+    bad = _with_targets_swapped(enumerate_graph(base, radius=graph_radius), i, j)
+    with pytest.raises(RuntimeError) as caught:
+        build_cover_ball(bad, radius=radius)
+    assert str(caught.value) == "relation instance Pentagon at vertex 0, arcs (1, 2) does not close"
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import flipgroupoid
 from flipgroupoid.exchange import (
     _walk_relations,
-    all_relation_instances,
     enumerate_graph,
     graph_from_json,
     graph_to_json,
@@ -30,6 +29,7 @@ from oracles import (
     ref_smith_normal_form,
     ref_two_cells,
 )
+from oracles import ref_all_relation_instances as all_relation_instances
 
 
 def sparse(rows) -> SparseMatrix:
