@@ -10,6 +10,11 @@ set of f_{i+1} is contained in the finishing set of f_i.  Two words
 represent the same braid iff their normal forms coincide, which is the
 oracle used by every group-theoretic check in this package.
 
+Forms also multiply and invert without going back to words (El-Rifai and
+Morton, "Algorithms for positive braids", 1994): the inverse of a form is
+read off factor by factor, and a product joins the factor lists and
+left-weights them once.
+
 Permutations are tuples ``p`` with ``p[i]`` the end position of the strand
 starting at position i; ``mult(p, q)`` applies p first.  Generators are
 exposed 1-based (sigma_1 .. sigma_{k-1}); positions are 0-based inside.
@@ -23,6 +28,7 @@ __all__ = [
     "BraidWord",
     "GarsideNF",
     "normal_form",
+    "product",
     "is_identity",
     "equal",
     "conjugate",
@@ -55,6 +61,12 @@ def _inv(p):
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def _tau(p):
+    """Conjugate a permutation braid by Delta (Delta p Delta^{-1}; Delta^2 is central)."""
+    k = len(p)
+    return tuple(k - 1 - y for y in reversed(p))
 
 
 def _starting_set(p):
@@ -147,6 +159,22 @@ class GarsideNF:
     def is_trivial(self) -> bool:
         return self.power == 0 and not self.factors
 
+    def inverse(self) -> "GarsideNF":
+        """Normal form of the inverse braid, with no re-normalisation.
+
+        f^{-1} = Delta^{-1} . (Delta f^{-1}), and Delta f^{-1} is simple with
+        permutation w0 then f^{-1}.  Reversing the factors and moving every
+        Delta^{-1} (and Delta^{-power}) to the front conjugates factor i
+        (1-based) by Delta^(i - 1 + power); the result is left-weighted as
+        it stands.
+        """
+        fs = []
+        for i, f in enumerate(self.factors):
+            g = tuple(reversed(_inv(f)))
+            fs.append(_tau(g) if (i + self.power) % 2 else g)
+        fs.reverse()
+        return GarsideNF(self.strands, -self.power - len(fs), tuple(fs))
+
     def word(self) -> BraidWord:
         """Flatten back to a canonical word in Artin generators."""
         letters: list[int] = []
@@ -231,13 +259,29 @@ def normal_form(w: BraidWord) -> GarsideNF:
             r = mult(tab.w0, tab.gens[-x - 1])
             factors.append(r)
             births.append(phase)
-    w0 = tab.w0
-    mat = []
-    for f, b in zip(factors, births):
-        if (phase - b) % 2:
-            f = mult(mult(w0, f), w0)
-        mat.append(f)
+    mat = [_tau(f) if (phase - b) % 2 else f for f, b in zip(factors, births)]
     extra, fs = _normalize(k, mat)
+    return GarsideNF(k, power + extra, fs)
+
+
+def product(*forms: GarsideNF) -> GarsideNF:
+    """Normal form of the product of forms, left to right.
+
+    Each form's Delta power moves to the front, conjugating by Delta the
+    factors of every form before it when the power is odd; the joined
+    factor list is then left-weighted once.
+    """
+    if not forms:
+        raise ValueError("need at least one form")
+    k = forms[0].strands
+    power = 0
+    chunks = []
+    for nf in reversed(forms):
+        if nf.strands != k:
+            raise ValueError("strand counts differ")
+        chunks.append(tuple(map(_tau, nf.factors)) if power % 2 else nf.factors)
+        power += nf.power
+    extra, fs = _normalize(k, [f for chunk in reversed(chunks) for f in chunk])
     return GarsideNF(k, power + extra, fs)
 
 

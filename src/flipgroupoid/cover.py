@@ -18,7 +18,15 @@ all other entries are unchanged.  This is the cluster braid groupoid
 conjugation formula written on the braid-twist side; the local twist
 images are the entrywise inverses and transform by the mirrored rule,
 which is pinned down by a unit test re-deriving the two defining checks
-of the formula.
+of the formula.  A move builds one frame and checks only the entries it
+conjugated: the others were checked in the frame it started from.
+
+Every word an oracle returns is canonical.  The braid oracle keeps the
+Garside form of each canonical word it meets, and conjugates by
+multiplying forms (``braid.product`` of the inverse of the form of
+``by``, the form of the word and the form of ``by``), so normal forms are
+computed from words only for words it has not met.  Deck labels are
+canonical words too, and are compared as tuples.
 
 The covering ball of radius r is the tree of reduced forward/backward
 flip words from a base vertex modulo closure under the square, pentagon
@@ -27,7 +35,8 @@ the longest relation side being 3) it agrees with the covering graph of
 decorated triangulations.  It is grown one depth at a time from class
 representatives, by coset enumeration with folding, and the tree is
 never built: each class is born with the frame transported from its
-parent class, and merging classes with unequal frames is an error.
+parent class, and merging classes with unequal frames is a
+:class:`~flipgroupoid.exchange.CheckFailure` whose detail is the witness.
 """
 
 from __future__ import annotations
@@ -36,7 +45,14 @@ from dataclasses import dataclass
 
 from . import braid
 from .braid import BraidWord
-from .exchange import DEFAULT_BUDGET, ExchangeGraph, TruncationError, _pair_walk, _walk_relations
+from .exchange import (
+    DEFAULT_BUDGET,
+    CheckFailure,
+    ExchangeGraph,
+    TruncationError,
+    _pair_walk,
+    _walk_relations,
+)
 
 __all__ = [
     "BraidOracle",
@@ -69,13 +85,13 @@ def inverse_word(word) -> tuple[int, ...]:
 
 
 class _WordOracle:
-    """Word arithmetic on letter tuples; subclasses define ``canon`` and
-    ``_entry_ok``.
+    """Word arithmetic on letter tuples; subclasses define ``canon``,
+    ``_conj`` and ``_entry_ok``.  Every word an oracle returns is canonical.
 
     ``conj`` and ``entry_ok`` are memoised per oracle instance: frame
     transport conjugates a few hundred distinct (word, by) pairs many
-    thousands of times, every frame built checks each of its entries, and
-    an oracle lives as long as the frames of one build.
+    thousands of times, every frame built checks its new entries, and an
+    oracle lives as long as the frames of one build.
     """
 
     def __init__(self):
@@ -86,7 +102,7 @@ class _WordOracle:
         return (i,)
 
     def inv(self, word) -> tuple[int, ...]:
-        return inverse_word(word)
+        return self.canon(inverse_word(word))
 
     def mul(self, *words) -> tuple[int, ...]:
         return self.canon(tuple(x for w in words for x in w))
@@ -96,7 +112,7 @@ class _WordOracle:
         key = (tuple(word), tuple(by))
         out = self._conj_memo.get(key)
         if out is None:
-            out = self._conj_memo[key] = self.mul(self.inv(by), word, by)
+            out = self._conj_memo[key] = self._conj(*key)
         return out
 
     def entry_ok(self, word) -> bool:
@@ -115,16 +131,54 @@ class _WordOracle:
 
 
 class BraidOracle(_WordOracle):
-    """Garside-backed word arithmetic in B_strands."""
+    """Garside-backed word arithmetic in B_strands.
+
+    The oracle keeps the Garside form of every canonical word it meets, so
+    ``inv``, ``mul`` and ``conj`` multiply and invert forms
+    (:func:`flipgroupoid.braid.product`, :meth:`GarsideNF.inverse`) and
+    normalise a word only the first time they see it.  Inverses are
+    memoised too: every backward move inverts the entry it crosses.
+    """
 
     kind = "braid"
 
     def __init__(self, strands: int):
         super().__init__()
         self.strands = strands
+        self._forms: dict = {}
+        self._inverses: dict = {}
+
+    def _nf(self, word) -> braid.GarsideNF:
+        nf = self._forms.get(tuple(word))
+        if nf is None:
+            nf = braid.normal_form(BraidWord(self.strands, word))
+            self._word(nf)
+        return nf
+
+    def _word(self, nf: braid.GarsideNF) -> tuple[int, ...]:
+        """The canonical word of a form, remembered with it."""
+        word = nf.word().letters
+        self._forms.setdefault(word, nf)
+        return word
 
     def canon(self, word) -> tuple[int, ...]:
-        return braid.normal_form(BraidWord(self.strands, word)).word().letters
+        return self._word(self._nf(word))
+
+    def inv(self, word) -> tuple[int, ...]:
+        key = tuple(word)
+        out = self._inverses.get(key)
+        if out is None:
+            out = self._inverses[key] = self._word(self._nf(key).inverse())
+        return out
+
+    def mul(self, *words) -> tuple[int, ...]:
+        if not words:
+            return ()
+        return self._word(braid.product(*map(self._nf, words)))
+
+    def _conj(self, word, by) -> tuple[int, ...]:
+        g = self._nf(by)
+        return self._word(braid.product(g.inverse(), self._nf(word), g))
 
     def _entry_ok(self, word) -> bool:
         return braid.looks_like_band_generator(BraidWord(self.strands, word))
@@ -141,6 +195,9 @@ class FreeGroupOracle(_WordOracle):
 
     def canon(self, word) -> tuple[int, ...]:
         return free_reduce(word)
+
+    def _conj(self, word, by) -> tuple[int, ...]:
+        return free_reduce(inverse_word(by) + word + by)
 
     def _entry_ok(self, word) -> bool:
         w = self.canon(word)
@@ -162,6 +219,12 @@ def oracle_for_surface(surface):
     return None
 
 
+def _twist(o, word) -> tuple[int, ...]:
+    if not o.entry_ok(word):
+        raise ValueError(f"frame entry {word} is not a twist-shaped word")
+    return word
+
+
 @dataclass(frozen=True)
 class TwistFrame:
     """Braid twists of the dual arcs, indexed by arc id (1-based)."""
@@ -171,8 +234,15 @@ class TwistFrame:
 
     def __post_init__(self):
         for e in self.entries:
-            if not self.oracle.entry_ok(e):
-                raise ValueError(f"frame entry {e} is not a twist-shaped word")
+            _twist(self.oracle, e)
+
+    @classmethod
+    def trusted(cls, entries: tuple, oracle) -> "TwistFrame":
+        """Frame of entries the caller has already checked, with no check."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "entries", entries)
+        object.__setattr__(frame, "oracle", oracle)
+        return frame
 
     @property
     def n(self) -> int:
@@ -200,6 +270,17 @@ def base_frame(surface, oracle=None) -> TwistFrame:
     return TwistFrame(tuple(oracle.generator(i) for i in range(1, n + 1)), oracle)
 
 
+def _conjugated(o, entries, B, k: int, by) -> list:
+    """``entries`` with each l != k that has an arrow l -> k in B conjugated
+    by ``by``; only the conjugated entries are checked."""
+    out = list(entries)
+    col = k - 1
+    for l, row in enumerate(B):
+        if l != col and row[col] > 0:
+            out[l] = _twist(o, o.conj(out[l], by))
+    return out
+
+
 def transport_frame(frame: TwistFrame, q, k: int) -> TwistFrame:
     """Push the frame across the forward mutation at arc k.
 
@@ -207,46 +288,35 @@ def transport_frame(frame: TwistFrame, q, k: int) -> TwistFrame:
     are stable here, as in the raw triangulation world.
     """
     B = getattr(q, "B", q)
-    n = frame.n
-    if len(B) != n:
+    if len(B) != frame.n:
         raise ValueError("frame and quiver sizes differ")
-    if not (1 <= k <= n):
+    if not (1 <= k <= frame.n):
         raise ValueError(f"arc {k} out of range")
-    g = frame.entry(k)
     o = frame.oracle
-    entries = list(frame.entries)
-    for l in range(1, n + 1):
-        if l != k and B[l - 1][k - 1] > 0:
-            entries[l - 1] = o.conj(entries[l - 1], g)
-    return TwistFrame(tuple(entries), o)
+    return TwistFrame.trusted(tuple(_conjugated(o, frame.entries, B, k, frame.entry(k))), o)
 
 
 def frame_transport_move(g: ExchangeGraph, frame: TwistFrame, v: int, k: int, forward: bool = True):
     """Transport across one cover move from graph vertex v at arc k.
 
     Returns (target vertex, frame indexed by the target's canonical arcs).
-    Backward moves invert the transport of the forward edge into v.
+    Backward moves invert the transport of the forward edge into v.  The
+    entries the move leaves as they are were checked in ``frame``, so only
+    the conjugated ones are checked again.
     """
     o = frame.oracle
     u, k2, perm = g.adj[v][k]
-    n = frame.n
     if forward:
-        moved = transport_frame(frame, g.vertices[v].seed.B, k)
-        entries = [None] * n
-        for l in range(1, n + 1):
-            entries[perm[l - 1] - 1] = moved.entries[l - 1]
-        return u, TwistFrame(tuple(entries), o)
-    # inverse of the forward edge u ->(k2) v
-    rho = g.adj[u][k2][2]
-    Bu = g.vertices[u].seed.B
-    gamma = frame.entry(k)
-    entries = [None] * n
-    for l in range(1, n + 1):
-        e = frame.entries[rho[l - 1] - 1]
-        if l != k2 and Bu[l - 1][k2 - 1] > 0:
-            e = o.conj(e, o.inv(gamma))
-        entries[l - 1] = e
-    return u, TwistFrame(tuple(entries), o)
+        moved = _conjugated(o, frame.entries, g.vertices[v].seed.B, k, frame.entry(k))
+        entries = [None] * frame.n
+        for l, e in zip(perm, moved):
+            entries[l - 1] = e
+    else:
+        # inverse of the forward edge u ->(k2) v
+        rho = g.adj[u][k2][2]
+        entries = _conjugated(o, [frame.entries[r - 1] for r in rho], g.vertices[u].seed.B,
+                              k2, o.inv(frame.entry(k)))
+    return u, TwistFrame.trusted(tuple(entries), o)
 
 
 def frame_at(g: ExchangeGraph, v: int) -> TwistFrame:
@@ -329,7 +399,10 @@ class CoverBall:
     newly born classes at depth d + 1, each with the frame transported
     from its parent class; the relation closure then runs over the
     classes a relation side could newly reach.  Merging classes with
-    different shadows or different frames raises ``RuntimeError``.
+    different shadows or different frames raises
+    :class:`~flipgroupoid.exchange.CheckFailure`; its detail names the depth
+    of the layer being closed, the two classes by birth order (the base is
+    0), their shadows and their frames as word lists.
 
     A class's id is the breadth-first path-tree index of its
     shortlex-least move word; ``size`` counts the reduced words of length
@@ -380,10 +453,15 @@ class CoverBall:
             ra, rb = find(a), find(b)
             if ra == rb:
                 return False
-            if shadow[ra] != shadow[rb]:
-                raise RuntimeError("relation closure tried to merge different shadows")
-            if frames[ra] != frames[rb]:
-                raise RuntimeError("relation closure tried to merge different frames")
+            if shadow[ra] != shadow[rb] or frames[ra] != frames[rb]:
+                what = "shadows" if shadow[ra] != shadow[rb] else "frames"
+                raise CheckFailure(f"relation closure tried to merge different {what}", {
+                    "depth": d + 1,  # the layer whose closure is running
+                    "classes": [ra, rb],
+                    "shadows": [shadow[ra], shadow[rb]],
+                    "frames": [None if frames[c] is None else [list(e) for e in frames[c].entries]
+                               for c in (ra, rb)],
+                })
             lo, hi = min(ra, rb), max(ra, rb)
             uf[hi] = lo
             for mv, tgt in moves[hi].items():
@@ -538,7 +616,7 @@ class CoverBall:
                         if known is None:
                             self._labels[tgt] = lab
                             new_frontier.append((tgt, lab))
-                        elif known != lab and not o.eq(known, lab):
+                        elif known != lab:  # both canonical words
                             self.label_conflicts.append(tgt)
             frontier = new_frontier
 
@@ -579,33 +657,31 @@ class CoverBall:
         if self.interior(a) and self.interior(b):
             return "Distinct"
         la, lb = self._labels.get(a), self._labels.get(b)
-        if la is not None and lb is not None and self.frames is not None:
-            o = self.frames[0].oracle
-            if self._shadow[a] == self._shadow[b]:
-                return "Equal" if o.eq(la, lb) else "Distinct"
+        if la is not None and lb is not None and self._shadow[a] == self._shadow[b]:
+            return "Equal" if la == lb else "Distinct"
         return "Inconclusive"
 
     def fiber_report(self, shadow: int) -> list[dict]:
-        """Interior cover vertices over a graph vertex, with deck labels."""
+        """Interior cover vertices over a graph vertex, with deck labels.
+
+        Labels are canonical words, so equal deck labels are equal tuples.
+        """
         out = []
+        seen: dict[tuple, int] = {}
         for cls in self.classes():
             if self.shadow(cls) != shadow or not self.interior(cls):
                 continue
+            lab = self._labels.get(cls)
+            if lab is not None and seen.setdefault(lab, cls) != cls:
+                raise RuntimeError("fiber elements with equal deck labels")
             out.append(
                 {
                     "class": cls,
                     "depth": self.class_depth(cls),
                     "size": self._size[cls],
-                    "label": list(self._labels[cls]) if cls in self._labels else None,
+                    "label": None if lab is None else list(lab),
                 }
             )
-        labels = [tuple(r["label"]) for r in out if r["label"] is not None]
-        if self.frames is not None:
-            o = self.frames[0].oracle
-            for i in range(len(labels)):
-                for j in range(i + 1, len(labels)):
-                    if o.eq(labels[i], labels[j]):
-                        raise RuntimeError("fiber elements with equal deck labels")
         return out
 
     def class_graph(self) -> dict[int, dict]:

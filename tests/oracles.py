@@ -31,6 +31,9 @@ The cover reference is the builder that ``CoverBall`` replaced: it
 materialises the tree of every reduced flip word up to the radius, folds
 it by union-find relation closure, and then transports one frame per
 class from the class of its representative's tree parent.
+The conjugation reference is the word-level route ``BraidOracle.conj``
+took before it multiplied Garside forms: by^{-1} word by joined as one
+word and normalised letter by letter.
 """
 
 import operator
@@ -41,12 +44,14 @@ from math import comb
 
 import numpy as np
 
+from flipgroupoid.braid import BraidWord, normal_form
 from flipgroupoid.cover import (
     BWD,
     FWD,
     TwistFrame,
     frame_at,
     frame_transport_move,
+    inverse_word,
     oracle_for_surface,
 )
 from flipgroupoid.exchange import (
@@ -541,6 +546,19 @@ def ref_smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[lis
             U[t] = [-x for x in U[t]]
         t += 1
     return U, A, V
+
+
+def ref_canon(o, word) -> tuple[int, ...]:
+    """Canonical word of ``word`` in the oracle's group, normalised letter by
+    letter: a braid never goes through the oracle's remembered forms."""
+    if o.kind == "braid":
+        return normal_form(BraidWord(o.strands, tuple(word))).word().letters
+    return o.canon(word)
+
+
+def ref_conj(o, word, by) -> tuple[int, ...]:
+    """by^{-1} . word . by in the oracle group, normalised as one word."""
+    return ref_canon(o, inverse_word(by) + tuple(word) + tuple(by))
 
 
 def _twist_walk(g: ExchangeGraph, v: int, arcs: list[int]):

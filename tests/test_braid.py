@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipgroupoid.braid import (
     BraidWord,
@@ -10,7 +12,11 @@ from flipgroupoid.braid import (
     is_identity,
     looks_like_band_generator,
     normal_form,
+    product,
 )
+from flipgroupoid.cover import BraidOracle, inverse_word
+
+from oracles import ref_canon, ref_conj
 
 W = BraidWord
 
@@ -185,3 +191,54 @@ def test_word_validation():
         W(3, (3,))
     with pytest.raises(ValueError):
         W(3, (1,)) * W(4, (1,))
+
+
+# one oracle per strand count, shared across examples, so later examples
+# meet remembered forms and a filled memo
+BRAID_ORACLES = {k: BraidOracle(k) for k in range(2, 9)}
+
+
+@st.composite
+def braid_letters(draw, k: int, max_len: int = 40) -> tuple[int, ...]:
+    """Up to ``max_len`` letters of B_k, often whole Delta or Delta^{-1} blocks."""
+    d = delta_word(k)
+    letter = st.integers(1, k - 1).flatmap(lambda i: st.sampled_from([(i,), (-i,)]))
+    pieces = draw(st.lists(st.one_of(letter, st.sampled_from([d, inverse_word(d)])),
+                           max_size=max_len))
+    return tuple(x for p in pieces for x in p)[:max_len]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nf_inverse_and_product_match_the_words(data):
+    k = data.draw(st.integers(2, 8))
+    a, b, c = (W(k, data.draw(braid_letters(k))) for _ in range(3))
+    na, nb, nc = normal_form(a), normal_form(b), normal_form(c)
+    assert na.inverse() == normal_form(a.inverse())
+    assert product(na) == na
+    assert product(na, nb) == normal_form(a * b)
+    assert product(nb.inverse(), na, nb) == normal_form(b.inverse() * a * b)
+    assert product(na, nb, nc) == normal_form(a * b * c)
+
+
+def test_product_refuses_mixed_strands_and_no_forms():
+    with pytest.raises(ValueError, match="strand counts differ"):
+        product(normal_form(W(3, (1,))), normal_form(W(4, (1,))))
+    with pytest.raises(ValueError):
+        product()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_braid_conj_matches_the_word_route(data):
+    k = data.draw(st.integers(2, 8))
+    o = BRAID_ORACLES[k]
+    word, by = data.draw(braid_letters(k)), data.draw(braid_letters(k))
+    # canonical inputs, as frame transport passes them, and raw ones
+    if data.draw(st.booleans()):
+        word, by = o.canon(word), o.canon(by)
+    want = ref_conj(o, word, by)
+    assert o.conj(word, by) == want
+    assert o.inv(by) == ref_canon(o, inverse_word(by))
+    assert o.mul(word, by) == ref_canon(o, word + by)
+    assert o.canon(word) == ref_canon(o, word)

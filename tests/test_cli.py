@@ -310,18 +310,33 @@ def _flip_nothing(monkeypatch):
     monkeypatch.setattr(Triangulation, "flip", lambda t, k: t)
 
 
-@pytest.mark.parametrize("argv, fault, message", [
+# the merge witness: the depth of the layer being closed, both classes by
+# birth order, their shadows and their frames; the two frames differ at arc 1
+MERGE_DETAIL = {
+    "depth": 3,
+    "classes": [27, 11],
+    "shadows": [4, 4],
+    "frames": [[[1], [-1, -2, -1, 2, 1, 1, 2]], [[2], [-1, -2, -1, 2, 1, 1, 2]]],
+}
+
+
+@pytest.mark.parametrize("argv, fault, message, detail", [
     (["cover", "--polygon", "5", "--radius", "4"], _skip_the_conjugation_at_arc_1,
-     "relation closure tried to merge different frames"),
-    (["enumerate", "--polygon", "6"], _flip_nothing, "flip/mutation mismatch: implementation bug"),
+     "relation closure tried to merge different frames", MERGE_DETAIL),
+    (["enumerate", "--polygon", "6"], _flip_nothing, "flip/mutation mismatch: implementation bug",
+     None),
 ], ids=["cover", "enumerate"])
-def test_a_runtime_error_is_a_check_failure(argv, fault, message, tmp_path, monkeypatch, capsys):
+def test_a_runtime_error_is_a_check_failure(argv, fault, message, detail, tmp_path, monkeypatch,
+                                            capsys):
     fault(monkeypatch)
     out = tmp_path / "out.json"
     assert cli.main([*argv, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert json.loads(captured.out) == {"status": "error", "kind": "check", "message": message}
+    want = {"status": "error", "kind": "check", "message": message}
+    if detail is not None:
+        want["detail"] = detail
+    assert json.loads(captured.out) == want
     assert os.listdir(tmp_path) == []
 
 

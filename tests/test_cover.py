@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipgroupoid import cover, exchange
+from flipgroupoid import braid, cover, exchange
 from flipgroupoid.braid import BraidWord, equal, is_identity
 from flipgroupoid.cover import (
     BraidOracle,
@@ -25,7 +25,7 @@ from flipgroupoid.exchange import TruncationError, enumerate_graph, graph_from_j
 from flipgroupoid.presentation import presentation_from_qp, verify_sound
 from flipgroupoid.surface import MarkedSurface, Triangulation, annulus, genus_one, polygon_fan
 
-from oracles import flip_walk, tree_cover_ball
+from oracles import flip_walk, ref_conj, tree_cover_ball
 from oracles import ref_all_relation_instances as all_relation_instances
 from oracles import ref_relation_instances as relation_instances
 
@@ -439,8 +439,28 @@ def test_merge_of_unequal_frames_raises(monkeypatch):
         return u, out
 
     monkeypatch.setattr(cover, "frame_transport_move", skips_arc_1)
-    with pytest.raises(RuntimeError, match="different frames"):
+    with pytest.raises(exchange.CheckFailure, match="different frames") as caught:
         build_cover_ball(g, radius=4)
+    detail = caught.value.detail
+    assert set(detail) == {"depth", "classes", "shadows", "frames"}
+    assert 1 <= detail["depth"] <= 4
+    a, b = detail["classes"]
+    assert a != b and detail["shadows"][0] == detail["shadows"][1]
+    fa, fb = detail["frames"]
+    assert fa != fb and len(fa) == len(fb) == g.n
+
+
+def test_transport_checks_every_conjugated_entry():
+    # frames of a move skip the check of the entries they copy, so a
+    # conjugation that yields a non-twist must still fail, in both directions
+    g = enumerate_graph(polygon_fan(6))
+    f0 = frame_at(g, 0)
+    u, f1 = frame_transport_move(g, f0, 0, 2, forward=True)
+    o = BraidOracle(f0.oracle.strands)
+    o._conj = lambda word, by: (1, 1)
+    for frame, v, k, forward in ((f0, 0, 2, True), (f1, u, g.adj[0][2][1], False)):
+        with pytest.raises(ValueError, match="not a twist-shaped word"):
+            frame_transport_move(g, TwistFrame(frame.entries, o), v, k, forward)
 
 
 def _with_targets_swapped(g, i, j):
@@ -474,7 +494,7 @@ def test_conj_memo_matches_uncached(data):
     letter = st.integers(1, top).flatmap(lambda i: st.sampled_from([i, -i]))
     word = tuple(data.draw(st.lists(letter, max_size=8)))
     by = tuple(data.draw(st.lists(letter, max_size=6)))
-    want = o.canon(inverse_word(by) + word + by)
+    want = ref_conj(o, word, by)
     assert o.conj(word, by) == want
     canon = o.canon
     calls = []
@@ -484,6 +504,21 @@ def test_conj_memo_matches_uncached(data):
     finally:
         del o.canon
     assert calls == []
+
+
+def test_hexagon_ball_normalises_few_letters(monkeypatch):
+    # conjugation multiplies remembered Garside forms: the ball and its
+    # fibre reports hand normal_form only words never met before
+    letters = []
+    normal_form = braid.normal_form
+    monkeypatch.setattr(braid, "normal_form", lambda w: letters.append(len(w.letters))
+                        or normal_form(w))
+    g = enumerate_graph(polygon_fan(6))
+    ball = build_cover_ball(g, radius=6)
+    for v in range(g.vertex_count()):
+        ball.fiber_report(v)
+    assert len(ball.classes()) == 3613
+    assert sum(letters) <= 8000
 
 
 @settings(max_examples=200)
