@@ -85,8 +85,8 @@ def inverse_word(word) -> tuple[int, ...]:
 
 
 class _WordOracle:
-    """Word arithmetic on letter tuples; subclasses define ``canon``,
-    ``_conj`` and ``_entry_ok``.  Every word an oracle returns is canonical.
+    """Word arithmetic on letter tuples; subclasses define ``canon`` and
+    ``_entry_ok``.  Every word an oracle returns is canonical.
 
     ``conj`` and ``entry_ok`` are memoised per oracle instance: frame
     transport conjugates a few hundred distinct (word, by) pairs many
@@ -112,7 +112,7 @@ class _WordOracle:
         key = (tuple(word), tuple(by))
         out = self._conj_memo.get(key)
         if out is None:
-            out = self._conj_memo[key] = self._conj(*key)
+            out = self._conj_memo[key] = self.mul(self.inv(by), word, by)
         return out
 
     def entry_ok(self, word) -> bool:
@@ -176,10 +176,6 @@ class BraidOracle(_WordOracle):
             return ()
         return self._word(braid.product(*map(self._nf, words)))
 
-    def _conj(self, word, by) -> tuple[int, ...]:
-        g = self._nf(by)
-        return self._word(braid.product(g.inverse(), self._nf(word), g))
-
     def _entry_ok(self, word) -> bool:
         return braid.looks_like_band_generator(BraidWord(self.strands, word))
 
@@ -195,9 +191,6 @@ class FreeGroupOracle(_WordOracle):
 
     def canon(self, word) -> tuple[int, ...]:
         return free_reduce(word)
-
-    def _conj(self, word, by) -> tuple[int, ...]:
-        return free_reduce(inverse_word(by) + word + by)
 
     def _entry_ok(self, word) -> bool:
         w = self.canon(word)

@@ -457,7 +457,7 @@ def test_transport_checks_every_conjugated_entry():
     f0 = frame_at(g, 0)
     u, f1 = frame_transport_move(g, f0, 0, 2, forward=True)
     o = BraidOracle(f0.oracle.strands)
-    o._conj = lambda word, by: (1, 1)
+    o.conj = lambda word, by: (1, 1)
     for frame, v, k, forward in ((f0, 0, 2, True), (f1, u, g.adj[0][2][1], False)):
         with pytest.raises(ValueError, match="not a twist-shaped word"):
             frame_transport_move(g, TwistFrame(frame.entries, o), v, k, forward)
@@ -496,13 +496,14 @@ def test_conj_memo_matches_uncached(data):
     by = tuple(data.draw(st.lists(letter, max_size=6)))
     want = ref_conj(o, word, by)
     assert o.conj(word, by) == want
-    canon = o.canon
+    # a memo miss multiplies inv(by), word and by; a repeated call must not
+    mul = o.mul
     calls = []
-    o.canon = lambda w: calls.append(w) or canon(w)
+    o.mul = lambda *words: calls.append(words) or mul(*words)
     try:
         assert o.conj(list(word), by) == want  # a repeated call hits the memo
     finally:
-        del o.canon
+        del o.mul
     assert calls == []
 
 
