@@ -145,13 +145,18 @@ def _base_triangulation(args) -> Triangulation:
         return annulus(*args.annulus)
     if args.genus_one is not None:
         return genus_one(args.genus_one)
-    with open(args.triangulation) as fh:
-        return Triangulation.from_json(json.load(fh))
+    return Triangulation.from_json(_read_json(args.triangulation))
 
 
-def _load_graph(path: str):
+def _read_json(path: str):
+    """The JSON value in the file at ``path``.  Nesting too deep for the
+    parser is a ValueError that names the file, as a syntax error is; the
+    parser's RecursionError would otherwise read as a check failure."""
     with open(path) as fh:
-        return graph_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def main(argv=None) -> int:
@@ -227,7 +232,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "relations":
-        g = _load_graph(args.graph)
+        g = graph_from_json(_read_json(args.graph))
         if not g.is_complete() and not args.allow_incomplete:
             return _fail("usage", "graph is truncated; pass --allow-incomplete", 2)
         report = relation_closure_check(g, allow_incomplete=args.allow_incomplete)
@@ -235,7 +240,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "homology":
-        g = _load_graph(args.graph)
+        g = graph_from_json(_read_json(args.graph))
         betti, torsion = homology_h1(g)
         census = face_census(g)
         report = {
@@ -297,7 +302,7 @@ def _run(args) -> int:
 
     if cmd == "export":
         with _output(args.out) as fh:
-            g = _load_graph(args.graph)
+            g = graph_from_json(_read_json(args.graph))
             fh.writelines([export_dot(g)] if args.format == "dot" else _chunks(graph_records(g)))
         return 0
 

@@ -18,8 +18,8 @@ hexagonal dumbbell (x y y = y y x).  On a graph stored with its reverses
 the head's two steps go out along an edge and straight back, so a
 dumbbell's closure check cannot fail.  :func:`_walk_relations` is the
 one enumeration of instances: it walks both sides of each on the graph's
-adjacency table, for :func:`relation_closure_check`,
-:func:`flipgroupoid.homology.two_cells` and the closure of
+adjacency table, for :func:`relation_closure_check`, the relator
+stream of :func:`flipgroupoid.homology.two_cells` and the closure of
 :mod:`flipgroupoid.cover`, and raises :class:`CheckFailure`, with both
 step paths as its witness, at an instance that does not close.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .seeds import Seed, canonical_form, mutate_seed
@@ -92,8 +92,6 @@ class ExchangeGraph:
     vertices: list[GraphVertex]
     adj: list[list]
     radius: int | None
-    # homology.two_cells keeps its result here; a graph is not changed once built
-    cell_cache: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -113,9 +111,6 @@ class ExchangeGraph:
             for k, step in enumerate(row):
                 if step is not None and (v, k) <= step[:2]:
                     yield v, k, step[0], step[1]
-
-    def edge_id(self, v: int, k: int) -> tuple[int, int]:
-        return min((v, k), self.adj[v][k][:2])
 
     def is_complete(self) -> bool:
         return all(not v.frontier for v in self.vertices)
@@ -411,10 +406,11 @@ def graph_from_json(data) -> ExchangeGraph:
 
     Bad input raises ``ValueError`` naming the vertex, edge or field.  The
     file and each record must have every key :func:`graph_to_json`
-    writes; ``radius`` is null or an int >= 0.  A vertex's ``triangles``
-    is a list of [str, str, str] lists that, on the file's ``surface``,
-    passes :meth:`Triangulation.validate`; its ``depth`` is an int >= 0
-    and ``frontier`` a bool.  B and C must be n x n lists of ints, B the
+    writes; ``radius`` is null or an int >= 0, and ``vertices`` is not
+    empty.  A vertex's ``triangles`` is a list of [str, str, str] lists
+    that, on the file's ``surface``, passes
+    :meth:`Triangulation.validate`; its ``depth`` is an int >= 0 and
+    ``frontier`` a bool.  B and C must be n x n lists of ints, B the
     exchange matrix of the triangles, and the rows of C sign-coherent,
     distinct and in the descending order ``enumerate`` writes, so (B, C)
     is its own canonical form and is the key as it stands.  A vertex
@@ -436,6 +432,8 @@ def graph_from_json(data) -> ExchangeGraph:
         raise ValueError("graph file: radius must be null or an integer >= 0")
     if type(records) is not list or type(edges) is not list:
         raise ValueError("graph file: vertices and edges must be lists")
+    if not records:
+        raise ValueError("graph file: no vertices")
     n = surface.arc_count
     vertices = []
     index: dict[tuple, int] = {}  # (B, C) -> vertex

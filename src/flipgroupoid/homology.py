@@ -1,11 +1,14 @@
 """Integer homology of the square/pentagon 2-complex on an exchange graph.
 
 The 2-cells are the geometric squares and pentagons, each unoriented
-relation cycle taken once, at its lowest corner.  H_1 is computed
-exactly over the integers: the cycle lattice of the graph has the
-fundamental cycles of the non-tree edges as a basis, and in that basis a
-cell boundary is simply its restriction to non-tree coordinates, so the
-first homology is read off the Smith normal form of one integer matrix.
+relation cycle taken once, at its lowest corner, and read as a relator:
+a tuple of signed int edge ids around the cycle (:func:`two_cells`).
+H_1 is computed exactly over the integers: the cycle lattice of the
+graph has the fundamental cycles of the non-tree edges as a basis, and in
+that basis a cell boundary is simply its restriction to non-tree
+coordinates, a relator summed through a flat list from edge id to row,
+so the first homology is read off the Smith normal form of one integer
+matrix.
 
 That matrix has at most five nonzeros per column, and it is built as
 sparse columns, a :class:`SparseMatrix`; no dense matrix is ever filled.
@@ -21,7 +24,6 @@ import heapq
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import chain
 
 from .exchange import ExchangeGraph, RelationKind, _pair_walk, _walk_relations
@@ -165,94 +167,85 @@ def invariant_factors(M: SparseMatrix) -> list[int]:
     return [1] * units + factors
 
 
-@dataclass(frozen=True)
-class TwoCell:
-    kind: RelationKind
-    edges: tuple  # signed canonical edge ids around the cycle
+def two_cells(g: ExchangeGraph) -> list[tuple[RelationKind, tuple[int, ...]]]:
+    """Distinct unoriented squares and pentagons as ``(kind, relator)``,
+    each read at its lowest corner (the far corner included), in the order
+    of those corners.
 
-
-def _cycle(g: ExchangeGraph, v: int, head: int, tail: int, plans: tuple[str, str]) -> tuple:
-    """Signed canonical edges around the left side, then the reversed right
-    side, of the instance at v whose walks :func:`_walk_relations` closed."""
-    adj = g.adj
-    left, right = (_pair_walk(g, v, head, tail, plan)[0] for plan in plans)
-    out = []
-    for side, sign in ((left, 1), (reversed(right), -1)):
-        for e in side:
-            f = adj[e[0]][e[1]][:2]
-            out.append((e, sign) if e <= f else (f, -sign))
-    return tuple(out)
-
-
-def two_cells(g: ExchangeGraph) -> list[TwoCell]:
-    """Distinct unoriented squares and pentagons, each built at its lowest
-    corner (the far corner included), in the order of those corners.
+    A relator is a tuple of signed ints: the edge v --k--> u, whose reverse
+    is u --k2--> v, is ``min(v * (n + 1) + k, u * (n + 1) + k2)``, signed +
+    when the step runs from that lower end.  The steps are the left side,
+    then the right side reversed, which is the cell's boundary cycle.
 
     :func:`_walk_relations` walks every relation instance on the graph's
     adjacency table, and one that does not close raises the
     :class:`CheckFailure` naming it that :func:`relation_closure_check`
     raises; only the walks of an instance at its lowest corner are taken
-    again, to read the cell's edges.  Built once per graph and kept in
-    ``g.cell_cache``, so that :func:`face_census` and
-    :func:`homology_h1` share one build.
+    again, to read the cell's edges.  Nothing is kept on the graph: each
+    call walks the instances anew.
     """
     if not g.is_complete():
         raise ValueError("2-complex needs a fully enumerated graph")
-    if g.cell_cache is None:
-        g.cell_cache = [
-            TwoCell(kind, _cycle(g, v, head, tail, plans))
-            for v, kind, _, head, tail, plans, lo in _walk_relations(g)
-            if v == lo and kind is not RelationKind.HEX_DUMBBELL
-        ]
-    return list(g.cell_cache)
+    adj = g.adj
+    stride = g.n + 1
+    cells = []
+    for v, kind, _, head, tail, plans, lo in _walk_relations(g):
+        if v != lo or kind is RelationKind.HEX_DUMBBELL:
+            continue
+        left, right = (_pair_walk(g, v, head, tail, plan)[0] for plan in plans)
+        relator = []
+        for side, sign in ((left, 1), (reversed(right), -1)):
+            for w, k in side:
+                u, k2, _ = adj[w][k]
+                d, d2 = w * stride + k, u * stride + k2
+                relator.append(sign * d if d < d2 else -sign * d2)
+        cells.append((kind, tuple(relator)))
+    return cells
 
 
 def face_census(g: ExchangeGraph) -> dict:
-    cells = two_cells(g)
+    """The number of squares and of pentagons among the 2-cells."""
+    kinds = [kind for kind, _ in two_cells(g)]
     return {
-        "squares": sum(c.kind is RelationKind.SQUARE for c in cells),
-        "pentagons": sum(c.kind is RelationKind.PENTAGON for c in cells),
+        "squares": kinds.count(RelationKind.SQUARE),
+        "pentagons": kinds.count(RelationKind.PENTAGON),
     }
-
-
-def _boundary(cell: TwoCell, row_of: dict) -> dict[int, int]:
-    """The cell's boundary on the non-tree rows, without cancelled entries."""
-    col: dict[int, int] = {}
-    for eid, sign in cell.edges:
-        r = row_of[eid]
-        if r is not None:
-            x = col.get(r, 0) + sign
-            if x:
-                col[r] = x
-            else:
-                del col[r]
-    return col
 
 
 def homology_h1(g: ExchangeGraph) -> tuple[int, list[int]]:
     """First Betti number and torsion of the square+pentagon 2-complex."""
     if not g.is_complete():
         raise ValueError("homology needs a fully enumerated graph")
-    edges = g.unoriented_edges()
+    adj = g.adj
+    stride = g.n + 1
 
     # spanning tree; the non-tree edges index the cycle lattice basis
-    tree_edges = set()
+    tree = set()  # edge ids, as in a relator
     seen = {0}
     stack = [0]
     while stack:
         v = stack.pop()
-        for k, step in enumerate(g.adj[v]):
+        for k, step in enumerate(adj[v]):
             if step is not None and step[0] not in seen:
                 seen.add(step[0])
-                tree_edges.add(g.edge_id(v, k))
+                tree.add(min(v * stride + k, step[0] * stride + step[1]))
                 stack.append(step[0])
     if len(seen) != g.vertex_count():
         raise RuntimeError("exchange graph is not connected")
-    row_of: dict = dict.fromkeys(tree_edges)  # edge id -> row, None on the tree
-    nontree = [(v, k) for v, k, _, _ in edges if (v, k) not in row_of]
-    row_of.update((eid, r) for r, eid in enumerate(nontree))
+    nontree = [d for v, k, _, _ in g._edges_in_order() if (d := v * stride + k) not in tree]
+    row: list[int | None] = [None] * (len(adj) * stride)  # edge id -> non-tree row
+    for r, d in enumerate(nontree):
+        row[d] = r
 
-    M = SparseMatrix(len(nontree), [_boundary(cell, row_of) for cell in two_cells(g)])
+    columns = []
+    for _, relator in two_cells(g):
+        col: dict[int, int] = {}
+        for d in relator:
+            r = row[abs(d)]
+            if r is not None:
+                col[r] = col.get(r, 0) + (1 if d > 0 else -1)
+        columns.append(col)
+    M = SparseMatrix(len(nontree), columns)
     factors = invariant_factors(M) if nontree and M.columns else []
     rank = len(factors)
     betti = len(nontree) - rank

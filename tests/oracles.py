@@ -21,8 +21,10 @@ each side's steps, end and transported slots walked and stored, before
 The relation closure reference is the ``relation_closure_check`` that
 built a ``RelationInstance`` for every arc pair at every vertex, before
 the walk on the adjacency table of ints.
-The 2-cell reference is the ``two_cells`` that built each cell at every
-corner and kept the first copy of each edge set.  The boundary reference
+The 2-cell reference is the ``two_cells`` that built a ``TwoCell`` of
+``((v, k), sign)`` pairs at every corner and kept the first copy of each
+edge set; ``decoded_two_cells`` reads the library's int relators back
+into those cells, so that the two compare.  The boundary reference
 is the dense int8 matrix that ``homology_h1`` filled before it built
 sparse columns.  The Smith form reference is the dense elimination, with
 its unimodular transforms, that ``invariant_factors`` ran on the columns
@@ -62,7 +64,7 @@ from flipgroupoid.exchange import (
     _relation_pairs,
     relation_closure_check,
 )
-from flipgroupoid.homology import TwoCell
+from flipgroupoid.homology import two_cells
 from flipgroupoid.surface import _BOUNDARY_RE, _edge_sort_key, polygon_fan
 
 
@@ -401,14 +403,36 @@ def ref_relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False)
     return {"instances": checked, "circuits": circuits, "incomplete": incomplete}
 
 
+@dataclass(frozen=True)
+class TwoCell:
+    kind: RelationKind
+    edges: tuple  # signed canonical edge ids around the cycle
+
+
+def _edge_id(g: ExchangeGraph, v: int, k: int) -> tuple[int, int]:
+    """The canonical id of the edge v --k-->: its end (vertex, arc) pair
+    that is least."""
+    return min((v, k), g.adj[v][k][:2])
+
+
+def decoded_two_cells(g: ExchangeGraph) -> list[TwoCell]:
+    """The library's ``two_cells``, each relator entry ``±(v * (n + 1) + k)``
+    read back as the pair ``((v, k), ±1)``."""
+    stride = g.n + 1
+    return [
+        TwoCell(kind, tuple((divmod(abs(d), stride), 1 if d > 0 else -1) for d in relator))
+        for kind, relator in two_cells(g)
+    ]
+
+
 def _cycle_of(instance, g: ExchangeGraph):
     """Signed canonical edges around left path then reversed right path."""
     cyc = []
     for (v, k) in instance.left_steps:
-        eid = g.edge_id(v, k)
+        eid = _edge_id(g, v, k)
         cyc.append((eid, 1 if eid == (v, k) else -1))
     for (v, k) in reversed(instance.right_steps):
-        eid = g.edge_id(v, k)
+        eid = _edge_id(g, v, k)
         cyc.append((eid, -1 if eid == (v, k) else 1))
     return tuple(cyc)
 
@@ -442,7 +466,7 @@ def ref_dense_boundary(g: ExchangeGraph, cells: list[TwoCell]) -> np.ndarray:
             u = step[0]
             if u not in seen:
                 seen.add(u)
-                tree_edges.add(g.edge_id(v, k))
+                tree_edges.add(_edge_id(g, v, k))
                 stack.append(u)
     nontree = [i for i, (v, k, _, _) in enumerate(edges) if (v, k) not in tree_edges]
     pos = {i: r for r, i in enumerate(nontree)}

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipgroupoid import cli, cover, homology
+from flipgroupoid import cli, cover
 from flipgroupoid.cover import TwistFrame
 from flipgroupoid.exchange import enumerate_graph, graph_from_json, graph_records, graph_to_json
 from flipgroupoid.surface import Triangulation, annulus, genus_one, polygon_fan
@@ -246,17 +246,6 @@ def test_homology_of_a_truncated_graph_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert report["kind"] == "usage"
     assert report["message"] == "homology needs a fully enumerated graph"
-
-
-def test_homology_builds_two_cells_once(tmp_path, monkeypatch, capsys):
-    # face_census and homology_h1 share one build of the 2-cells
-    graph = tmp_path / "g.json"
-    assert cli.main(["enumerate", "--polygon", "7", "--out", str(graph)]) == 0
-    builds = []
-    real = homology._walk_relations
-    monkeypatch.setattr(homology, "_walk_relations", lambda g: builds.append(g) or real(g))
-    assert cli.main(["homology", str(graph)]) == 0
-    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("command", ["relations", "homology"])
@@ -640,6 +629,35 @@ def test_homology_rejects_a_graph_file_missing_an_edge(tmp_path, capsys):
     report = json.loads(capsys.readouterr().err)
     assert report["kind"] == "usage"
     assert "graph vertex 0: not on the frontier but has 2 of 3 edges" in report["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["homology"], ["relations"], ["export"], ["surface", "new", "--triangulation"],
+], ids=["homology", "relations", "export", "surface-new"])
+def test_deeply_nested_json_is_a_usage_error(command, tmp_path, capsys):
+    # the parser recurses once per level and gives up long before 200,000
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["kind"] == "usage"
+    assert report["message"] == f"{path}: JSON nested too deeply"
+
+
+@pytest.mark.parametrize("command", ["homology", "relations", "export"])
+def test_a_graph_file_with_no_vertices_is_a_usage_error(command, tmp_path, capsys):
+    data = graph_to_json(enumerate_graph(polygon_fan(5)))
+    data["vertices"], data["edges"] = [], []
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(data))
+    assert cli.main([command, str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["kind"] == "usage"
+    assert report["message"] == "graph file: no vertices"
 
 
 ESCAPES = ['"', "\\", "/", "\b\f\n\r\t", "\x00\x1f\x7f", "é", "\u2028", "\U0001f600", ""]

@@ -1,9 +1,11 @@
 import copy
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import flipgroupoid
 from flipgroupoid.exchange import (
+    RelationKind,
     _walk_relations,
     enumerate_graph,
     graph_from_json,
@@ -23,6 +26,7 @@ from flipgroupoid.homology import SparseMatrix, face_census, homology_h1, invari
 from flipgroupoid.surface import annulus, genus_one, polygon_fan
 
 from oracles import (
+    decoded_two_cells,
     flip_walk,
     ref_dense_boundary,
     ref_relation_closure_check,
@@ -136,7 +140,7 @@ def test_face_census_hexagon():
 
 def test_cell_multiplicity_bookkeeping():
     g = enumerate_graph(polygon_fan(6))
-    cells = two_cells(g)
+    cells = decoded_two_cells(g)
     per_vertex = g.vertex_count() * 3  # C(3,2) pairs per vertex
     squares = sum(c.kind.value == "Square" for c in cells)
     pentagons = sum(c.kind.value == "Pentagon" for c in cells)
@@ -150,9 +154,47 @@ def test_two_cells_match_corner_dedup_reference(m):
     starts = [polygon_fan(m)] + [flip_walk(m, seed) for seed in range(8)]
     for i, t in enumerate(starts):
         g = enumerate_graph(t)
-        cells = [(c.kind, c.edges) for c in two_cells(g)]
+        cells = [(c.kind, c.edges) for c in decoded_two_cells(g)]
         assert len(set(cells)) == len(cells), i
         assert set(cells) == {(c.kind, c.edges) for c in ref_two_cells(g)}, i
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(5, 9), st.one_of(st.none(), st.integers(0, 2**16)))
+def test_each_relator_is_a_closed_path(m, walk_seed):
+    # a fan, or the start a flip walk reaches
+    g = enumerate_graph(polygon_fan(m) if walk_seed is None else flip_walk(m, walk_seed))
+    stride = g.n + 1
+    cells = two_cells(g)
+    assert cells
+    for kind, relator in cells:
+        assert type(relator) is tuple
+        assert len(relator) == {RelationKind.SQUARE: 4, RelationKind.PENTAGON: 5}[kind]
+        ids = [abs(d) for d in relator]
+        assert len(set(ids)) == len(ids)
+        path = []
+        for d in relator:
+            v, k = divmod(abs(d), stride)
+            u, k2, _ = g.adj[v][k]
+            assert v * stride + k < u * stride + k2  # the id names the lower end
+            path.append((v, u) if d > 0 else (u, v))
+        # each step starts where the one before it ends, the last at the first
+        for (_, head), (tail, _) in zip(path, path[1:] + path[:1]):
+            assert head == tail
+
+
+def test_h1_of_polygon_10_peaks_under_1400_bytes_per_cell():
+    g = enumerate_graph(polygon_fan(10))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert homology_h1(g) == (0, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = sum(face_census(g).values())
+    assert cells == 7007
+    assert peak < 1400 * cells
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8, 9, 10])
@@ -197,7 +239,7 @@ def test_h1_hands_the_tracer_a_sparse_matrix_it_keeps(monkeypatch):
     g = enumerate_graph(polygon_fan(6))
     assert homology_h1(g) == (0, [])
     [(M, before)] = seen
-    ref = ref_dense_boundary(g, two_cells(g))
+    ref = ref_dense_boundary(g, decoded_two_cells(g))
     assert M.shape == ref.shape == (len(g.unoriented_edges()) - g.vertex_count() + 1, len(two_cells(g)))
     assert int((M != 0).sum()) == np.count_nonzero(ref) > 0
     assert M.columns == before
@@ -206,20 +248,6 @@ def test_h1_hands_the_tracer_a_sparse_matrix_it_keeps(monkeypatch):
         for r, x in col.items():
             dense[r, c] = x
     assert (dense == ref).all()
-
-
-def test_boundary_drops_cancelled_entries():
-    from flipgroupoid.homology import TwoCell, _boundary
-    from flipgroupoid.exchange import RelationKind
-
-    # edge a crossed both ways cancels; b is a tree edge; c twice one way
-    cell = TwoCell(RelationKind.SQUARE, (("a", 1), ("b", 1), ("a", -1), ("c", -1), ("c", -1)))
-    col = _boundary(cell, {"a": 0, "b": None, "c": 1})
-    assert col == {1: -2}
-    M = SparseMatrix(2, [col, {0: 1, 1: 0}])
-    assert M.shape == (2, 2) and int((M != 0).sum()) == 2
-
-
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,7 +343,7 @@ def _flipped(t, seed: int):
 
 
 def _cells(g):
-    return [(c.kind, c.edges) for c in two_cells(g)]
+    return [(c.kind, c.edges) for c in decoded_two_cells(g)]
 
 
 @settings(max_examples=60)
