@@ -38,7 +38,29 @@ from .presentation import local_twist_relation_report, presentation_from_qp
 from .surface import Triangulation, annulus, genus_one, polygon_fan
 
 
-_encode = json.JSONEncoder(sort_keys=True).encode
+def _encoder():
+    """``json.JSONEncoder(sort_keys=True).encode``, with the C encoder it
+    would build for each call built once.  Its ``markers`` dict, the
+    circular-reference check's, is cleared before each call, since the C
+    encoder leaves entries behind when it raises.  Without the C
+    accelerator this is the encoder's own ``encode``."""
+    enc = json.JSONEncoder(sort_keys=True)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return enc.encode
+    markers: dict = {}
+    run = make(markers, enc.default, json.encoder.encode_basestring_ascii, enc.indent,
+               enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan)
+    clear, join = markers.clear, "".join
+
+    def encode(obj) -> str:
+        clear()
+        return join(run(obj, 0))
+
+    return encode
+
+
+_encode = _encoder()
 
 
 def _chunks(obj):

@@ -1,8 +1,9 @@
 """BFS enumeration of exchange graphs and their relation instances.
 
-Vertices are clusters: triangulations deduplicated by the canonical form
-(B, C) of their seeds (:func:`flipgroupoid.seeds.canonical_form`), held
-as tuples and compared as they stand.  Each vertex stores its triangulation
+Vertices are clusters: triangulations deduplicated by the canonical C of
+their seeds, the rows of the c-matrix sorted (C determines the cluster,
+and B = C B0 C^T; see :mod:`flipgroupoid.seeds`), held as a tuple of int
+tuples and compared as it stands.  Each vertex stores its triangulation
 with arcs relabelled into the canonical order of its seed, so arcs,
 matrix indices and edge labels all agree.  Every unoriented edge stands
 for the 2-cycle of forward mutations joining its endpoints; a directed
@@ -31,7 +32,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .seeds import Seed, canonical_form, mutate_seed
+from .seeds import Seed, _mutate_c, _permuted, _sort_c, mutate_seed
 from .surface import MarkedSurface, Triangulation, json_fields, triangles_json
 
 __all__ = [
@@ -61,15 +62,6 @@ class CheckFailure(RuntimeError):
     def __init__(self, message: str, detail: dict):
         super().__init__(message)
         self.detail = detail
-
-
-def _relabel(t: Triangulation, perm: tuple[int, ...]) -> Triangulation:
-    """Relabel arc ids by perm (1-based old -> new)."""
-    labels = t.surface._arc_labels
-    mapping = dict(zip(labels, [labels[p - 1] for p in perm]))
-    get = mapping.get
-    tris = [(get(x, x), get(y, y), get(z, z)) for x, y, z in t.triangles]
-    return Triangulation(t.surface, tris, validate=False)
 
 
 @dataclass(slots=True)
@@ -148,10 +140,12 @@ def enumerate_graph(
     radius: int | None = None,
     budget: int | None = None,
 ) -> ExchangeGraph:
-    """BFS over flips from ``base``, deduplicating by canonical seed.
+    """BFS over flips from ``base``, deduplicating by canonical C.
 
-    Each mutation gets one :func:`canonical_form`: its permutation relabels
-    the flipped triangulation and its (B', C') is the key.
+    Each mutation mutates and sorts C alone: the sorted C' is the key, and
+    the sort's permutation labels the edge.  Only a C' not met before gets
+    its B', as :func:`mutate_seed` and the permutation the sort found give
+    it, and its triangulation, flipped and relabelled in one pass.
 
     ``radius=None`` means full enumeration (only sensible when the graph is
     finite; the vertex budget turns runaway enumerations into a loud
@@ -168,7 +162,7 @@ def enumerate_graph(
     seed0 = Seed.initial(base.exchange_matrix())  # canonical already: C is the identity
     seed0 = _shared_seed(share, seed0.B, seed0.C)
     vertices = [GraphVertex(base, seed0, 0, False)]
-    index = {(seed0.B, seed0.C): 0}  # canonical (B, C) -> vertex
+    index = {seed0.C: 0}  # canonical C -> vertex
     adj = [[None] * (n + 1)]
 
     queue = [0]
@@ -180,26 +174,30 @@ def enumerate_graph(
         if radius is not None and vd.depth >= radius:
             vd.frontier = True
             continue
+        B, C = vd.seed.B, vd.seed.C
         for k in range(1, n + 1):
             if adj[v][k] is not None:
                 continue
-            mutated = mutate_seed(vd.seed, k)
-            B2, C2, perm = canonical_form(mutated)
-            key = (B2, C2)
+            C2 = _mutate_c(B, C, k)
+            key, order, perm = _sort_c(C2)
             u = index.get(key)
             if u is None:
                 if len(vertices) >= budget:
                     raise TruncationError(
                         f"vertex budget {budget} exceeded while enumerating"
                     )
-                tri = _relabel(vd.triangulation.flip(k), perm)
+                mutated = mutate_seed(vd.seed, k)
+                if mutated.C != C2:
+                    raise RuntimeError("seed mutation disagrees with C mutation: implementation bug")
+                B2 = _permuted(mutated.B, order)
+                tri = vd.triangulation.flip(k, perm)
                 if tri.exchange_matrix() != B2:
                     raise RuntimeError("flip/mutation mismatch: implementation bug")
                 u = len(vertices)
-                seed = _shared_seed(share, B2, C2)
+                seed = _shared_seed(share, B2, key)
                 vertices.append(GraphVertex(tri, seed, vd.depth + 1, False))
                 adj.append([None] * (n + 1))
-                index[(seed.B, seed.C)] = u
+                index[seed.C] = u
                 queue.append(u)
             _link(adj, v, k, u, perm[k - 1], perm, share)
     return ExchangeGraph(base.surface, vertices, adj, radius)
@@ -412,11 +410,12 @@ def graph_from_json(data) -> ExchangeGraph:
     :meth:`Triangulation.validate`; its ``depth`` is an int >= 0 and
     ``frontier`` a bool.  B and C must be n x n lists of ints, B the
     exchange matrix of the triangles, and the rows of C sign-coherent,
-    distinct and in the descending order ``enumerate`` writes, so (B, C)
-    is its own canonical form and is the key as it stands.  A vertex
-    off the frontier must have all n edges.  Not checked, because each
-    costs a flip or a determinant per vertex or edge: that C is
-    unimodular, and that an edge's flip and relabelling give its target.
+    distinct and in the descending order ``enumerate`` writes, so C is
+    its own canonical form and is the key as it stands: no two vertices
+    have the same C.  A vertex off the frontier must have all n edges.
+    Not checked, because each costs a flip or a determinant per vertex or
+    edge: that C is unimodular, and that an edge's flip and relabelling
+    give its target.
 
     Each record of ``data["vertices"]`` is freed once it is read, so that
     the parsed file and the graph are not held at once: the list is empty
@@ -436,7 +435,7 @@ def graph_from_json(data) -> ExchangeGraph:
         raise ValueError("graph file: no vertices")
     n = surface.arc_count
     vertices = []
-    index: dict[tuple, int] = {}  # (B, C) -> vertex
+    index: dict[tuple, int] = {}  # C -> vertex
     share = _sharer()
     for i, vd in enumerate(records):
         records[i] = None
@@ -467,10 +466,9 @@ def graph_from_json(data) -> ExchangeGraph:
             raise ValueError(f"graph vertex {i}: depth must be an integer >= 0")
         if type(frontier) is not bool:
             raise ValueError(f"graph vertex {i}: frontier must be true or false")
-        key = (B, C)
-        if key in index:
-            raise ValueError(f"graph vertex {i}: same seed as vertex {index[key]}")
-        index[key] = i
+        if C in index:
+            raise ValueError(f"graph vertex {i}: same seed as vertex {index[C]}")
+        index[C] = i
         vertices.append(GraphVertex(tri, seed, depth, frontier))
     records.clear()
     adj = [[None] * (n + 1) for _ in vertices]

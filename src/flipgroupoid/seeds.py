@@ -1,18 +1,22 @@
 """Skew-symmetric matrix mutation and (B, C) seeds.
 
 A seed is an exchange matrix together with its c-matrix (identity at the
-base).  Seeds are the dedup keys for exchange-graph enumeration: the
-canonical key sorts the rows of C (applying the same permutation to the
-rows and columns of B), so that two seeds describing the same cluster in
-different orders collapse to one key while seeds of genuinely different
-clusters stay apart.  Rows of C are pairwise distinct because C is
-unimodular, so the sort is unambiguous.
+base).  The canonical form of a seed sorts the rows of C (applying the
+same permutation to the rows and columns of B), so that two seeds
+describing the same cluster in different orders collapse to one form.
+Rows of C are pairwise distinct because C is unimodular, so the sort is
+unambiguous.
 
-One :func:`canonical_form` per mutation gives both the relabelling
-permutation and the canonical (B', C'), and enumeration keys on that pair
-of tuples as it stands.  :func:`canonical_key` is the bytes form of the
-same key, written by :func:`form_key`.  Matrices are tuples of int
-tuples.
+C alone determines the cluster, since B = C B0 C^T with the rows of C as
+c-vectors (Nakanishi and Zelevinsky, "On tropical dualities in cluster
+algebras", 2012).  So the dedup key of exchange-graph enumeration is the
+sorted C alone: each mutation runs :func:`_mutate_c` (the one copy of the
+C rule, shared with :func:`mutate_seed`) and :func:`_sort_c`, and B' is
+built, by :func:`mutate_seed` and :func:`_permuted`, only for a cluster
+not met before.  :func:`canonical_form` gives the relabelling permutation
+and the canonical (B', C') of a whole seed, and :func:`canonical_key` is
+the bytes form of that pair, written by :func:`form_key`.  Matrices are
+tuples of int tuples.
 
 Mutation indices are 1-based, matching arc ids.
 """
@@ -136,29 +140,52 @@ def _check_row(i: int, row: tuple[int, ...]) -> None:
         )
 
 
-def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Mutate B and C at vertex k (1-based).  Involutive.
+def _mutate_c(B: Matrix, C: Matrix, k: int) -> Matrix:
+    """C of the seed (B, C) mutated at vertex k (1-based).
 
     Sign-coherence is checked on the rows the mutation reads or writes:
     row k, and each rewritten row before and after.  So every row of a
     seed reached from (B, I) is checked when it is written; an untouched
     row of a hand-made seed is left to :meth:`Seed.validate`.
     """
-    B, C = seed.B, seed.C
-    B2 = _mutate(B, k)
     k0 = k - 1
     ck = C[k0]
     _check_row(k0, ck)
     sign = 1 if min(ck) >= 0 else -1
     C2 = list(C)
     for i, brow in enumerate(B):
-        coef = max(sign * brow[k0], 0)
-        if coef:
+        coef = sign * brow[k0]
+        if coef > 0:
             _check_row(i, C[i])
             C2[i] = row = tuple([x + coef * y for x, y in zip(C[i], ck)])
             _check_row(i, row)
     C2[k0] = tuple([-x for x in ck])
-    return Seed.trusted(B2, tuple(C2))
+    return tuple(C2)
+
+
+def mutate_seed(seed: Seed, k: int) -> Seed:
+    """Mutate B and C at vertex k (1-based), C by :func:`_mutate_c`.  Involutive."""
+    return Seed.trusted(_mutate(seed.B, k), _mutate_c(seed.B, seed.C, k))
+
+
+def _sort_c(C: Matrix) -> tuple[Matrix, list[int], tuple[int, ...]]:
+    """The rows of C sorted descending lex, as (C', order, perm): row i of
+    C' is row order[i] of C, and perm maps old 1-based indices to new
+    ones.  Rows of a c-matrix are distinct (it is unimodular), so the
+    order is unambiguous; equal rows raise RuntimeError."""
+    n = len(C)
+    if len(set(C)) != n:
+        raise RuntimeError("duplicate c-vectors; C cannot be unimodular")
+    order = sorted(range(n), key=C.__getitem__, reverse=True)
+    new_index = [0] * n
+    for pos, old in enumerate(order, 1):
+        new_index[old] = pos
+    return tuple(map(C.__getitem__, order)), order, tuple(new_index)
+
+
+def _permuted(B: Matrix, order: list[int]) -> Matrix:
+    """B with rows and columns taken in ``order``, as :func:`_sort_c` gives it."""
+    return tuple([tuple(map(B[i].__getitem__, order)) for i in order])
 
 
 def canonical_form(seed: Seed) -> tuple[Matrix, Matrix, tuple[int, ...]]:
@@ -167,17 +194,8 @@ def canonical_form(seed: Seed) -> tuple[Matrix, Matrix, tuple[int, ...]]:
     Returns (B', C', perm) where perm maps old 1-based indices to new ones.
     The identity c-matrix is already canonical, so base seeds are unmoved.
     """
-    n = seed.n
-    C = seed.C
-    if len(set(C)) != n:
-        raise RuntimeError("duplicate c-vectors; C cannot be unimodular")
-    order = sorted(range(n), key=C.__getitem__, reverse=True)
-    new_index = [0] * n
-    for pos, old in enumerate(order):
-        new_index[old] = pos
-    B2 = tuple([tuple(map(seed.B[i].__getitem__, order)) for i in order])
-    C2 = tuple(map(C.__getitem__, order))
-    return B2, C2, tuple(i + 1 for i in new_index)
+    C2, order, perm = _sort_c(seed.C)
+    return _permuted(seed.B, order), C2, perm
 
 
 def form_key(B2: Matrix, C2: Matrix) -> bytes:

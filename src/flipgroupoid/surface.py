@@ -21,7 +21,7 @@ formed by its two adjacent triangles::
 with ``x1, x2`` the sides following the arc inside one adjacent triangle
 and ``y1, y2`` the sides inside the other.  Sides of the quadrilateral may
 repeat an edge (self-glued quadrilaterals occur e.g. on the annulus); the
-slot bookkeeping below is insensitive to that.
+flip below is insensitive to that.
 """
 
 from __future__ import annotations
@@ -237,8 +237,9 @@ class Triangulation:
     ``triangles`` is canonicalised on construction (each triple rotated so
     its smallest side comes first, triples sorted), so equality is labelled
     combinatorial-map equality.  The slot table and the hash are built on
-    first use: a triangulation that is only stored, as most vertices of an
-    exchange graph are, holds its triangles and nothing else.
+    first use, and :meth:`flip` builds no slot table: a triangulation that
+    is only stored or flipped, as the vertices of an exchange graph are,
+    holds its triangles and nothing else.
     """
 
     __slots__ = ("surface", "triangles", "_slot_table", "_hash")
@@ -389,30 +390,44 @@ class Triangulation:
 
     # -- operations --------------------------------------------------------
 
-    def _quad_sides(self, label: str):
-        (t1, p1), (t2, p2) = self.slots(label)
-        tri1, tri2 = self.triangles[t1], self.triangles[t2]
-        x1, x2 = tri1[(p1 + 1) % 3], tri1[(p1 + 2) % 3]
-        y1, y2 = tri2[(p2 + 1) % 3], tri2[(p2 + 2) % 3]
-        return x1, x2, y1, y2
+    def _quad(self, label: str):
+        """The triangles away from arc ``label``, and the sides x1, x2 and
+        y1, y2 following it in its two triangles, found by a scan of the
+        triangles, so that no slot table is built."""
+        rest, sides = [], []
+        for tri in self.triangles:
+            if label in tri:
+                p = tri.index(label)
+                sides += (tri[p - 2], tri[p - 1])
+            else:
+                rest.append(tri)
+        x1, x2, y1, y2 = sides
+        return rest, x1, x2, y1, y2
 
-    def flip(self, arc: int) -> "Triangulation":
+    def flip(self, arc: int, perm: tuple[int, ...] | None = None) -> "Triangulation":
         """Replace the diagonal of the quadrilateral around ``arc``.
 
         The new arc reuses the old arc's id; the result is again canonical.
-        Involutive: ``t.flip(a).flip(a) == t``.
+        Involutive: ``t.flip(a).flip(a) == t``.  With ``perm``, a
+        permutation of 1..n, arc i of the flip is then relabelled as arc
+        perm[i - 1], in the same pass: the result is canonicalised once.
+        No slot table is built on ``t``.
         """
         label = self._arc(arc)
-        (t1, _), (t2, _) = self.slots(label)
-        x1, x2, y1, y2 = self._quad_sides(label)
-        new = [tri for t, tri in enumerate(self.triangles) if t not in (t1, t2)]
+        new, x1, x2, y1, y2 = self._quad(label)
         new.append((label, x2, y1))
         new.append((label, y2, x1))
+        if perm is not None:
+            labels = self.surface._arc_labels
+            if sorted(perm) != list(range(1, len(labels) + 1)):
+                raise ValueError(f"perm {perm!r} is not a permutation of 1..{len(labels)}")
+            get = dict(zip(labels, [labels[p - 1] for p in perm])).get
+            new = [(get(x, x), get(y, y), get(z, z)) for x, y, z in new]
         return Triangulation(self.surface, new, validate=False)
 
     def quadrilateral(self, arc: int) -> tuple[str, str, str, str]:
         """The four sides around ``arc``, anticlockwise from the lowest-id side."""
-        sides = self._quad_sides(self._arc(arc))
+        sides = self._quad(self._arc(arc))[1:]
         k = min(range(4), key=lambda i: (_edge_sort_key(sides[i]), i))
         return sides[k:] + sides[:k]
 

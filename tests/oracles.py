@@ -33,6 +33,10 @@ The cover reference is the builder that ``CoverBall`` replaced: it
 materialises the tree of every reduced flip word up to the radius, folds
 it by union-find relation closure, and then transports one frame per
 class from the class of its representative's tree parent.
+The enumeration reference is the ``enumerate_graph`` that keyed its BFS
+on the canonical (B', C') of every mutated seed, and built each new
+vertex's triangulation as a flip through the slot table followed by a
+relabelling (``ref_flip`` and ``ref_relabel``).
 The conjugation reference is the word-level route ``BraidOracle.conj``
 took before it multiplied Garside forms: by^{-1} word by joined as one
 word and normalised letter by letter.
@@ -58,14 +62,19 @@ from flipgroupoid.cover import (
 )
 from flipgroupoid.exchange import (
     ExchangeGraph,
+    GraphVertex,
     RelationKind,
     DEFAULT_BUDGET,
     TruncationError,
+    _link,
     _relation_pairs,
+    _shared_seed,
+    _sharer,
     relation_closure_check,
 )
 from flipgroupoid.homology import two_cells
-from flipgroupoid.surface import _BOUNDARY_RE, _edge_sort_key, polygon_fan
+from flipgroupoid.seeds import Seed, canonical_form, mutate_seed
+from flipgroupoid.surface import _BOUNDARY_RE, Triangulation, _edge_sort_key, polygon_fan
 
 
 def catalan(k: int) -> int:
@@ -111,13 +120,17 @@ def polygon_triangulations(m: int) -> list[frozenset]:
     return out
 
 
-def flip_walk(m: int, seed: int):
-    """The m-gon fan after 4n flips of arcs drawn by ``random.Random(seed)``."""
+def flipped(t, seed: int):
+    """``t`` after 4n flips of arcs drawn by ``random.Random(seed)``."""
     rng = random.Random(seed)
-    t = polygon_fan(m)
     for _ in range(4 * t.n):
         t = t.flip(rng.randrange(1, t.n + 1))
     return t
+
+
+def flip_walk(m: int, seed: int):
+    """The m-gon fan after 4n flips of arcs drawn by ``random.Random(seed)``."""
+    return flipped(polygon_fan(m), seed)
 
 
 def polygon_flip_graph(m: int) -> dict[frozenset, dict[tuple, frozenset]]:
@@ -299,6 +312,72 @@ def ref_corner_classes(tri) -> dict[tuple[int, int], int]:
             other = sl[1] if sl[0] == (t, (k - 1) % 3) else sl[0]
             union(idx[(t, k)], idx[other])
     return {c: find(idx[c]) for c in corners}
+
+
+def ref_flip(tri, arc: int):
+    """The flip of ``arc`` through the slot table of ``tri``'s triangles,
+    as ``Triangulation.flip`` found the quadrilateral before it scanned."""
+    label = f"a{arc}"
+    (t1, p1), (t2, p2) = ref_slots(tri.triangles)[label]
+    tri1, tri2 = tri.triangles[t1], tri.triangles[t2]
+    x1, x2 = tri1[(p1 + 1) % 3], tri1[(p1 + 2) % 3]
+    y1, y2 = tri2[(p2 + 1) % 3], tri2[(p2 + 2) % 3]
+    new = [t for i, t in enumerate(tri.triangles) if i not in (t1, t2)]
+    new += [(label, x2, y1), (label, y2, x1)]
+    return Triangulation(tri.surface, new, validate=False)
+
+
+def ref_relabel(tri, perm: tuple[int, ...]):
+    """Relabel arc ids by perm (1-based old -> new)."""
+    labels = tri.surface._arc_labels
+    mapping = dict(zip(labels, [labels[p - 1] for p in perm]))
+    get = mapping.get
+    tris = [(get(x, x), get(y, y), get(z, z)) for x, y, z in tri.triangles]
+    return Triangulation(tri.surface, tris, validate=False)
+
+
+def ref_enumerate_graph(base, radius: int | None = None, budget: int | None = None) -> ExchangeGraph:
+    """BFS over flips keyed on the canonical (B', C') of every mutated
+    seed: each mutation mutates B and C and sorts both, and a new vertex's
+    triangulation is flipped through its slot table, then relabelled."""
+    if radius is not None and radius < 0:
+        raise ValueError("radius must be >= 0")
+    budget = DEFAULT_BUDGET if budget is None else budget
+    n = base.surface.arc_count
+    share = _sharer()
+    seed0 = Seed.initial(base.exchange_matrix())
+    seed0 = _shared_seed(share, seed0.B, seed0.C)
+    vertices = [GraphVertex(base, seed0, 0, False)]
+    index = {(seed0.B, seed0.C): 0}
+    adj = [[None] * (n + 1)]
+    queue = [0]
+    qpos = 0
+    while qpos < len(queue):
+        v = queue[qpos]
+        qpos += 1
+        vd = vertices[v]
+        if radius is not None and vd.depth >= radius:
+            vd.frontier = True
+            continue
+        for k in range(1, n + 1):
+            if adj[v][k] is not None:
+                continue
+            B2, C2, perm = canonical_form(mutate_seed(vd.seed, k))
+            u = index.get((B2, C2))
+            if u is None:
+                if len(vertices) >= budget:
+                    raise TruncationError(f"vertex budget {budget} exceeded while enumerating")
+                tri = ref_relabel(ref_flip(vd.triangulation, k), perm)
+                if tri.exchange_matrix() != B2:
+                    raise RuntimeError("flip/mutation mismatch: implementation bug")
+                u = len(vertices)
+                seed = _shared_seed(share, B2, C2)
+                vertices.append(GraphVertex(tri, seed, vd.depth + 1, False))
+                adj.append([None] * (n + 1))
+                index[(seed.B, seed.C)] = u
+                queue.append(u)
+            _link(adj, v, k, u, perm[k - 1], perm, share)
+    return ExchangeGraph(base.surface, vertices, adj, radius)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,21 @@ def test_determinism_across_runs_and_threads(tmp_path):
         assert first.stdout == again.stdout == threaded.stdout
 
 
+def test_enumerate_bytes_do_not_depend_on_the_hash_seed():
+    # the BFS keys a dict on tuples of c-vectors; no str hash may order it
+    outs = []
+    for hash_seed in ("0", "1"):
+        r = subprocess.run(
+            [sys.executable, "-m", "flipgroupoid.cli", "enumerate", "--genus-one", "3", "--radius", "5"],
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+        )
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert len(outs[0]) > 100_000
+    assert outs[0] == outs[1]
+
+
 # sha256 of stdout, pinned from the builder that transported a frame to
 # every tree node; frames per class must give the same bytes.  Re-pinned
 # for the one-record-per-line layout: the indented text pinned before
@@ -296,7 +311,7 @@ def _skip_the_conjugation_at_arc_1(monkeypatch):
 
 def _flip_nothing(monkeypatch):
     # a flip that leaves the triangulation as it is disagrees with the mutation
-    monkeypatch.setattr(Triangulation, "flip", lambda t, k: t)
+    monkeypatch.setattr(Triangulation, "flip", lambda t, k, perm=None: t)
 
 
 # the merge witness: the depth of the layer being closed, both classes by
@@ -374,6 +389,12 @@ def _perm_not_a_permutation(data):
 
 def _duplicate_vertex(data):
     data["vertices"].append(data["vertices"][0])
+
+
+def _c_of_another_vertex(data):
+    # vertex 2's B, the exchange matrix of its triangles, is not vertex
+    # 0's, so only the C repeats
+    data["vertices"][2]["C"] = data["vertices"][0]["C"]
 
 
 def _ends_not_integers(data):
@@ -481,6 +502,7 @@ LOADER_PROBES = [
     (_end_out_of_range, "graph edge 0: end vertex out of range"),
     (_perm_not_a_permutation, "graph edge 0: perm [1, 1]"),
     (_duplicate_vertex, "graph vertex 5: same seed as vertex 0"),
+    (_c_of_another_vertex, "graph vertex 2: same seed as vertex 0"),
     (_ends_not_integers, "graph edge 0: ends and perm must be integers"),
     (_arc_out_of_range, "graph edge 0: arc out of range"),
     (_perm_misses_target_arc, "graph edge 0: perm sends arc"),
@@ -708,6 +730,51 @@ def _one_record_per_line(obj) -> str:
         else:
             members.append(json.dumps({key: value}, sort_keys=True)[1:-1])
     return "{\n" + ",\n".join(members) + "\n}\n"
+
+
+# nested dicts, lists and tuples of unicode strings, ints, bools and None
+PLAIN_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(), st.sampled_from(ESCAPES)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@given(PLAIN_VALUES)
+def test_the_reused_encoder_matches_a_fresh_one(obj):
+    assert cli._encode(obj) == json.JSONEncoder(sort_keys=True).encode(obj)
+
+
+def test_the_reused_encoder_recovers_from_a_failed_call():
+    # the C encoder raises with the list and the dict it was inside still
+    # marked as open; the same objects must encode on the next call
+    inner = {"b": [1, "é", None]}
+    outer = [inner, {"c": object()}]
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        cli._encode(outer)
+    outer[1]["c"] = True
+    assert cli._encode(outer) == json.JSONEncoder(sort_keys=True).encode(outer)
+    assert cli._encode(inner) == json.dumps(inner, sort_keys=True)
+
+
+@settings(max_examples=50)
+@given(PLAIN_VALUES)
+def test_the_encoder_without_the_c_accelerator_writes_the_same_bytes(obj):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json.encoder, "c_make_encoder", None)
+        assert cli._encoder()(obj) == cli._encode(obj)
+
+
+def test_a_graph_file_without_the_c_accelerator_has_the_same_bytes(monkeypatch):
+    g = enumerate_graph(annulus(2, 1), radius=4)
+    text = cli._dump(graph_records(g))
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "_encode", cli._encoder())
+    _same_text(cli._dump(graph_records(g)), text)
 
 
 def _check_writer(obj):

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from flipgroupoid.exchange import (
@@ -16,7 +17,14 @@ from flipgroupoid.exchange import (
 )
 from flipgroupoid.surface import Triangulation, annulus, genus_one, polygon_fan
 
-from oracles import catalan, polygon_flip_graph, polygon_triangulations, walked_closure_report
+from oracles import (
+    catalan,
+    flipped,
+    polygon_flip_graph,
+    polygon_triangulations,
+    ref_enumerate_graph,
+    walked_closure_report,
+)
 from oracles import ref_all_relation_instances as all_relation_instances
 from oracles import ref_relation_instances as relation_instances
 
@@ -299,8 +307,8 @@ def test_a_loaded_graph_retains_under_1_kb_per_vertex(genus_one_r10_file):
     assert retained < 1024 * g.vertex_count()
 
 
-def test_enumeration_builds_a_slot_table_only_to_flip(monkeypatch):
-    base = genus_one(1)
+def test_enumeration_builds_no_slot_table(monkeypatch):
+    base = genus_one(1)  # its validation builds a table, and drops it
     builds = []
     real = Triangulation._slots.fget
 
@@ -311,9 +319,61 @@ def test_enumeration_builds_a_slot_table_only_to_flip(monkeypatch):
 
     monkeypatch.setattr(Triangulation, "_slots", property(counted))
     g = enumerate_graph(base, radius=6)
-    expanded = [vd.triangulation for vd in g.vertices if not vd.frontier]
-    frontier = [vd.triangulation for vd in g.vertices if vd.frontier]
-    assert frontier and all(t._slot_table is None for t in frontier)
-    # one table for each expanded vertex, none for the flips relabelled at once
-    assert len(builds) == len(expanded)
-    assert {id(t) for t in builds} == {id(t) for t in expanded}
+    assert any(vd.frontier for vd in g.vertices)
+    assert builds == []
+    assert all(vd.triangulation._slot_table is None for vd in g.vertices)
+
+
+def test_an_enumerated_polygon_10_retains_under_1600_bytes_per_vertex():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = enumerate_graph(polygon_fan(10))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count() == 1430
+    assert retained < 1600 * g.vertex_count()
+
+
+# (base, radius) of the graphs the C-keyed BFS is checked on: fans and
+# flip-walk starts of each surface
+REFERENCE_SURFACES = [
+    *[(f"polygon{m}", lambda m=m: polygon_fan(m), None) for m in range(4, 10)],
+    ("annulus11", lambda: annulus(1, 1), 8),
+    ("annulus21", lambda: annulus(2, 1), 5),
+    ("annulus32", lambda: annulus(3, 2), 5),
+    ("genus_one1", lambda: genus_one(1), 6),
+    ("genus_one3", lambda: genus_one(3), 4),
+]
+REFERENCE_GRAPHS = [
+    pytest.param(base, walk, radius, id=f"{name}-{'fan' if walk is None else f'walk{walk}'}")
+    for name, base, radius in REFERENCE_SURFACES
+    for walk in (None, 1, 2)
+]
+
+
+def _start(base, walk):
+    return base() if walk is None else flipped(base(), walk)
+
+
+@pytest.mark.parametrize("base, walk, radius", REFERENCE_GRAPHS)
+def test_c_keyed_enumeration_matches_the_b_and_c_keyed_reference(base, walk, radius):
+    t = _start(base, walk)
+    g, ref = enumerate_graph(t, radius=radius), ref_enumerate_graph(t, radius=radius)
+    assert (g.surface, g.radius) == (ref.surface, ref.radius)
+    assert [(vd.triangulation, vd.seed, vd.depth, vd.frontier) for vd in g.vertices] == [
+        (vd.triangulation, vd.seed, vd.depth, vd.frontier) for vd in ref.vertices
+    ]
+    assert g.adj == ref.adj
+
+
+@pytest.mark.parametrize("base, walk, radius", REFERENCE_GRAPHS)
+def test_c_determines_b_at_every_vertex(base, walk, radius):
+    # B = C B0 C^T, the rows of C the c-vectors, at every vertex
+    g = enumerate_graph(_start(base, walk), radius=radius)
+    B0 = np.array(g.vertices[0].seed.B)
+    for vd in g.vertices:
+        C = np.array(vd.seed.C)
+        assert (C @ B0 @ C.T == np.array(vd.seed.B)).all()

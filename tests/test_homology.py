@@ -28,6 +28,7 @@ from flipgroupoid.surface import annulus, genus_one, polygon_fan
 from oracles import (
     decoded_two_cells,
     flip_walk,
+    flipped,
     ref_dense_boundary,
     ref_relation_closure_check,
     ref_smith_normal_form,
@@ -334,14 +335,6 @@ WALKER_STARTS = st.one_of(
 )
 
 
-def _flipped(t, seed: int):
-    """``t`` after 4n flips of arcs drawn by ``random.Random(seed)``."""
-    rng = random.Random(seed)
-    for _ in range(4 * t.n):
-        t = t.flip(rng.randrange(1, t.n + 1))
-    return t
-
-
 def _cells(g):
     return [(c.kind, c.edges) for c in decoded_two_cells(g)]
 
@@ -350,7 +343,7 @@ def _cells(g):
 @given(WALKER_STARTS, st.integers(0, 2**32 - 1))
 def test_walker_matches_the_instance_references(start, seed):
     base, radius = start
-    g = enumerate_graph(_flipped(base, seed), radius=radius)
+    g = enumerate_graph(flipped(base, seed), radius=radius)
     report = relation_closure_check(g, allow_incomplete=True)
     assert report == ref_relation_closure_check(g, allow_incomplete=True)
     # each walked instance in the reference's order, with the lowest vertex
@@ -388,7 +381,7 @@ def test_corrupted_graph_fails_where_the_references_fail(data):
     # the edges are drawn uniformly, not shrunk towards the first ones, which
     # all meet vertex 0, the lowest corner of every instance there
     rng = data.draw(st.randoms(use_true_random=False))
-    g = enumerate_graph(_flipped(base, rng.randrange(2**32)), radius)
+    g = enumerate_graph(flipped(base, rng.randrange(2**32)), radius)
     d = json.loads(json.dumps(graph_to_json(g)))
     edges = d["edges"]
     i = rng.randrange(len(edges))

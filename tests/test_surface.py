@@ -17,6 +17,8 @@ from oracles import (
     ref_canonical_triangles,
     ref_corner_classes,
     ref_exchange_matrix,
+    ref_flip,
+    ref_relabel,
     ref_slots,
     ref_validate,
 )
@@ -87,6 +89,32 @@ def test_flip_validates_on_every_result():
         for _ in range(30):
             t = t.flip(rng.randrange(1, t.n + 1))
             t.validate()  # counts and Euler characteristic from vertex cycles
+
+
+FLIP_BASES = [polygon_fan(m) for m in range(4, 10)]
+FLIP_BASES += [annulus(1, 1), annulus(2, 1), annulus(3, 2), genus_one(1), genus_one(3)]
+
+
+@given(st.sampled_from(FLIP_BASES), st.lists(st.integers(0, 10**6), max_size=20),
+       st.integers(0, 10**6), st.randoms(use_true_random=False))
+def test_flip_with_perm_is_the_flip_relabelled(base, steps, arc, rng):
+    t = base
+    for step in steps:
+        t = t.flip(1 + step % t.n)
+    k = 1 + arc % t.n
+    perm = list(range(1, t.n + 1))
+    rng.shuffle(perm)
+    perm = tuple(perm)
+    got = t.flip(k, perm)
+    assert got == ref_relabel(t.flip(k), perm) == ref_relabel(ref_flip(t, k), perm)
+    assert t._slot_table is None and got._slot_table is None
+    assert t.flip(k, tuple(range(1, t.n + 1))) == t.flip(k) == ref_flip(t, k)
+
+
+@pytest.mark.parametrize("perm", [(1, 1), (1,), (0, 1), (2, 3), (1, 2, 3)])
+def test_flip_refuses_a_perm_that_is_not_a_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation of 1..2"):
+        polygon_fan(5).flip(1, perm)
 
 
 def test_classify_pairs():
