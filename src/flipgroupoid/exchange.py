@@ -31,6 +31,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .seeds import Seed, _mutate_c, _permuted, _sort_c, mutate_seed
 from .surface import MarkedSurface, Triangulation, json_fields, triangles_json
@@ -108,15 +109,31 @@ class ExchangeGraph:
         return all(not v.frontier for v in self.vertices)
 
 
-def _link(adj: list[list], v: int, k: int, u: int, k2: int, perm: tuple[int, ...], share) -> None:
-    """Insert the edge v --k--> u and its reverse u --k2--> v, whose index
-    transport is the inverse permutation.  ``share`` is the build's
-    :func:`_sharer`: both permutations are stored as its copies."""
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm, 1):
-        inv[p - 1] = i
-    adj[v][k] = (u, k2, share(perm))
-    adj[u][k2] = (v, k, share(tuple(inv)))
+def _link(adj: list[list], v: int, k: int, u: int, k2: int, pair: tuple[tuple, tuple]) -> None:
+    """Insert the edge v --k--> u and its reverse u --k2--> v.  ``pair`` is
+    the edge's index transport and its inverse, as :func:`_perm_pair`
+    gives them."""
+    adj[v][k] = (u, k2, pair[0])
+    adj[u][k2] = (v, k, pair[1])
+
+
+def _perm_pair(pairs: dict, perm: tuple[int, ...], share) -> tuple[tuple, tuple]:
+    """(perm, its inverse), as ``pairs`` holds them.  ``pairs`` is one
+    graph build's table from each permutation met to its pair, and
+    ``share`` the build's :func:`_sharer`: a permutation not in the table
+    is inverted, and its pair and its inverse's are stored as ``share``'s
+    copies, so every edge that carries a permutation or its inverse stores
+    the same two tuples."""
+    pair = pairs.get(perm)
+    if pair is None:
+        inv = [0] * len(perm)
+        for i, p in enumerate(perm, 1):
+            inv[p - 1] = i
+        perm, inv = share(perm), share(tuple(inv))
+        # the table holds a permutation's inverse exactly when it holds it
+        pairs[inv] = (inv, perm)
+        pairs[perm] = pair = (perm, inv)
+    return pair
 
 
 def _sharer():
@@ -159,6 +176,7 @@ def enumerate_graph(
 
     n = base.surface.arc_count
     share = _sharer()
+    pairs: dict = {}  # see _perm_pair
     seed0 = Seed.initial(base.exchange_matrix())  # canonical already: C is the identity
     seed0 = _shared_seed(share, seed0.B, seed0.C)
     vertices = [GraphVertex(base, seed0, 0, False)]
@@ -199,7 +217,7 @@ def enumerate_graph(
                 adj.append([None] * (n + 1))
                 index[seed.C] = u
                 queue.append(u)
-            _link(adj, v, k, u, perm[k - 1], perm, share)
+            _link(adj, v, k, u, perm[k - 1], _perm_pair(pairs, perm, share))
     return ExchangeGraph(base.surface, vertices, adj, radius)
 
 
@@ -421,7 +439,11 @@ def graph_from_json(data) -> ExchangeGraph:
     the parsed file and the graph are not held at once: the list is empty
     when this returns, and partly cleared when it raises.  The graph keeps
     one copy of each distinct row of B and C, of each B and of each
-    permutation, and no vertex keeps a slot table.
+    permutation, and no vertex keeps a slot table.  Each distinct
+    permutation is checked and inverted once, at the first edge that
+    carries it; every edge's ends and permutation are checked to be
+    integers first, since True and 1.0 would find the entry of a
+    permutation that holds 1.
     """
     surface, radius, records, edges = json_fields(
         data, ("surface", "radius", "vertices", "edges"), "graph file"
@@ -446,10 +468,12 @@ def graph_from_json(data) -> ExchangeGraph:
             tri = Triangulation(surface, triangles_json(triangles))
         except ValueError as exc:
             raise ValueError(f"graph vertex {i}: {exc}") from None
-        if not (type(B) is type(C) is list
-                and all(type(row) is list and len(row) == n for row in (B, C, *B, *C))):
+        if not (type(B) is type(C) is list and len(B) == len(C) == n
+                and set(map(type, chain(B, C))) == {list}
+                and set(map(len, chain(B, C))) == {n}):
             raise ValueError(f"graph vertex {i}: B and C must be {n} x {n}")
-        if not all(type(x) is int for row in (*B, *C) for x in row):
+        # before B and C are shared: True and 1.0 hash as 1 does
+        if set(map(type, chain.from_iterable(chain(B, C)))) != {int}:
             raise ValueError(f"graph vertex {i}: B and C entries must be integers")
         seed = _shared_seed(share, map(tuple, B), map(tuple, C))
         B, C = seed.B, seed.C
@@ -473,16 +497,21 @@ def graph_from_json(data) -> ExchangeGraph:
     records.clear()
     adj = [[None] * (n + 1) for _ in vertices]
     arcs = range(1, n + 1)
+    pairs: dict = {}  # see _perm_pair; it holds checked permutations only
     for idx, e in enumerate(edges):
         ends, perm = json_fields(e, ("ends", "perm"), f"graph edge {idx}")
         if not (type(ends) is type(perm) is list and len(ends) == 4):
             raise ValueError(f"graph edge {idx}: ends must be a list of four integers, perm a list")
-        if not all(type(x) is int for x in (*ends, *perm)):
+        # before the lookup in pairs: True and 1.0 hash as 1 does
+        if set(map(type, chain(ends, perm))) != {int}:
             raise ValueError(f"graph edge {idx}: ends and perm must be integers")
         v, k, u, k2 = ends
         perm = tuple(perm)
-        if len(perm) != n or sorted(perm) != list(arcs):
-            raise ValueError(f"graph edge {idx}: perm {list(perm)} is not a permutation of 1..{n}")
+        pair = pairs.get(perm)
+        if pair is None:
+            if len(perm) != n or sorted(perm) != list(arcs):
+                raise ValueError(f"graph edge {idx}: perm {list(perm)} is not a permutation of 1..{n}")
+            pair = _perm_pair(pairs, perm, share)
         if not (0 <= v < len(vertices) and 0 <= u < len(vertices)):
             raise ValueError(f"graph edge {idx}: end vertex out of range 0..{len(vertices) - 1}")
         if k not in arcs or k2 not in arcs:
@@ -491,7 +520,7 @@ def graph_from_json(data) -> ExchangeGraph:
             raise ValueError(f"graph edge {idx}: perm sends arc {k} to {perm[k - 1]}, not {k2}")
         if adj[v][k] is not None or adj[u][k2] is not None or (v, k) == (u, k2):
             raise ValueError(f"graph edge {idx}: slot already has an edge")
-        _link(adj, v, k, u, k2, perm, share)
+        _link(adj, v, k, u, k2, pair)
     for i, row in enumerate(adj):
         degree = n + 1 - row.count(None)
         if not vertices[i].frontier and degree != n:

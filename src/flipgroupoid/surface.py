@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
 
 from .seeds import Matrix, as_matrix, is_skew_symmetric
@@ -150,21 +151,22 @@ class MarkedSurface:
 
 def json_fields(data, keys, what: str) -> list:
     """The values of ``keys`` in the JSON object ``data``.  The ValueError
-    raised when ``data`` is not an object, or lacks a key, names ``what``."""
+    raised when ``data`` is not an object, or lacks a key, names ``what``
+    and the first key missing."""
     if type(data) is not dict:
         raise ValueError(f"{what}: not a JSON object")
-    for key in keys:
-        if key not in data:
-            raise ValueError(f'{what}: no "{key}"')
-    return [data[key] for key in keys]
+    try:
+        return [data[key] for key in keys]
+    except KeyError as exc:
+        raise ValueError(f'{what}: no "{exc.args[0]}"') from None
 
 
 def triangles_json(triangles) -> list:
     """``triangles`` if it is a list of [side, side, side] lists of str."""
-    if type(triangles) is not list or not all(
-        type(tri) is list and len(tri) == 3 and all(type(side) is str for side in tri)
-        for tri in triangles
-    ):
+    if not (type(triangles) is list
+            and set(map(type, triangles)) <= {list}
+            and set(map(len, triangles)) <= {3}
+            and set(map(type, chain.from_iterable(triangles))) <= {str}):
         raise ValueError("triangles must be a list of [str, str, str] lists")
     return triangles
 
@@ -284,14 +286,15 @@ class Triangulation:
         return arc_label(arc)
 
     def validate(self) -> None:
-        """Raise ValueError unless the triangles glue into the surface.  A
-        slot table this builds is not kept."""
-        kept = self._slot_table is not None
+        """Raise ValueError unless the triangles glue into the surface.  The
+        sides are counted per label and the corners classed straight from
+        the triangles: no slot table is built."""
         surf = self.surface
         if len(self.triangles) != surf.triangle_count:
             raise ValueError("wrong triangle count")
-        if {lab: len(sl) for lab, sl in self._slots.items()} != surf._slot_counts:
-            self._name_label_fault()
+        counts = Counter(chain.from_iterable(self.triangles))
+        if counts != surf._slot_counts:
+            self._name_label_fault(counts)
         # Euler characteristic from the vertex cycles of the map.
         v = self._vertex_count()
         if v != surf.m:
@@ -299,15 +302,14 @@ class Triangulation:
         chi = v - (self.n + surf.m) + len(self.triangles)
         if chi != surf.euler_characteristic:
             raise ValueError(f"Euler characteristic {chi} != {surf.euler_characteristic}")
-        if not kept:
-            self._slot_table = None
 
-    def _name_label_fault(self) -> None:
+    def _name_label_fault(self, counts: Counter) -> None:
         """Raise the ValueError that names how the edge labels or their slot
-        counts differ from the surface's; called once they are known to."""
+        ``counts``, in the order the triangles first name them, differ from
+        the surface's; called once they are known to."""
         surf = self.surface
-        arcs = [lab for lab in self._slots if lab.startswith("a")]
-        bnds = [lab for lab in self._slots if lab.startswith("b")]
+        arcs = [lab for lab in counts if lab.startswith("a")]
+        bnds = [lab for lab in counts if lab.startswith("b")]
         if sorted(arcs, key=_edge_sort_key) != self.arc_labels():
             raise ValueError("arc labels must be exactly a1..aN")
         if len(bnds) != surf.m:
@@ -322,10 +324,10 @@ class Triangulation:
         for comp, positions in per_comp.items():
             if positions != set(range(surf.boundaries[comp])):
                 raise ValueError(f"boundary component {comp} has wrong segments")
-        for lab, sl in self._slots.items():
+        for lab, count in counts.items():
             want = 2 if lab.startswith("a") else 1
-            if len(sl) != want:
-                raise ValueError(f"edge {lab} used by {len(sl)} slots, expected {want}")
+            if count != want:
+                raise ValueError(f"edge {lab} used by {count} slots, expected {want}")
         raise ValueError("edge labels differ from the surface's")
 
     def _corner_classes(self) -> list[int]:
@@ -334,17 +336,23 @@ class Triangulation:
         Corner ``3*t + k`` sits between incoming side t[k-1] and outgoing
         t[k].  Crossing an arc keeps us at the same marked point: the corner
         where a slot of the arc starts is the corner where its other slot
-        ends.  Entry c is the root corner of c's class.
+        ends.  An arc's two slots are paired as the scan of the triangles
+        meets the second, each arc having exactly two (as :meth:`validate`
+        checks first).  Entry c is the root corner of c's class.
         """
         parent = list(range(3 * len(self.triangles)))
-        for lab, sl in self._slots.items():
-            if not lab.startswith("a"):
+        first: dict[str, int] = {}  # arc -> the corner its first slot starts
+        for c, lab in enumerate(chain.from_iterable(self.triangles)):
+            if lab[0] != "a":
                 continue
-            (t1, p1), (t2, p2) = sl
-            for x, y in (
-                (3 * t1 + p1, 3 * t2 + (p2 + 1) % 3),
-                (3 * t2 + p2, 3 * t1 + (p1 + 1) % 3),
-            ):
+            c1 = first.pop(lab, None)
+            if c1 is None:
+                first[lab] = c
+                continue
+            # the corners after c1 and after c in their triangles
+            after1 = c1 + 1 if c1 % 3 != 2 else c1 - 2
+            after = c + 1 if c % 3 != 2 else c - 2
+            for x, y in ((c1, after), (c, after1)):
                 while parent[x] != x:
                     parent[x] = x = parent[parent[x]]
                 while parent[y] != y:

@@ -8,10 +8,10 @@ The seed references are the numpy mutation, canonical form and key that
 reference is the union-find on ``(t, k)`` tuples that
 ``Triangulation._corner_classes`` replaced with flat corner indices.
 The triangulation references are the code that the memo of rotated
-triangles, the per-surface slot-count check of ``validate`` and the B
-reader replaced: canonical triangles rotated and keyed anew for every
-triangulation, slots gathered in lists, every edge-label check run on
-every ``validate``, and B read off the arrows of the full quiver.
+triangles, the slot-free ``validate`` and the B reader replaced:
+canonical triangles rotated and keyed anew for every triangulation, slots
+gathered in lists, ``validate`` comparing the slot table's counts and
+classing corners through it, and B read off the arrows of the full quiver.
 The closure reference walks every braid-relation circuit of the local
 twists, as ``relation_closure_check`` did before it counted them.
 The relation instance references are the ``RelationInstance`` objects
@@ -67,6 +67,7 @@ from flipgroupoid.exchange import (
     DEFAULT_BUDGET,
     TruncationError,
     _link,
+    _perm_pair,
     _relation_pairs,
     _shared_seed,
     _sharer,
@@ -235,13 +236,29 @@ def ref_slots(triangles) -> dict[str, tuple]:
 
 
 def ref_validate(tri) -> None:
-    """Every check of a triangulation against its surface, in order."""
+    """Every check of a triangulation against its surface, in order, as
+    ``Triangulation.validate`` ran them on a slot table: the slot counts
+    compared with the surface's, each edge-label check run only when they
+    differ, and the corners classed by ``ref_slot_corner_classes``."""
     surf = tri.surface
-    slots = ref_slots(tri.triangles)
-    arcs = [lab for lab in slots if lab.startswith("a")]
-    bnds = [lab for lab in slots if lab.startswith("b")]
     if len(tri.triangles) != surf.triangle_count:
         raise ValueError("wrong triangle count")
+    slots = ref_slots(tri.triangles)
+    if {lab: len(sl) for lab, sl in slots.items()} != surf._slot_counts:
+        _ref_name_label_fault(surf, slots)
+    v = len(set(ref_slot_corner_classes(tri, slots)))
+    if v != surf.m:
+        raise ValueError(f"map has {v} vertices, surface has m={surf.m}")
+    chi = v - (surf.arc_count + surf.m) + len(tri.triangles)
+    if chi != surf.euler_characteristic:
+        raise ValueError(f"Euler characteristic {chi} != {surf.euler_characteristic}")
+
+
+def _ref_name_label_fault(surf, slots: dict) -> None:
+    """The edge-label checks of ``ref_validate``, in order, on slots whose
+    counts are known to differ from the surface's."""
+    arcs = [lab for lab in slots if lab.startswith("a")]
+    bnds = [lab for lab in slots if lab.startswith("b")]
     if sorted(arcs, key=_edge_sort_key) != [f"a{i}" for i in range(1, surf.arc_count + 1)]:
         raise ValueError("arc labels must be exactly a1..aN")
     if len(bnds) != surf.m:
@@ -260,12 +277,33 @@ def ref_validate(tri) -> None:
         want = 2 if lab.startswith("a") else 1
         if len(sl) != want:
             raise ValueError(f"edge {lab} used by {len(sl)} slots, expected {want}")
-    v = len(set(ref_corner_classes(tri).values()))
-    if v != surf.m:
-        raise ValueError(f"map has {v} vertices, surface has m={surf.m}")
-    chi = v - (surf.arc_count + surf.m) + len(tri.triangles)
-    if chi != surf.euler_characteristic:
-        raise ValueError(f"Euler characteristic {chi} != {surf.euler_characteristic}")
+    raise ValueError("edge labels differ from the surface's")
+
+
+def ref_slot_corner_classes(tri, slots: dict) -> list[int]:
+    """Root corner of each flat corner ``3*t + k``, by a union-find over
+    the ``slots`` of each arc: for an arc's slots (t1, p1) and (t2, p2),
+    the corner where one starts is joined to the corner after the other."""
+    parent = list(range(3 * len(tri.triangles)))
+    for lab, sl in slots.items():
+        if not lab.startswith("a"):
+            continue
+        (t1, p1), (t2, p2) = sl
+        for x, y in (
+            (3 * t1 + p1, 3 * t2 + (p2 + 1) % 3),
+            (3 * t2 + p2, 3 * t1 + (p1 + 1) % 3),
+        ):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            parent[y] = x
+    for c in range(len(parent)):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        parent[c] = root
+    return parent
 
 
 def ref_exchange_matrix(tri) -> tuple:
@@ -345,6 +383,7 @@ def ref_enumerate_graph(base, radius: int | None = None, budget: int | None = No
     budget = DEFAULT_BUDGET if budget is None else budget
     n = base.surface.arc_count
     share = _sharer()
+    pairs: dict = {}
     seed0 = Seed.initial(base.exchange_matrix())
     seed0 = _shared_seed(share, seed0.B, seed0.C)
     vertices = [GraphVertex(base, seed0, 0, False)]
@@ -376,7 +415,7 @@ def ref_enumerate_graph(base, radius: int | None = None, budget: int | None = No
                 adj.append([None] * (n + 1))
                 index[(seed.B, seed.C)] = u
                 queue.append(u)
-            _link(adj, v, k, u, perm[k - 1], perm, share)
+            _link(adj, v, k, u, perm[k - 1], _perm_pair(pairs, perm, share))
     return ExchangeGraph(base.surface, vertices, adj, radius)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -414,6 +415,21 @@ def _slot_used_twice(data):
     data["edges"].append(data["edges"][0])
 
 
+def _true_in_a_perm_met_before(data):
+    # edge 3's perm is edge 0's, [2, 1], which the loader has checked by then
+    data["edges"][3]["perm"] = [2, True]
+
+
+def _float_in_a_perm_met_before(data):
+    # edge 2's perm is edge 1's, [1, 2]
+    data["edges"][2]["perm"] = [1.0, 2]
+
+
+def _true_in_a_row_of_b_met_before(data):
+    # vertex 1's B is vertex 0's, [[0, 1], [-1, 0]], shared by then
+    data["vertices"][1]["B"][0] = [0, True]
+
+
 def _equal_rows_of_c(data):
     C = data["vertices"][2]["C"]
     C[1] = list(C[0])
@@ -504,6 +520,9 @@ LOADER_PROBES = [
     (_duplicate_vertex, "graph vertex 5: same seed as vertex 0"),
     (_c_of_another_vertex, "graph vertex 2: same seed as vertex 0"),
     (_ends_not_integers, "graph edge 0: ends and perm must be integers"),
+    (_true_in_a_perm_met_before, "graph edge 3: ends and perm must be integers"),
+    (_float_in_a_perm_met_before, "graph edge 2: ends and perm must be integers"),
+    (_true_in_a_row_of_b_met_before, "graph vertex 1: B and C entries must be integers"),
     (_arc_out_of_range, "graph edge 0: arc out of range"),
     (_perm_misses_target_arc, "graph edge 0: perm sends arc"),
     (_slot_used_twice, "graph edge 5: slot already has an edge"),
@@ -1087,3 +1106,88 @@ def test_graph_files_in_every_layout_load_alike(base, radius, tmp_path):
         outputs[name] = runs
     assert outputs["indented"] == outputs["one-line"] == outputs["records"]
     assert outputs["records"][0][0] == 0
+
+
+@pytest.fixture(scope="module")
+def graph_files(tmp_path_factory) -> dict[str, str]:
+    """The paths of graph files of polygons 5 and 8, as "polygon5" and
+    "polygon8"."""
+    files = {}
+    for m in (5, 8):
+        path = tmp_path_factory.mktemp("graphs") / f"polygon{m}.json"
+        assert cli.main(["enumerate", "--polygon", str(m), "--out", str(path)]) == 0
+        files[f"polygon{m}"] = str(path)
+    return files
+
+
+# each command on a small input and on a larger one; "{polygon5}" and
+# "{polygon8}" name the files of graph_files
+CYCLIC_GARBAGE_COMMANDS = {
+    "surface": (["surface", "new", "--polygon", "5"], ["surface", "new", "--genus-one", "6"]),
+    "enumerate": (["enumerate", "--polygon", "5"], ["enumerate", "--polygon", "8"]),
+    "relations": (["relations", "{polygon5}"], ["relations", "{polygon8}"]),
+    "homology": (["homology", "{polygon5}"], ["homology", "{polygon8}"]),
+    "presentation": (["presentation", "--polygon", "5", "--verify"],
+                     ["presentation", "--polygon", "9", "--verify"]),
+    "cover-disc": (["cover", "--polygon", "5", "--radius", "2", "--report", "fibers"],
+                   ["cover", "--polygon", "6", "--radius", "5", "--report", "fibers"]),
+    "cover-annulus": (["cover", "--annulus", "1", "1", "--radius", "2"],
+                      ["cover", "--annulus", "1", "1", "--radius", "6"]),
+    "export": (["export", "{polygon5}"], ["export", "{polygon8}", "--format", "json"]),
+    "braid": (["braid", "nf", "--strands", "3", "1 2"],
+              ["braid", "eq", "--strands", "8", "1 2 3 4 5 6 7 " * 20, "-7 -6 5 4 3 2 1 " * 20]),
+}
+
+
+def _cyclic_garbage(argv) -> int:
+    """The objects that gc.collect() finds unreachable after ``cli.main``
+    runs ``argv`` from a clean heap, with the collector off throughout."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("command", CYCLIC_GARBAGE_COMMANDS)
+def test_no_command_leaves_cyclic_garbage_that_grows_with_its_input(command, graph_files, capsys):
+    # cli.main runs with the collector off, so a cycle built per vertex,
+    # edge or class would be held to the end of the command
+    small, large = ([a.format_map(graph_files) for a in argv]
+                    for argv in CYCLIC_GARBAGE_COMMANDS[command])
+    _cyclic_garbage(small)  # the first run fills the library's memos
+    counts = [_cyclic_garbage(small), _cyclic_garbage(large)]
+    capsys.readouterr()
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, code", [
+    (["braid", "nf", "--strands", "3", "1 2"], 0),
+    (["enumerate", "--polygon", "6"], 1),
+    (["relations", "no-such-file.json"], 2),
+    (["enumerate", "--polygon", "six"], SystemExit(2)),
+    (["--help"], SystemExit(0)),
+], ids=["ok", "check", "usage", "argparse", "help"])
+def test_main_leaves_the_collector_as_it_found_it(argv, code, enabled, monkeypatch, tmp_path,
+                                                  capsys):
+    if code == 1:
+        _flip_nothing(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(code, SystemExit):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == code.code
+        else:
+            assert cli.main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -362,6 +363,90 @@ def test_validate_matches_the_reference_on_bad_gluings(base, rng, how):
         return  # rejected by the constructor before validate runs
     t = Triangulation(surf, triangles, validate=False)
     assert _outcome(Triangulation.validate, t) == _outcome(ref_validate, t)
+
+
+# how _corrupted spoils a walked triangulation's triangles
+CORRUPTIONS = ["none", "swap", "drop", "repeat", "repeat-over", "reglue"]
+
+
+def _corrupted(base, steps, rng, how):
+    """The triangulation walked from ``base`` by ``steps``, unvalidated,
+    with its triangles spoilt ``how``: two sides swapped, a triangle
+    dropped, a triangle repeated (added, or in place of another), or one
+    triangle turned over, which keeps every label's count but re-glues
+    its corners.  None when a triangle then repeats a side, which the
+    constructor refuses before ``validate`` runs."""
+    *_, t = _walk(base, steps)
+    triangles = [list(tri) for tri in t.triangles]
+    if how == "swap":
+        sides = [lab for tri in triangles for lab in tri]
+        i, j = rng.sample(range(len(sides)), 2)
+        sides[i], sides[j] = sides[j], sides[i]
+        triangles = [sides[k:k + 3] for k in range(0, len(sides), 3)]
+    elif how == "drop":
+        del triangles[rng.randrange(len(triangles))]
+    elif how == "repeat":
+        triangles.append(rng.choice(triangles))
+    elif how == "repeat-over":
+        i, j = rng.sample(range(len(triangles)), 2)
+        triangles[i] = triangles[j]
+    elif how == "reglue":
+        rng.choice(triangles).reverse()
+    if any(len(set(tri)) < 3 for tri in triangles):
+        return None
+    return Triangulation(t.surface, triangles, validate=False)
+
+
+@given(st.sampled_from(REF_BASES), st.lists(st.integers(0, 10**6), max_size=20),
+       st.randoms(use_true_random=False), st.sampled_from(CORRUPTIONS))
+def test_validate_matches_the_slot_table_reference(base, steps, rng, how):
+    t = _corrupted(base, steps, rng, how)
+    if t is None:
+        return
+    assert _outcome(Triangulation.validate, t) == _outcome(ref_validate, t)
+    assert t._slot_table is None
+
+
+def _corner_classes_one_corner_off(self):
+    # Triangulation._corner_classes with one union moved: an arc's second
+    # slot is joined to the corner where its first slot starts, not to the
+    # corner after it
+    parent = list(range(3 * len(self.triangles)))
+    first = {}
+    for c, lab in enumerate(chain.from_iterable(self.triangles)):
+        if lab[0] != "a":
+            continue
+        c1 = first.pop(lab, None)
+        if c1 is None:
+            first[lab] = c
+            continue
+        after = c + 1 if c % 3 != 2 else c - 2
+        for x, y in ((c1, after), (c, c1)):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            parent[y] = x
+    for c in range(len(parent)):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        parent[c] = root
+    return parent
+
+
+def test_a_corner_class_mutant_fails_the_reference_comparison(monkeypatch):
+    cases = [_corrupted(base, [seed, 7 * seed + 1], random.Random(seed), how)
+             for seed in range(8) for base in REF_BASES for how in CORRUPTIONS]
+    cases = [t for t in cases if t is not None]
+    want = [_outcome(ref_validate, t) for t in cases]
+    # the corpus reaches every stage: accepted, miscounted and mis-glued
+    assert None in want
+    assert any(w and w.startswith("edge ") for w in want)
+    assert any(w and w.startswith("map has") for w in want)
+    assert [_outcome(Triangulation.validate, t) for t in cases] == want
+    monkeypatch.setattr(Triangulation, "_corner_classes", _corner_classes_one_corner_off)
+    assert [_outcome(Triangulation.validate, t) for t in cases] != want
 
 
 def test_triangle_memo_keeps_no_malformed_triangle():
