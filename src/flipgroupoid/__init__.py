@@ -19,7 +19,6 @@ from .presentation import (
 from .seeds import Seed, canonical_key, mutate_matrix, mutate_seed
 from .surface import (
     MarkedSurface,
-    PairClass,
     QuiverWithPotential,
     Triangulation,
     annulus,

@@ -274,15 +274,14 @@ def _conjugated(o, entries, B, k: int, by) -> list:
     return out
 
 
-def transport_frame(frame: TwistFrame, q, k: int) -> TwistFrame:
+def transport_frame(frame: TwistFrame, B, k: int) -> TwistFrame:
     """Push the frame across the forward mutation at arc k.
 
-    ``q`` is the quiver (or exchange matrix) at the source vertex; arc ids
-    are stable here, as in the raw triangulation world.
+    ``B`` is the exchange matrix at the source vertex; arc ids are stable
+    here, as in the raw triangulation world.
     """
-    B = getattr(q, "B", q)
     if len(B) != frame.n:
-        raise ValueError("frame and quiver sizes differ")
+        raise ValueError("frame and exchange matrix sizes differ")
     if not (1 <= k <= frame.n):
         raise ValueError(f"arc {k} out of range")
     o = frame.oracle
@@ -350,7 +349,7 @@ def disc_start_frame(g: ExchangeGraph) -> TwistFrame:
     o = oracle_for_surface(g.surface)
     frame = TwistFrame(tuple(o.generator((x - c) % m - 1) for ch in chords for x in ch - {c}), o)
     for t, k in reversed(walk):
-        frame = transport_frame(frame, t.quiver(), k)
+        frame = transport_frame(frame, t.exchange_matrix(), k)
     return frame
 
 
@@ -395,7 +394,9 @@ class CoverBall:
     different shadows or different frames raises
     :class:`~flipgroupoid.exchange.CheckFailure`; its detail names the depth
     of the layer being closed, the two classes by birth order (the base is
-    0), their shadows and their frames as word lists.
+    0), their shadows, their frames as word lists and their move words
+    from the base.  A class that twist words give two deck labels raises it
+    too, naming the class, both labels and the twist word of the second.
 
     A class's id is the breadth-first path-tree index of its
     shortlex-least move word; ``size`` counts the reduced words of length
@@ -417,7 +418,6 @@ class CoverBall:
         self._count_sizes()
         self.nodes = range(sum(self._size.values()))
         self._labels: dict[int, tuple] = {}
-        self.label_conflicts: list[int] = []
         if frame0 is not None:
             self._discover_labels()
 
@@ -442,6 +442,16 @@ class CoverBall:
                 cls = find(cls)
             return cls
 
+        def word(cls):
+            """The move word from the base to ``cls``, read back along the
+            move to its parent that each born class keeps first."""
+            out = []
+            while cls:
+                (k2, back), parent = next(iter(moves[cls].items()))
+                out.insert(0, [g.adj[shadow[cls]][k2][1], -back])
+                cls = find(parent)
+            return out
+
         def union(a, b, pending):
             ra, rb = find(a), find(b)
             if ra == rb:
@@ -454,6 +464,7 @@ class CoverBall:
                     "shadows": [shadow[ra], shadow[rb]],
                     "frames": [None if frames[c] is None else [list(e) for e in frames[c].entries]
                                for c in (ra, rb)],
+                    "words": [word(ra), word(rb)],
                 })
             lo, hi = min(ra, rb), max(ra, rb)
             uf[hi] = lo
@@ -590,27 +601,33 @@ class CoverBall:
         return [(arc, FWD), (k2, FWD)] if sign > 0 else [(arc, BWD), (k2, BWD)]
 
     def _discover_labels(self):
+        """Label each class a twist word of length <= LABEL_WORD_LENGTH
+        lifts to; a class given two labels raises :class:`CheckFailure`."""
         o = self.frames[0].oracle
         f0 = self.frames[0]
         self._labels = {0: o.canon(())}
-        frontier = [(0, o.canon(()))]
+        frontier = [(0, o.canon(()), ())]
         n = self.graph.n
         for _ in range(LABEL_WORD_LENGTH):
             new_frontier = []
-            for cls, word in frontier:
+            for cls, label, twists in frontier:
                 for arc in range(1, n + 1):
                     for sign in (1, -1):
                         tgt = self._walk(cls, self._twist_moves(arc, sign))
                         if tgt is None:
                             continue
                         ent = f0.entry(arc)
-                        lab = o.mul(word, o.inv(ent) if sign > 0 else ent)
+                        lab = o.mul(label, o.inv(ent) if sign > 0 else ent)
                         known = self._labels.get(tgt)
                         if known is None:
                             self._labels[tgt] = lab
-                            new_frontier.append((tgt, lab))
+                            new_frontier.append((tgt, lab, twists + ((arc, sign),)))
                         elif known != lab:  # both canonical words
-                            self.label_conflicts.append(tgt)
+                            raise CheckFailure(f"class {tgt} has two deck labels", {
+                                "class": tgt,
+                                "labels": [list(known), list(lab)],
+                                "twist_word": [list(t) for t in twists + ((arc, sign),)],
+                            })
             frontier = new_frontier
 
     # -- queries ------------------------------------------------------------
@@ -644,13 +661,14 @@ class CoverBall:
         return None if self.frames is None else self.frames[self._class(cls)]
 
     def same_vertex(self, a: int, b: int) -> str:
-        """Equal / Distinct / Inconclusive for two class ids."""
+        """Equal / Distinct / Inconclusive for two class ids.  Classes over
+        different exchange-graph vertices are distinct cover vertices."""
         if self._class(a) == self._class(b):
             return "Equal"
-        if self.interior(a) and self.interior(b):
+        if self._shadow[a] != self._shadow[b] or (self.interior(a) and self.interior(b)):
             return "Distinct"
         la, lb = self._labels.get(a), self._labels.get(b)
-        if la is not None and lb is not None and self._shadow[a] == self._shadow[b]:
+        if la is not None and lb is not None:
             return "Equal" if la == lb else "Distinct"
         return "Inconclusive"
 

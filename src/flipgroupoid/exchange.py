@@ -439,7 +439,7 @@ def graph_from_json(data) -> ExchangeGraph:
     the parsed file and the graph are not held at once: the list is empty
     when this returns, and partly cleared when it raises.  The graph keeps
     one copy of each distinct row of B and C, of each B and of each
-    permutation, and no vertex keeps a slot table.  Each distinct
+    permutation; a vertex's triangulation holds its triangles.  Each distinct
     permutation is checked and inverted once, at the first edge that
     carries it; every edge's ends and permutation are checked to be
     integers first, since True and 1.0 would find the entry of a

@@ -30,7 +30,6 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache, cached_property
 from itertools import chain, combinations
 from operator import itemgetter
@@ -39,7 +38,6 @@ from .seeds import Matrix, as_matrix, is_skew_symmetric
 
 __all__ = [
     "MarkedSurface",
-    "PairClass",
     "QuiverWithPotential",
     "Triangulation",
     "polygon_fan",
@@ -171,14 +169,6 @@ def triangles_json(triangles) -> list:
     return triangles
 
 
-class PairClass(Enum):
-    """How two arcs of one triangulation sit relative to each other."""
-
-    DISJOINT = "Disjoint"
-    ONE_SHARED_TRIANGLE = "OneSharedTriangle"
-    TWO_SHARED_TRIANGLES = "TwoSharedTriangles"
-
-
 _BOUNDARY_RE = re.compile(r"^b(\d+)\.(\d+)$")
 _ARC_RE = re.compile(r"^a(\d+)$")
 
@@ -238,18 +228,17 @@ class Triangulation:
 
     ``triangles`` is canonicalised on construction (each triple rotated so
     its smallest side comes first, triples sorted), so equality is labelled
-    combinatorial-map equality.  The slot table and the hash are built on
-    first use, and :meth:`flip` builds no slot table: a triangulation that
-    is only stored or flipped, as the vertices of an exchange graph are,
-    holds its triangles and nothing else.
+    combinatorial-map equality.  A triangulation holds its surface and its
+    triangles and nothing else: every fact about it (corners, chords, the
+    dual graph, shared triangles, the quiver) is read by a scan of the
+    triangles.
     """
 
-    __slots__ = ("surface", "triangles", "_slot_table", "_hash")
+    __slots__ = ("surface", "triangles")
 
     def __init__(self, surface: MarkedSurface, triangles, validate: bool = True):
         self.surface = surface
         self.triangles = _canonical_triangles(triangles)
-        self._slot_table = self._hash = None
         if validate:
             self.validate()
 
@@ -262,33 +251,14 @@ class Triangulation:
     def arc_labels(self) -> list[str]:
         return list(self.surface._arc_labels)
 
-    @property
-    def _slots(self) -> dict[str, tuple]:
-        """The (triangle, position) slots of each edge label, built on first
-        use and then kept."""
-        if self._slot_table is None:
-            slots: dict[str, tuple] = {}
-            for t, tri in enumerate(self.triangles):
-                for pos, lab in enumerate(tri):
-                    slots[lab] = slots.get(lab, ()) + ((t, pos),)
-            self._slot_table = slots
-        return self._slot_table
-
-    def slots(self, label: str) -> tuple:
-        try:
-            return self._slots[label]
-        except KeyError:
-            raise ValueError(f"unknown edge {label!r}") from None
-
     def _arc(self, arc: int) -> str:
         if not (1 <= arc <= self.n):
             raise ValueError(f"arc id {arc} out of range 1..{self.n}")
         return arc_label(arc)
 
     def validate(self) -> None:
-        """Raise ValueError unless the triangles glue into the surface.  The
-        sides are counted per label and the corners classed straight from
-        the triangles: no slot table is built."""
+        """Raise ValueError unless the triangles glue into the surface: the
+        sides are counted per label and the corners classed."""
         surf = self.surface
         if len(self.triangles) != surf.triangle_count:
             raise ValueError("wrong triangle count")
@@ -368,40 +338,32 @@ class Triangulation:
     def _vertex_count(self) -> int:
         return len(set(self._corner_classes()))
 
-    def disc_chords(self) -> frozenset:
-        """For a disc, the triangulation as a set of chords {i, j} between
-        labelled boundary marked points (an independent geometric readback;
-        two disc triangulations are equal iff their chord sets are)."""
-        return frozenset(self.arc_chords())
-
     def arc_chords(self) -> tuple[frozenset, ...]:
-        """For a disc, the chord {i, j} of each arc a1 .. aN in order."""
+        """For a disc, the chord {i, j} between labelled boundary marked
+        points of each arc a1 .. aN in order (two disc triangulations are
+        equal iff their chord sets are)."""
         if not self.surface.is_disc:
             raise ValueError("chord readback needs a disc")
+        m = self.surface.m
         classes = self._corner_classes()
-        label_of_class = {}
-        for lab in self._slots:
-            m = _BOUNDARY_RE.match(lab)
-            if not m:
-                continue
-            j = int(m.group(2))
-            ((t, p),) = self.slots(lab)
-            label_of_class[classes[3 * t + p]] = j          # start of b0.j sits at j
-            label_of_class[classes[3 * t + (p + 1) % 3]] = (j + 1) % self.surface.m
-        chords = []
-        for i in range(1, self.n + 1):
-            (t, p), _ = self.slots(arc_label(i))
-            u = label_of_class[classes[3 * t + p]]
-            v = label_of_class[classes[3 * t + (p + 1) % 3]]
-            chords.append(frozenset((u, v)))
-        return tuple(chords)
+        point = {}  # corner class -> marked point
+        ends = {}  # arc -> the corner classes at the ends of its first side
+        for c, lab in enumerate(chain.from_iterable(self.triangles)):
+            ends_at = classes[c], classes[c + 1 if c % 3 != 2 else c - 2]
+            if lab[0] == "a":
+                ends.setdefault(lab, ends_at)
+            else:  # b0.j runs from marked point j to j + 1
+                j = int(lab[3:])
+                point[ends_at[0]], point[ends_at[1]] = j, (j + 1) % m
+        return tuple(frozenset((point[u], point[v]))
+                     for u, v in map(ends.__getitem__, self.surface._arc_labels))
 
     # -- operations --------------------------------------------------------
 
     def _quad(self, label: str):
         """The triangles away from arc ``label``, and the sides x1, x2 and
         y1, y2 following it in its two triangles, found by a scan of the
-        triangles, so that no slot table is built."""
+        triangles."""
         rest, sides = [], []
         for tri in self.triangles:
             if label in tri:
@@ -419,7 +381,6 @@ class Triangulation:
         Involutive: ``t.flip(a).flip(a) == t``.  With ``perm``, a
         permutation of 1..n, arc i of the flip is then relabelled as arc
         perm[i - 1], in the same pass: the result is canonicalised once.
-        No slot table is built on ``t``.
         """
         label = self._arc(arc)
         new, x1, x2, y1, y2 = self._quad(label)
@@ -439,23 +400,10 @@ class Triangulation:
         k = min(range(4), key=lambda i: (_edge_sort_key(sides[i]), i))
         return sides[k:] + sides[:k]
 
-    def classify_pair(self, a: int, b: int) -> PairClass:
-        """Count triangles containing both arcs: 0, 1 or 2 shared triangles."""
-        if a == b:
-            raise ValueError("classify_pair needs two distinct arcs")
-        ta = {t for t, _ in self.slots(self._arc(a))}
-        tb = {t for t, _ in self.slots(self._arc(b))}
-        shared = len(ta & tb)
-        return {
-            0: PairClass.DISJOINT,
-            1: PairClass.ONE_SHARED_TRIANGLE,
-            2: PairClass.TWO_SHARED_TRIANGLES,
-        }[shared]
-
     def shared_triangle_counts(self) -> dict[tuple[int, int], int]:
         """How many triangles each pair of arcs i < j shares, from one pass
-        over the triangles; a pair missing here shares none.  For every pair
-        this is the count behind :meth:`classify_pair`."""
+        over the triangles; a pair missing here shares none.  The count is
+        |B[i-1][j-1]| (0, 1 or 2)."""
         counts: dict[tuple[int, int], int] = {}
         for tri in self.triangles:
             for pair in _triangle_arcs(tri)[0]:
@@ -477,37 +425,33 @@ class Triangulation:
         """Quiver with potential read off the triangulation.
 
         One arrow per angle between two arcs, directed toward the arc that
-        is the anticlockwise rotation of the other inside the triangle; a
-        potential 3-cycle per triangle whose sides are all arcs.
+        is the anticlockwise rotation of the other inside the triangle (the
+        angles :meth:`exchange_matrix` counts); a potential 3-cycle per
+        triangle whose sides are all arcs.
         """
-        arrows = []
-        arrow_at = {}
-        for t, tri in enumerate(self.triangles):
-            for k in range(3):
-                tail, head = tri[k], tri[(k - 1) % 3]
-                if tail.startswith("a") and head.startswith("a"):
-                    arrow_at[(t, k)] = len(arrows)
-                    arrows.append((int(tail[1:]), int(head[1:])))
-        terms = []
-        for t, tri in enumerate(self.triangles):
-            if all(e.startswith("a") for e in tri):
-                # arrows run s0 -> s2 -> s1 -> s0; record them along the cycle
-                cyc = (arrow_at[(t, 0)], arrow_at[(t, 2)], arrow_at[(t, 1)])
+        arrows, terms = [], []
+        for tri in self.triangles:
+            angles = _triangle_arcs(tri)[1]
+            base = len(arrows)
+            arrows += [(ti + 1, hi + 1) for ti, hi in angles]
+            if len(angles) == 3:
+                # the angles at sides 0, 1, 2 run s0 -> s2 -> s1 -> s0;
+                # record them along the cycle
+                cyc = (base, base + 2, base + 1)
                 k = min(range(3), key=lambda i: arrows[cyc[i]][0])
                 terms.append(cyc[k:] + cyc[:k])
         terms.sort(key=lambda cyc: tuple(arrows[i] for i in cyc))
         return QuiverWithPotential(self.n, self.exchange_matrix(), tuple(arrows), tuple(terms))
 
     def dual_graph(self) -> tuple[tuple[int, int, int], ...]:
-        """One edge per arc joining the two adjacent triangles (multi-edges kept)."""
+        """One edge (t1, t2, i), t1 < t2, per arc a<i> joining the two
+        triangles it sides (multi-edges kept; no triangle repeats a side)."""
+        first: dict[str, int] = {}  # arc -> the triangle of its first side
         edges = []
-        for i in range(1, self.n + 1):
-            (t1, _), (t2, _) = self.slots(arc_label(i))
-            if t1 == t2:
-                raise ValueError(f"arc a{i} is self-folded; unpunctured surfaces forbid this")
-            edges.append((min(t1, t2), max(t1, t2), i))
-        edges.sort()
-        return tuple(edges)
+        for c, lab in enumerate(chain.from_iterable(self.triangles)):
+            if lab[0] == "a" and first.setdefault(lab, c // 3) != c // 3:
+                edges.append((first[lab], c // 3, int(lab[1:])))
+        return tuple(sorted(edges))
 
     # -- serialization and equality ----------------------------------------
 
@@ -539,9 +483,7 @@ class Triangulation:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.surface, self.triangles))
-        return self._hash
+        return hash((self.surface, self.triangles))
 
     def __repr__(self):
         return f"Triangulation({self.surface!r}, {len(self.triangles)} triangles)"

@@ -12,6 +12,10 @@ triangles, the slot-free ``validate`` and the B reader replaced:
 canonical triangles rotated and keyed anew for every triangulation, slots
 gathered in lists, ``validate`` comparing the slot table's counts and
 classing corners through it, and B read off the arrows of the full quiver.
+The slot-table readers are the ``Triangulation`` methods that looked up
+each arc's two (triangle, position) slots before every fact became a
+scan of the triangles: chords, the dual graph and the shared-triangle
+count; the quiver reference numbers its arrows by (triangle, corner).
 The closure reference walks every braid-relation circuit of the local
 twists, as ``relation_closure_check`` did before it counted them.
 The relation instance references are the ``RelationInstance`` objects
@@ -75,7 +79,13 @@ from flipgroupoid.exchange import (
 )
 from flipgroupoid.homology import two_cells
 from flipgroupoid.seeds import Seed, canonical_form, mutate_seed
-from flipgroupoid.surface import _BOUNDARY_RE, Triangulation, _edge_sort_key, polygon_fan
+from flipgroupoid.surface import (
+    _BOUNDARY_RE,
+    QuiverWithPotential,
+    Triangulation,
+    _edge_sort_key,
+    polygon_fan,
+)
 
 
 def catalan(k: int) -> int:
@@ -323,6 +333,7 @@ def ref_exchange_matrix(tri) -> tuple:
 
 def ref_corner_classes(tri) -> dict[tuple[int, int], int]:
     """Marked-point class of each corner (t, k), by union-find on tuples."""
+    slots = ref_slots(tri.triangles)
     corners = [(t, k) for t in range(len(tri.triangles)) for k in range(3)]
     idx = {c: i for i, c in enumerate(corners)}
     parent = list(range(len(corners)))
@@ -341,15 +352,80 @@ def ref_corner_classes(tri) -> dict[tuple[int, int], int]:
     for (t, k) in corners:
         out = tri.triangles[t][k]
         if out.startswith("a"):
-            (t1, p1), (t2, p2) = tri.slots(out)
+            (t1, p1), (t2, p2) = slots[out]
             other = (t2, p2) if (t1, p1) == (t, k) else (t1, p1)
             union(idx[(t, k)], idx[(other[0], (other[1] + 1) % 3)])
         inc = tri.triangles[t][(k - 1) % 3]
         if inc.startswith("a"):
-            sl = tri.slots(inc)
+            sl = slots[inc]
             other = sl[1] if sl[0] == (t, (k - 1) % 3) else sl[0]
             union(idx[(t, k)], idx[other])
     return {c: find(idx[c]) for c in corners}
+
+
+def ref_arc_chords(tri) -> tuple:
+    """For a disc, the chord {i, j} of each arc a1 .. aN, read at the first
+    slot of the arc: boundary segment b0.j starts at marked point j."""
+    slots = ref_slots(tri.triangles)
+    classes = ref_slot_corner_classes(tri, slots)
+    m = tri.surface.m
+    label_of_class = {}
+    for lab, sl in slots.items():
+        match = _BOUNDARY_RE.match(lab)
+        if not match:
+            continue
+        j = int(match.group(2))
+        ((t, p),) = sl
+        label_of_class[classes[3 * t + p]] = j
+        label_of_class[classes[3 * t + (p + 1) % 3]] = (j + 1) % m
+    chords = []
+    for i in range(1, tri.surface.arc_count + 1):
+        (t, p), _ = slots[f"a{i}"]
+        u = label_of_class[classes[3 * t + p]]
+        v = label_of_class[classes[3 * t + (p + 1) % 3]]
+        chords.append(frozenset((u, v)))
+    return tuple(chords)
+
+
+def ref_dual_graph(tri) -> tuple:
+    """One edge (t1, t2, i), t1 < t2, per arc, from its two slots."""
+    slots = ref_slots(tri.triangles)
+    edges = []
+    for i in range(1, tri.surface.arc_count + 1):
+        (t1, _), (t2, _) = slots[f"a{i}"]
+        if t1 == t2:
+            raise ValueError(f"arc a{i} is self-folded; unpunctured surfaces forbid this")
+        edges.append((min(t1, t2), max(t1, t2), i))
+    return tuple(sorted(edges))
+
+
+def ref_shared_count(tri, i: int, j: int) -> int:
+    """How many triangles hold a slot of arc i and a slot of arc j."""
+    slots = ref_slots(tri.triangles)
+    return len({t for t, _ in slots[f"a{i}"]} & {t for t, _ in slots[f"a{j}"]})
+
+
+def ref_quiver(tri) -> QuiverWithPotential:
+    """The quiver with one arrow per angle between two arcs, numbered by
+    (triangle, corner), and a 3-cycle per all-arc triangle."""
+    arrows = []
+    arrow_at = {}
+    for t, tri_ in enumerate(tri.triangles):
+        for k in range(3):
+            tail, head = tri_[k], tri_[(k - 1) % 3]
+            if tail.startswith("a") and head.startswith("a"):
+                arrow_at[(t, k)] = len(arrows)
+                arrows.append((int(tail[1:]), int(head[1:])))
+    terms = []
+    for t, tri_ in enumerate(tri.triangles):
+        if all(e.startswith("a") for e in tri_):
+            # arrows run s0 -> s2 -> s1 -> s0; record them along the cycle
+            cyc = (arrow_at[(t, 0)], arrow_at[(t, 2)], arrow_at[(t, 1)])
+            k = min(range(3), key=lambda i: arrows[cyc[i]][0])
+            terms.append(cyc[k:] + cyc[:k])
+    terms.sort(key=lambda cyc: tuple(arrows[i] for i in cyc))
+    return QuiverWithPotential(tri.surface.arc_count, ref_exchange_matrix(tri), tuple(arrows),
+                               tuple(terms))
 
 
 def ref_flip(tri, arc: int):

@@ -316,12 +316,14 @@ def _flip_nothing(monkeypatch):
 
 
 # the merge witness: the depth of the layer being closed, both classes by
-# birth order, their shadows and their frames; the two frames differ at arc 1
+# birth order, their shadows, their frames and their move words from the
+# base; the two frames differ at arc 1
 MERGE_DETAIL = {
     "depth": 3,
     "classes": [27, 11],
     "shadows": [4, 4],
     "frames": [[[1], [-1, -2, -1, 2, 1, 1, 2]], [[2], [-1, -2, -1, 2, 1, 1, 2]]],
+    "words": [[[1, -1], [1, 1], [2, 1]], [[2, 1], [1, 1]]],
 }
 
 
@@ -374,6 +376,52 @@ def test_enumerate_stdout_pinned(args, digest, tmp_path, capsys):
         graph.write_text(out)
         assert cli.main(["relations", str(graph), "--allow-incomplete"]) == 0
         assert _sha(capsys.readouterr().out) == RELATIONS_GENUS_ONE_R6
+
+
+# sha256 of stdout, pinned from the quiver that numbered its arrows by
+# (triangle, corner): the verified presentations of the fans and of two
+# flip walks (m, seed) of polygons 6-9, and the presentations of an
+# annulus and a genus-one surface, which have no braid oracle
+PRESENTATION_DIGESTS = [
+    pytest.param(["--polygon", "6", "--verify"],
+                 "e4828a62e1ac42f1f1aba104abeb04aba508aadde1212f213c8a02705c1d6347", id="polygon6"),
+    pytest.param((6, 0), "539ab30e1d9a4e5a42e81ac9480e6e196eecb847321be46ac6ee4a14cc9f9d66",
+                 id="polygon6-walk0"),
+    pytest.param((6, 1), "539ab30e1d9a4e5a42e81ac9480e6e196eecb847321be46ac6ee4a14cc9f9d66",
+                 id="polygon6-walk1"),
+    pytest.param(["--polygon", "7", "--verify"],
+                 "58bc64f15164ae40742942a4b5f308b69b3e7f94d6466950e7c5a20eb8360970", id="polygon7"),
+    pytest.param((7, 0), "3c3b595eb23ff5aca64d5bc6586ca2e615f3ebfee442a7784168f692cd5242c3",
+                 id="polygon7-walk0"),
+    pytest.param((7, 1), "67fb5eb69edc082c92f11f96655469a661e901c2384996e8df91def5c50cff9d",
+                 id="polygon7-walk1"),
+    pytest.param(["--polygon", "8", "--verify"],
+                 "067df80d876db888472586ac92aaec8920181b7395cbca97ecb12b9be019aa95", id="polygon8"),
+    pytest.param((8, 0), "791b16cb051246897d8b87e626a467e4a2f980c66ab3cc9d0491464f971ae372",
+                 id="polygon8-walk0"),
+    pytest.param((8, 1), "9a009bf54ebd1172beaea28bbd47e8db4ba36b8da9b2805b9fb6b8ead0645947",
+                 id="polygon8-walk1"),
+    pytest.param(["--polygon", "9", "--verify"],
+                 "b02adc4215fc76ee55b2650a7d871e65e0066ce984f0a392ab0f0ca6ac3a818a", id="polygon9"),
+    pytest.param((9, 0), "5453dbdab30cf1e6b9d2904fe94d32c9a8b4f32ee4b6266088eb99c640c120c4",
+                 id="polygon9-walk0"),
+    pytest.param((9, 1), "065df319b0bbe938e6519e920c0c28e432f0f00e737a67c61fadb1c8bc249f1d",
+                 id="polygon9-walk1"),
+    pytest.param(["--annulus", "2", "1"],
+                 "ce45eb95f4d7b3b622683e1938324db2514ff2db46fc5bd725551181186387c7", id="annulus21"),
+    pytest.param(["--genus-one", "2"],
+                 "8f7dd7e1594a48fc0905188fdd2b00e907abc722748041a4dd35aada8f74adb0", id="genus-one2"),
+]
+
+
+@pytest.mark.parametrize("start, digest", PRESENTATION_DIGESTS)
+def test_presentation_stdout_pinned(start, digest, tmp_path, capsys):
+    if isinstance(start, tuple):
+        path = tmp_path / "walk.json"
+        path.write_text(flip_walk(*start).dumps())
+        start = ["--triangulation", str(path), "--verify"]
+    assert cli.main(["presentation", *start]) == 0
+    assert _sha(capsys.readouterr().out) == digest
 
 
 def _truncate_perm(data):

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -52,14 +53,13 @@ def test_frame_entry_shape_guard():
 
 def test_transport_a1_trivial():
     f = base_frame(MarkedSurface(0, (4,)))
-    q = polygon_fan(4).quiver()
-    assert transport_frame(f, q, 1) == f
+    assert transport_frame(f, polygon_fan(4).exchange_matrix(), 1) == f
 
 
 def test_transport_hexagon_middle_flip():
     # arrows 1->2->3; flipping 2 conjugates entry 1 by entry 2, fixes the rest
     f = base_frame(MarkedSurface(0, (6,)))
-    out = transport_frame(f, polygon_fan(6).quiver(), 2)
+    out = transport_frame(f, polygon_fan(6).exchange_matrix(), 2)
     o = f.oracle
     assert out.entries[0] == o.canon((-2, 1, 2))
     assert out.entries[1] == (2,)
@@ -279,7 +279,6 @@ def test_a2_fiber_labels_distinct():
     ball = build_cover_ball(g, radius=6)
     fib = ball.fiber_report(0)
     assert len(fib) == 5  # identity and the four twist lifts at depth <= 2
-    assert not ball.label_conflicts
 
 
 def test_annulus_ball_hexagons_close_squares_dont():
@@ -442,12 +441,22 @@ def test_merge_of_unequal_frames_raises(monkeypatch):
     with pytest.raises(exchange.CheckFailure, match="different frames") as caught:
         build_cover_ball(g, radius=4)
     detail = caught.value.detail
-    assert set(detail) == {"depth", "classes", "shadows", "frames"}
+    assert set(detail) == {"depth", "classes", "shadows", "frames", "words"}
     assert 1 <= detail["depth"] <= 4
     a, b = detail["classes"]
     assert a != b and detail["shadows"][0] == detail["shadows"][1]
     fa, fb = detail["frames"]
     assert fa != fb and len(fa) == len(fb) == g.n
+    # each class's move word from the base walks the graph to its shadow
+    wa, wb = detail["words"]
+    assert wa != wb
+    for word, shadow in zip(detail["words"], detail["shadows"]):
+        assert len(word) <= detail["depth"]
+        v = 0
+        for arc, sign in word:
+            assert sign in (1, -1)
+            v = g.adj[v][arc][0]
+        assert v == shadow
 
 
 def test_transport_checks_every_conjugated_entry():
@@ -588,15 +597,32 @@ def test_cover_nonoracle_surface_runs():
     ball = build_cover_ball(g, radius=2)
     assert ball.frames is None
     n1 = ball.lift(0, [(1, 1)])
-    assert ball.same_vertex(0, n1) in {"Distinct", "Inconclusive"}
+    assert ball.same_vertex(0, n1) == "Distinct"  # over another graph vertex
     assert ball.label(n1) is None
 
 
-@pytest.mark.parametrize("surface", [genus_one(1), annulus(2, 1)], ids=["genus_one1", "annulus21"])
-def test_label_conflicts_is_a_list_on_every_surface(surface):
-    # neither surface has an oracle group: no labels, and so no conflicts
-    ball = build_cover_ball(enumerate_graph(surface, radius=4), 3)
-    assert ball.label_conflicts == []
+def test_a_label_conflict_raises_with_its_witness(monkeypatch):
+    # labels multiplied without normalising: a twist word that lifts back to
+    # a labelled class, as t1 t1^-1 lifts to the base, meets another label
+    g = enumerate_graph(polygon_fan(5))
+    discover = cover.CoverBall._discover_labels
+
+    def with_unreduced_labels(ball):
+        # frames are transported first, with the oracle as it is
+        monkeypatch.setattr(ball.frames[0].oracle, "mul", lambda *words: tuple(chain(*words)))
+        discover(ball)
+
+    monkeypatch.setattr(cover.CoverBall, "_discover_labels", with_unreduced_labels)
+    with pytest.raises(exchange.CheckFailure, match="two deck labels") as caught:
+        build_cover_ball(g, radius=6)
+    detail = caught.value.detail
+    assert set(detail) == {"class", "labels", "twist_word"}
+    first, second = detail["labels"]
+    assert first != second
+    assert 2 <= len(detail["twist_word"]) <= cover.LABEL_WORD_LENGTH
+    monkeypatch.undo()
+    ball = build_cover_ball(g, radius=6)
+    assert ball.lift_twist_word(detail["twist_word"]) == detail["class"]
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8])

@@ -15,7 +15,7 @@ from flipgroupoid.exchange import (
     graph_to_json,
     relation_closure_check,
 )
-from flipgroupoid.surface import Triangulation, annulus, genus_one, polygon_fan
+from flipgroupoid.surface import annulus, genus_one, polygon_fan
 
 from oracles import (
     catalan,
@@ -54,7 +54,7 @@ def test_polygon_vertex_set_is_exactly_the_noncrossing_sets(m):
     g = enumerate_graph(polygon_fan(m))
     got = set()
     for vd in g.vertices:
-        chords = frozenset(tuple(sorted(c)) for c in vd.triangulation.disc_chords())
+        chords = frozenset(tuple(sorted(c)) for c in vd.triangulation.arc_chords())
         assert chords not in got
         got.add(chords)
     assert got == {frozenset(t) for t in polygon_triangulations(m)}
@@ -208,26 +208,6 @@ def test_closure_radius_guard():
         relation_closure_check(g)
 
 
-def test_arrow_correspondence_exhaustive_small():
-    # Disjoint <-> 0, OneShared <-> 1, TwoShared <-> 2 on whole graphs
-    from flipgroupoid.surface import PairClass
-
-    want = {
-        PairClass.DISJOINT: 0,
-        PairClass.ONE_SHARED_TRIANGLE: 1,
-        PairClass.TWO_SHARED_TRIANGLES: 2,
-    }
-    graphs = [enumerate_graph(polygon_fan(m)) for m in (4, 5, 6, 7)]
-    graphs.append(enumerate_graph(annulus(1, 1), radius=4))
-    graphs.append(enumerate_graph(annulus(2, 1), radius=3))
-    for g in graphs:
-        for vd in g.vertices:
-            t, B = vd.triangulation, vd.seed.B
-            for i in range(1, g.n + 1):
-                for j in range(i + 1, g.n + 1):
-                    assert abs(B[i - 1][j - 1]) == want[t.classify_pair(i, j)]
-
-
 def test_dot_export_deterministic():
     g = enumerate_graph(polygon_fan(5))
     dot = export_dot(g)
@@ -283,9 +263,10 @@ def genus_one_r10_file() -> str:
 
 
 def test_a_loaded_graph_holds_no_slot_table_and_shares_rows(genus_one_r10_file):
+    # a vertex's triangulation holds its surface and triangles only (see
+    # test_a_triangulation_holds_its_surface_and_triangles_only)
     g = graph_from_json(json.loads(genus_one_r10_file))
     assert g.vertex_count() == 4381
-    assert all(vd.triangulation._slot_table is None for vd in g.vertices)
     # equal rows of B and C, equal B and equal permutations are one object
     tuples = [row for vd in g.vertices for row in (*vd.seed.B, *vd.seed.C)]
     tuples += [vd.seed.B for vd in g.vertices]
@@ -305,23 +286,6 @@ def test_a_loaded_graph_retains_under_1_kb_per_vertex(genus_one_r10_file):
     finally:
         tracemalloc.stop()
     assert retained < 1024 * g.vertex_count()
-
-
-def test_enumeration_builds_no_slot_table(monkeypatch):
-    base = genus_one(1)  # its validation builds a table, and drops it
-    builds = []
-    real = Triangulation._slots.fget
-
-    def counted(t):
-        if t._slot_table is None:
-            builds.append(t)
-        return real(t)
-
-    monkeypatch.setattr(Triangulation, "_slots", property(counted))
-    g = enumerate_graph(base, radius=6)
-    assert any(vd.frontier for vd in g.vertices)
-    assert builds == []
-    assert all(vd.triangulation._slot_table is None for vd in g.vertices)
 
 
 def test_an_enumerated_polygon_10_retains_under_1600_bytes_per_vertex():

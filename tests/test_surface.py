@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from flipgroupoid.surface import (
     MarkedSurface,
-    PairClass,
     Triangulation,
     annulus,
     genus_one,
@@ -15,12 +14,15 @@ from flipgroupoid.surface import (
 )
 
 from oracles import (
+    ref_arc_chords,
     ref_canonical_triangles,
     ref_corner_classes,
+    ref_dual_graph,
     ref_exchange_matrix,
     ref_flip,
+    ref_quiver,
     ref_relabel,
-    ref_slots,
+    ref_shared_count,
     ref_validate,
 )
 
@@ -108,7 +110,6 @@ def test_flip_with_perm_is_the_flip_relabelled(base, steps, arc, rng):
     perm = tuple(perm)
     got = t.flip(k, perm)
     assert got == ref_relabel(t.flip(k), perm) == ref_relabel(ref_flip(t, k), perm)
-    assert t._slot_table is None and got._slot_table is None
     assert t.flip(k, tuple(range(1, t.n + 1))) == t.flip(k) == ref_flip(t, k)
 
 
@@ -119,13 +120,10 @@ def test_flip_refuses_a_perm_that_is_not_a_permutation(perm):
 
 
 def test_classify_pairs():
-    t6 = polygon_fan(6)
-    assert t6.classify_pair(1, 3) is PairClass.DISJOINT
-    assert t6.classify_pair(1, 2) is PairClass.ONE_SHARED_TRIANGLE
-    a = annulus(1, 1)
-    assert a.classify_pair(1, 2) is PairClass.TWO_SHARED_TRIANGLES
-    with pytest.raises(ValueError):
-        t6.classify_pair(2, 2)
+    # arcs a1, a3 of the hexagon fan share no triangle, a1, a2 one; the
+    # two arcs of the once-marked annulus share both its triangles
+    assert polygon_fan(6).shared_triangle_counts() == {(1, 2): 1, (2, 3): 1}
+    assert annulus(1, 1).shared_triangle_counts() == {(1, 2): 2}
 
 
 def test_annulus_counts():
@@ -133,10 +131,10 @@ def test_annulus_counts():
     assert a.n == 2 and len(a.triangles) == 2
     b = annulus(2, 1)
     assert b.n == 3 and len(b.triangles) == 3
-    # flipping either arc keeps the pair class
+    # flipping either arc keeps the shared-triangle count
     for arc in (1, 2):
         f = annulus(1, 1).flip(arc)
-        assert f.classify_pair(1, 2) is PairClass.TWO_SHARED_TRIANGLES
+        assert f.shared_triangle_counts() == {(1, 2): 2}
 
 
 def test_quadrilateral():
@@ -169,11 +167,6 @@ def test_quiver_annulus_kronecker():
 
 def test_arrow_shared_triangle_correspondence_samples():
     rng = random.Random(23)
-    want = {
-        PairClass.DISJOINT: 0,
-        PairClass.ONE_SHARED_TRIANGLE: 1,
-        PairClass.TWO_SHARED_TRIANGLES: 2,
-    }
     for base in [polygon_fan(8), annulus(2, 2), genus_one(1)]:
         t = base
         for _ in range(40):
@@ -181,7 +174,7 @@ def test_arrow_shared_triangle_correspondence_samples():
             q = t.quiver()
             for i in range(1, t.n + 1):
                 for j in range(i + 1, t.n + 1):
-                    assert abs(q.b_entry(i, j)) == want[t.classify_pair(i, j)]
+                    assert abs(q.b_entry(i, j)) == ref_shared_count(t, i, j)
 
 
 def test_dual_graph():
@@ -239,11 +232,6 @@ WALK_BASES = [
     genus_one(1),
     genus_one(3),
 ]
-PAIR_COUNT = {
-    PairClass.DISJOINT: 0,
-    PairClass.ONE_SHARED_TRIANGLE: 1,
-    PairClass.TWO_SHARED_TRIANGLES: 2,
-}
 
 
 def _walk(base, steps):
@@ -270,14 +258,26 @@ def test_corner_classes_match_tuple_reference(base, steps):
         assert t._vertex_count() == len(set(ref.values())) == t.surface.m
 
 
-@given(st.sampled_from(WALK_BASES), st.lists(st.integers(0, 10**6), max_size=30))
-def test_shared_triangle_counts_match_classify_pair(base, steps):
+@given(st.sampled_from(FLIP_BASES), st.lists(st.integers(0, 10**6), max_size=30))
+def test_triangle_facts_match_the_slot_references(base, steps):
     for t in _walk(base, steps):
+        if t.surface.is_disc:
+            assert t.arc_chords() == ref_arc_chords(t)
+        assert t.dual_graph() == ref_dual_graph(t)
         shared = t.shared_triangle_counts()
         assert all(i < j and count in (1, 2) for (i, j), count in shared.items())
         for i in range(1, t.n + 1):
             for j in range(i + 1, t.n + 1):
-                assert shared.get((i, j), 0) == PAIR_COUNT[t.classify_pair(i, j)]
+                assert shared.get((i, j), 0) == ref_shared_count(t, i, j)
+        q, ref = t.quiver(), ref_quiver(t)
+        assert (q.B, q.arrows, q.terms) == (ref.B, ref.arrows, ref.terms)
+
+
+def test_a_triangulation_holds_its_surface_and_triangles_only():
+    t = polygon_fan(7).flip(2)
+    assert Triangulation.__slots__ == ("surface", "triangles")
+    assert not hasattr(t, "__dict__")
+    assert hash(t) == hash((t.surface, t.triangles))
 
 
 # gluings with every label used the right number of times but the wrong
@@ -331,7 +331,6 @@ def test_triangulations_match_the_reference(base, steps, rng):
         rng.shuffle(scrambled)
         u = Triangulation(t.surface, scrambled)
         assert u.triangles == t.triangles == ref_canonical_triangles(scrambled)
-        assert u._slots == ref_slots(u.triangles)
         assert u == t and hash(u) == hash(t)
         ref_validate(u)
         assert u.exchange_matrix() == ref_exchange_matrix(u) == u.quiver().B
@@ -404,7 +403,6 @@ def test_validate_matches_the_slot_table_reference(base, steps, rng, how):
     if t is None:
         return
     assert _outcome(Triangulation.validate, t) == _outcome(ref_validate, t)
-    assert t._slot_table is None
 
 
 def _corner_classes_one_corner_off(self):
