@@ -601,6 +601,15 @@ def test_cover_nonoracle_surface_runs():
     assert ball.label(n1) is None
 
 
+@pytest.mark.parametrize("surface", [genus_one(1), annulus(2, 1)], ids=["genus_one1", "annulus21"])
+def test_label_conflicts_is_a_list_on_every_surface(surface):
+    # neither surface has an oracle group: no labels, and so no conflict to raise
+    ball = build_cover_ball(enumerate_graph(surface, radius=4), 3)
+    assert ball.frames is None
+    assert len(ball.classes()) > 1
+    assert all(ball.label(c) is None for c in ball.classes())
+
+
 def test_a_label_conflict_raises_with_its_witness(monkeypatch):
     # labels multiplied without normalising: a twist word that lifts back to
     # a labelled class, as t1 t1^-1 lifts to the base, meets another label
