@@ -16,7 +16,7 @@ from .presentation import (
     presentation_from_qp,
     verify_sound,
 )
-from .seeds import Seed, canonical_key, mutate_matrix, mutate_seed
+from .seeds import Seed, mutate_matrix, mutate_seed
 from .surface import (
     MarkedSurface,
     QuiverWithPotential,

@@ -13,7 +13,7 @@ oracle used by every group-theoretic check in this package.
 Forms also multiply and invert without going back to words (El-Rifai and
 Morton, "Algorithms for positive braids", 1994): the inverse of a form is
 read off factor by factor, and a product joins the factor lists and
-left-weights them once.
+left-weights them once; a word's form is the product of its letters'.
 
 Permutations are tuples ``p`` with ``p[i]`` the end position of the strand
 starting at position i; ``mult(p, q)`` applies p first.  Generators are
@@ -81,14 +81,25 @@ def _finishing_set(p):
 
 
 class _Tables:
-    """Per-strand-count caches: atom permutations and the pair-fix table."""
+    """Per-strand-count caches: atoms, letter forms and the pair-fix table."""
 
     def __init__(self, k: int):
         self.k = k
         self.id = _identity(k)
         self.w0 = _w0(k)
         self.gens = [_gen(k, i) for i in range(k - 1)]
+        # sigma_i^{-1} = Delta^{-1} . (Delta sigma_i^{-1})
+        self.letters = {}
+        for i, s in enumerate(self.gens, 1):
+            self.letters[i] = self._simple_form(0, s)
+            self.letters[-i] = self._simple_form(-1, mult(self.w0, s))
         self.fix_cache: dict[tuple, tuple] = {}
+
+    def _simple_form(self, power: int, f) -> "GarsideNF":
+        """The normal form of Delta^power f, f a permutation braid."""
+        if f == self.w0:
+            return GarsideNF(self.k, power + 1, ())
+        return GarsideNF(self.k, power, () if f == self.id else (f,))
 
     def fix(self, a, b):
         """Make the pair (a, b) left-weighted by sliding crossings left."""
@@ -241,27 +252,11 @@ def _normalize(k: int, factors: list) -> tuple[int, tuple]:
 
 
 def normal_form(w: BraidWord) -> GarsideNF:
-    """Left-greedy Garside normal form; equal braids get identical forms."""
-    k = w.strands
-    tab = _tab(k)
-    power = 0
-    factors: list = []
-    phase = 0          # pending conjugations by Delta, applied lazily
-    births: list[int] = []
-    for x in w.letters:
-        if x > 0:
-            factors.append(tab.gens[x - 1])
-            births.append(phase)
-        else:
-            power -= 1
-            phase += 1
-            # sigma_i^{-1} = Delta^{-1} . (Delta sigma_i^{-1})
-            r = mult(tab.w0, tab.gens[-x - 1])
-            factors.append(r)
-            births.append(phase)
-    mat = [_tau(f) if (phase - b) % 2 else f for f, b in zip(factors, births)]
-    extra, fs = _normalize(k, mat)
-    return GarsideNF(k, power + extra, fs)
+    """Left-greedy Garside normal form, the :func:`product` of the letters'
+    forms; equal braids get identical forms."""
+    if not w.letters:
+        return GarsideNF(w.strands, 0, ())
+    return product(*map(_tab(w.strands).letters.__getitem__, w.letters))
 
 
 def product(*forms: GarsideNF) -> GarsideNF:

@@ -675,7 +675,8 @@ class CoverBall:
     def fiber_report(self, shadow: int) -> list[dict]:
         """Interior cover vertices over a graph vertex, with deck labels.
 
-        Labels are canonical words, so equal deck labels are equal tuples.
+        Labels are canonical words, so equal deck labels are equal tuples;
+        two classes with one label raise :class:`CheckFailure`.
         """
         out = []
         seen: dict[tuple, int] = {}
@@ -683,8 +684,9 @@ class CoverBall:
             if self.shadow(cls) != shadow or not self.interior(cls):
                 continue
             lab = self._labels.get(cls)
-            if lab is not None and seen.setdefault(lab, cls) != cls:
-                raise RuntimeError("fiber elements with equal deck labels")
+            if lab is not None and (first := seen.setdefault(lab, cls)) != cls:
+                raise CheckFailure(f"fiber elements {first} and {cls} have equal deck labels", {
+                    "shadow": shadow, "classes": [first, cls], "label": list(lab)})
             out.append(
                 {
                     "class": cls,

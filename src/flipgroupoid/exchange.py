@@ -10,12 +10,12 @@ for the 2-cycle of forward mutations joining its endpoints; a directed
 edge (v, k) carries the index transport permutation identifying arcs of v
 with arcs of the target.
 
-Relation instances follow the three local shapes at a vertex.  Write x
-for the forward mutation at the tail of a pair of arcs (the source of the
-arrows between them) and y for the one at its head, each side read in
-walk order.  A pair sharing no triangle gives a square (x y = y x),
-sharing one triangle a pentagon (x y = y x y), sharing two triangles a
-hexagonal dumbbell (x y y = y y x).  On a graph stored with its reverses
+Relation instances follow the three local shapes at a vertex, read off B
+alone.  Write x for the forward mutation at the tail of arcs i < j (i when
+b_ij > 0, else j) and y for the one at its head, each side in walk order.
+|b_ij| = 0, 1, 2 (the triangles the arcs share) gives a square (x y = y
+x), a pentagon (x y = y x y) or a hexagonal dumbbell (x y y = y y x).
+On a graph stored with its reverses
 the head's two steps go out along an edge and straight back, so a
 dumbbell's closure check cannot fail.  :func:`_walk_relations` is the
 one enumeration of instances: it walks both sides of each on the graph's
@@ -162,7 +162,8 @@ def enumerate_graph(
     Each mutation mutates and sorts C alone: the sorted C' is the key, and
     the sort's permutation labels the edge.  Only a C' not met before gets
     its B', as :func:`mutate_seed` and the permutation the sort found give
-    it, and its triangulation, flipped and relabelled in one pass.
+    it, and its triangulation, flipped and relabelled in one pass, whose B
+    must equal B' (else a :class:`CheckFailure` with both matrices).
 
     ``radius=None`` means full enumeration (only sensible when the graph is
     finite; the vertex budget turns runaway enumerations into a loud
@@ -204,13 +205,11 @@ def enumerate_graph(
                     raise TruncationError(
                         f"vertex budget {budget} exceeded while enumerating"
                     )
-                mutated = mutate_seed(vd.seed, k)
-                if mutated.C != C2:
-                    raise RuntimeError("seed mutation disagrees with C mutation: implementation bug")
-                B2 = _permuted(mutated.B, order)
+                B2 = _permuted(mutate_seed(vd.seed, k).B, order)
                 tri = vd.triangulation.flip(k, perm)
                 if tri.exchange_matrix() != B2:
-                    raise RuntimeError("flip/mutation mismatch: implementation bug")
+                    raise CheckFailure(f"flip/mutation mismatch at vertex {v}, arc {k}", {
+                        "vertex": v, "arc": k, "flip": tri.exchange_matrix(), "mutation": B2})
                 u = len(vertices)
                 seed = _shared_seed(share, B2, key)
                 vertices.append(GraphVertex(tri, seed, vd.depth + 1, False))
@@ -247,38 +246,26 @@ def _pair_walk(g: ExchangeGraph, v: int, a: int, b: int, plan: str):
 # the kinds as module names: the walkers below compare them once per arc pair
 _SQUARE, _PENTAGON, _HEX_DUMBBELL = RelationKind.SQUARE, RelationKind.PENTAGON, RelationKind.HEX_DUMBBELL
 
+# each arc pair's kind and plans, indexed by |b_ij|
+_RELATIONS = ((_SQUARE, ("ba", "ab")), (_PENTAGON, ("ba", "aba")), (_HEX_DUMBBELL, ("baa", "aab")))
+
 
 def _relation_pairs(g: ExchangeGraph, v: int) -> Iterator[tuple]:
     """(kind, arcs, head, tail, plans) for each arc pair i < j at vertex v.
 
-    The kind is the number of triangles the pair shares, checked against
-    |B|; the tail is the source of the arrows between the pair.  A plan
-    spells one side's flips: 'a' flips the head's transported slot, 'b'
-    the tail's.
+    The kind and plans are ``_RELATIONS[|b_ij|]``; the tail is the source
+    of the arrows between the pair, j on a square.  A plan spells one
+    side's flips: 'a' flips the head's transported slot, 'b' the tail's.
     """
-    vd = g.vertices[v]
-    B = vd.seed.B
-    shared = vd.triangulation.shared_triangle_counts()
-    n = g.n
+    B = g.vertices[v].seed.B
+    n = len(B)
     for i in range(1, n + 1):
         row = B[i - 1]
         for j in range(i + 1, n + 1):
-            count = shared.get((i, j), 0)
             bij = row[j - 1]
-            if count == 0:
-                if bij != 0:
-                    raise RuntimeError("disjoint arcs must have B entry 0")
-                yield _SQUARE, (i, j), i, j, ("ba", "ab")
-            elif count == 1:
-                if abs(bij) != 1:
-                    raise RuntimeError("one shared triangle must give |B| = 1")
-                tail, head = (i, j) if bij > 0 else (j, i)
-                yield _PENTAGON, (i, j), head, tail, ("ba", "aba")
-            else:
-                if abs(bij) != 2:
-                    raise RuntimeError("two shared triangles must give |B| = 2")
-                tail, head = (i, j) if bij > 0 else (j, i)
-                yield _HEX_DUMBBELL, (i, j), head, tail, ("baa", "aab")
+            kind, plans = _RELATIONS[abs(bij)]
+            head, tail = (j, i) if bij > 0 else (i, j)
+            yield kind, (i, j), head, tail, plans
 
 
 def _walk(adj: list[list], v: int, a: int, b: int, plan: str):

@@ -26,7 +26,7 @@ import operator
 from collections import defaultdict
 from itertools import chain
 
-from .exchange import ExchangeGraph, RelationKind, _pair_walk, _walk_relations
+from .exchange import CheckFailure, ExchangeGraph, RelationKind, _pair_walk, _walk_relations
 
 __all__ = [
     "SparseMatrix", "invariant_factors", "two_cells", "homology_h1", "face_census",
@@ -213,7 +213,8 @@ def face_census(g: ExchangeGraph) -> dict:
 
 
 def homology_h1(g: ExchangeGraph) -> tuple[int, list[int]]:
-    """First Betti number and torsion of the square+pentagon 2-complex."""
+    """First Betti number and torsion of the square+pentagon 2-complex; a
+    graph that is not connected raises :class:`CheckFailure`."""
     if not g.is_complete():
         raise ValueError("homology needs a fully enumerated graph")
     adj = g.adj
@@ -231,7 +232,9 @@ def homology_h1(g: ExchangeGraph) -> tuple[int, list[int]]:
                 tree.add(min(v * stride + k, step[0] * stride + step[1]))
                 stack.append(step[0])
     if len(seen) != g.vertex_count():
-        raise RuntimeError("exchange graph is not connected")
+        missing = next(v for v in range(g.vertex_count()) if v not in seen)
+        raise CheckFailure(f"exchange graph is not connected: vertex 0 does not reach {missing}", {
+            "reached": len(seen), "vertices": g.vertex_count(), "unreached": missing})
     nontree = [d for v, k, _, _ in g._edges_in_order() if (d := v * stride + k) not in tree]
     row: list[int | None] = [None] * (len(adj) * stride)  # edge id -> non-tree row
     for r, d in enumerate(nontree):

@@ -13,10 +13,9 @@ algebras", 2012).  So the dedup key of exchange-graph enumeration is the
 sorted C alone: each mutation runs :func:`_mutate_c` (the one copy of the
 C rule, shared with :func:`mutate_seed`) and :func:`_sort_c`, and B' is
 built, by :func:`mutate_seed` and :func:`_permuted`, only for a cluster
-not met before.  :func:`canonical_form` gives the relabelling permutation
-and the canonical (B', C') of a whole seed, and :func:`canonical_key` is
-the bytes form of that pair, written by :func:`form_key`.  Matrices are
-tuples of int tuples.
+not met before.  A cluster is keyed by its sorted C and nothing else;
+:func:`canonical_form` gives the relabelling permutation and the
+canonical (B', C') of a whole seed.  Matrices are tuples of int tuples.
 
 Mutation indices are 1-based, matching arc ids.
 """
@@ -25,9 +24,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
 
-__all__ = ["Seed", "mutate_matrix", "mutate_seed", "canonical_form", "canonical_key", "form_key"]
+__all__ = ["Seed", "mutate_matrix", "mutate_seed", "canonical_form"]
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -196,16 +194,3 @@ def canonical_form(seed: Seed) -> tuple[Matrix, Matrix, tuple[int, ...]]:
     """
     C2, order, perm = _sort_c(seed.C)
     return _permuted(seed.B, order), C2, perm
-
-
-def form_key(B2: Matrix, C2: Matrix) -> bytes:
-    """Key bytes of a canonical form (B', C') as returned by canonical_form."""
-    body = ",".join(map(str, chain.from_iterable(B2)))
-    body += ";" + ",".join(map(str, chain.from_iterable(C2)))
-    return f"n={len(B2)};{body}".encode("ascii")
-
-
-def canonical_key(seed: Seed) -> bytes:
-    """Deterministic byte string identifying the seed's cluster."""
-    B2, C2, _ = canonical_form(seed)
-    return form_key(B2, C2)

@@ -31,7 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, combinations
+from itertools import chain
 from operator import itemgetter
 
 from .seeds import Matrix, as_matrix, is_skew_symmetric
@@ -201,20 +201,18 @@ def _keyed_triangle(tri: tuple) -> tuple[tuple, tuple]:
     return keys[k:] + keys[:k], tri[k:] + tri[:k]
 
 
-# Memo of what B and the relation kinds read of a triangle, kept like
+# Memo of what B and the quiver read of a triangle, kept like
 # _keyed_triangle's: one entry per distinct triangle, so that labels are
 # parsed once, not at every vertex that holds the triangle.
 @cache
-def _triangle_arcs(tri: tuple) -> tuple[tuple, tuple]:
-    """The arc pairs (i, j), i < j, of ``tri``, and its angles between
-    two arcs as 0-based (tail, head) indices, tail followed by head."""
-    arcs = sorted(int(lab[1:]) for lab in tri if lab[0] == "a")
-    angles = tuple(
+def _triangle_angles(tri: tuple) -> tuple:
+    """The angles of ``tri`` between two arcs, as 0-based (tail, head)
+    indices, tail followed by head."""
+    return tuple(
         (int(tri[k][1:]) - 1, int(tri[k - 1][1:]) - 1)
         for k in range(3)
         if tri[k][0] == "a" and tri[k - 1][0] == "a"
     )
-    return tuple(combinations(arcs, 2)), angles
 
 
 def _canonical_triangles(triangles):
@@ -230,8 +228,7 @@ class Triangulation:
     its smallest side comes first, triples sorted), so equality is labelled
     combinatorial-map equality.  A triangulation holds its surface and its
     triangles and nothing else: every fact about it (corners, chords, the
-    dual graph, shared triangles, the quiver) is read by a scan of the
-    triangles.
+    dual graph, the quiver) is read by a scan of the triangles.
     """
 
     __slots__ = ("surface", "triangles")
@@ -400,23 +397,13 @@ class Triangulation:
         k = min(range(4), key=lambda i: (_edge_sort_key(sides[i]), i))
         return sides[k:] + sides[:k]
 
-    def shared_triangle_counts(self) -> dict[tuple[int, int], int]:
-        """How many triangles each pair of arcs i < j shares, from one pass
-        over the triangles; a pair missing here shares none.  The count is
-        |B[i-1][j-1]| (0, 1 or 2)."""
-        counts: dict[tuple[int, int], int] = {}
-        for tri in self.triangles:
-            for pair in _triangle_arcs(tri)[0]:
-                counts[pair] = counts.get(pair, 0) + 1
-        return counts
-
     def exchange_matrix(self) -> Matrix:
         """B of the quiver as tuple rows: ``B[i][j]`` counts the angles
         from arc i+1 to arc j+1 (see :meth:`quiver`) minus those back."""
         n = self.n
         B = [[0] * n for _ in range(n)]
         for tri in self.triangles:
-            for ti, hi in _triangle_arcs(tri)[1]:
+            for ti, hi in _triangle_angles(tri):
                 B[ti][hi] += 1
                 B[hi][ti] -= 1
         return tuple(map(tuple, B))
@@ -431,7 +418,7 @@ class Triangulation:
         """
         arrows, terms = [], []
         for tri in self.triangles:
-            angles = _triangle_arcs(tri)[1]
+            angles = _triangle_angles(tri)
             base = len(arrows)
             arrows += [(ti + 1, hi + 1) for ti, hi in angles]
             if len(angles) == 3:

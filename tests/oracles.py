@@ -3,7 +3,7 @@
 These deliberately avoid the library's own machinery: polygon
 triangulations are maximal noncrossing diagonal sets found by
 backtracking, and their flip graph is built directly on chord sets.
-The seed references are the numpy mutation, canonical form and key that
+The seed references are the numpy mutation and canonical form that
 ``flipgroupoid.seeds`` replaced with code on tuples of int tuples; the corner
 reference is the union-find on ``(t, k)`` tuples that
 ``Triangulation._corner_classes`` replaced with flat corner indices.
@@ -22,6 +22,8 @@ The relation instance references are the ``RelationInstance`` objects
 that ``flipgroupoid.exchange`` built, one per arc pair at every vertex,
 each side's steps, end and transported slots walked and stored, before
 ``_walk_relations`` became the library's one enumeration of instances.
+They classify each arc pair by the triangles it shares, through the slot
+table, as ``_relation_pairs`` did before it read the kind off |b_ij|.
 The relation closure reference is the ``relation_closure_check`` that
 built a ``RelationInstance`` for every arc pair at every vertex, before
 the walk on the adjacency table of ints.
@@ -43,7 +45,9 @@ vertex's triangulation as a flip through the slot table followed by a
 relabelling (``ref_flip`` and ``ref_relabel``).
 The conjugation reference is the word-level route ``BraidOracle.conj``
 took before it multiplied Garside forms: by^{-1} word by joined as one
-word and normalised letter by letter.
+word and normalised letter by letter.  The normal-form reference is
+that letter-by-letter pass, which ``normal_form`` ran before it became
+the product of its letters' forms.
 """
 
 import operator
@@ -54,7 +58,7 @@ from math import comb
 
 import numpy as np
 
-from flipgroupoid.braid import BraidWord, normal_form
+from flipgroupoid.braid import BraidWord, GarsideNF, _normalize, _tab, _tau, mult
 from flipgroupoid.cover import (
     BWD,
     FWD,
@@ -72,7 +76,6 @@ from flipgroupoid.exchange import (
     TruncationError,
     _link,
     _perm_pair,
-    _relation_pairs,
     _shared_seed,
     _sharer,
     relation_closure_check,
@@ -213,14 +216,6 @@ def ref_canonical_form(seed):
     B2 = B[np.ix_(order, order)]
     C2 = C[order]
     return B2, C2, tuple(i + 1 for i in new_index)
-
-
-def ref_canonical_key(seed) -> bytes:
-    B2, C2, _ = ref_canonical_form(seed)
-    n = seed.n
-    body = ",".join(str(int(x)) for x in B2.ravel())
-    body += ";" + ",".join(str(int(x)) for x in C2.ravel())
-    return f"n={n};{body}".encode("ascii")
 
 
 def ref_canonical_triangles(triangles) -> tuple:
@@ -539,10 +534,32 @@ def _ref_pair_walk(g: ExchangeGraph, v: int, a: int, b: int, plan: str):
     return tuple(steps), v, (a, b)
 
 
-def ref_relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
-    """One instance per unordered arc pair at vertex v."""
+def ref_relation_pairs(g: ExchangeGraph, v: int) -> list[tuple]:
+    """(kind, arcs, head, tail, plans) for each arc pair i < j at vertex v,
+    read off the triangulation: the kind is the number of triangles the
+    pair shares, by the slot table, and the tail the source of the arrows
+    between the pair, by the sign of b_ij (j on a square)."""
+    vd = g.vertices[v]
+    t, B = vd.triangulation, vd.seed.B
     out = []
-    for kind, arcs, head, tail, (left_plan, right_plan) in _relation_pairs(g, v):
+    for i in range(1, t.n + 1):
+        for j in range(i + 1, t.n + 1):
+            count = ref_shared_count(t, i, j)
+            tail, head = (i, j) if B[i - 1][j - 1] > 0 else (j, i)
+            if count == 0:
+                out.append((RelationKind.SQUARE, (i, j), i, j, ("ba", "ab")))
+            elif count == 1:
+                out.append((RelationKind.PENTAGON, (i, j), head, tail, ("ba", "aba")))
+            else:
+                out.append((RelationKind.HEX_DUMBBELL, (i, j), head, tail, ("baa", "aab")))
+    return out
+
+
+def ref_relation_instances(g: ExchangeGraph, v: int) -> list[RelationInstance]:
+    """One instance per unordered arc pair at vertex v, classified by
+    :func:`ref_relation_pairs`."""
+    out = []
+    for kind, arcs, head, tail, (left_plan, right_plan) in ref_relation_pairs(g, v):
         ls, le, lp = _ref_pair_walk(g, v, head, tail, left_plan)
         rs, re, rp = _ref_pair_walk(g, v, head, tail, right_plan)
         out.append(
@@ -766,11 +783,36 @@ def ref_smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[lis
     return U, A, V
 
 
+def ref_normal_form(w: BraidWord) -> GarsideNF:
+    """Left-greedy Garside normal form by one pass over the letters, as
+    ``normal_form`` ran before it became the product of its letters' forms:
+    sigma_i^{-1} is written Delta^{-1} (Delta sigma_i^{-1}), each factor is
+    conjugated by Delta once for every inverse letter after it, and the
+    factor list is left-weighted once."""
+    k = w.strands
+    tab = _tab(k)
+    power = 0
+    factors: list = []
+    phase = 0          # pending conjugations by Delta, applied lazily
+    births: list[int] = []
+    for x in w.letters:
+        if x > 0:
+            factors.append(tab.gens[x - 1])
+        else:
+            power -= 1
+            phase += 1
+            factors.append(mult(tab.w0, tab.gens[-x - 1]))
+        births.append(phase)
+    mat = [_tau(f) if (phase - b) % 2 else f for f, b in zip(factors, births)]
+    extra, fs = _normalize(k, mat)
+    return GarsideNF(k, power + extra, fs)
+
+
 def ref_canon(o, word) -> tuple[int, ...]:
     """Canonical word of ``word`` in the oracle's group, normalised letter by
     letter: a braid never goes through the oracle's remembered forms."""
     if o.kind == "braid":
-        return normal_form(BraidWord(o.strands, tuple(word))).word().letters
+        return ref_normal_form(BraidWord(o.strands, tuple(word))).word().letters
     return o.canon(word)
 
 

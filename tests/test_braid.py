@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from flipgroupoid.braid import (
     BraidWord,
+    GarsideNF,
     conjugate,
     delta_word,
     equal,
@@ -16,7 +17,7 @@ from flipgroupoid.braid import (
 )
 from flipgroupoid.cover import BraidOracle, inverse_word
 
-from oracles import ref_canon, ref_conj
+from oracles import ref_canon, ref_conj, ref_normal_form
 
 W = BraidWord
 
@@ -219,6 +220,17 @@ def test_nf_inverse_and_product_match_the_words(data):
     assert product(na, nb) == normal_form(a * b)
     assert product(nb.inverse(), na, nb) == normal_form(b.inverse() * a * b)
     assert product(na, nb, nc) == normal_form(a * b * c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normal_form_matches_the_letter_pass(data):
+    # B_1 has no letters: its one word is the empty word
+    k = data.draw(st.integers(1, 8))
+    u, v = (W(k, data.draw(braid_letters(k)) if k > 1 else ()) for _ in range(2))
+    assert normal_form(W(k, ())) == ref_normal_form(W(k, ())) == GarsideNF(k, 0, ())
+    assert normal_form(u) == ref_normal_form(u)
+    assert normal_form(u * v) == ref_normal_form(u * v) == product(normal_form(u), normal_form(v))
 
 
 def test_product_refuses_mixed_strands_and_no_forms():

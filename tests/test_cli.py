@@ -327,11 +327,21 @@ MERGE_DETAIL = {
 }
 
 
+# the flip witness: the hexagon fan left unflipped, and the fan's B
+# mutated at arc 1 with its rows and columns in the sorted C's order
+FLIP_DETAIL = {
+    "vertex": 0,
+    "arc": 1,
+    "flip": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+    "mutation": [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]],
+}
+
+
 @pytest.mark.parametrize("argv, fault, message, detail", [
     (["cover", "--polygon", "5", "--radius", "4"], _skip_the_conjugation_at_arc_1,
      "relation closure tried to merge different frames", MERGE_DETAIL),
-    (["enumerate", "--polygon", "6"], _flip_nothing, "flip/mutation mismatch: implementation bug",
-     None),
+    (["enumerate", "--polygon", "6"], _flip_nothing, "flip/mutation mismatch at vertex 0, arc 1",
+     FLIP_DETAIL),
 ], ids=["cover", "enumerate"])
 def test_a_runtime_error_is_a_check_failure(argv, fault, message, detail, tmp_path, monkeypatch,
                                             capsys):

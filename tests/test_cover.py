@@ -281,6 +281,18 @@ def test_a2_fiber_labels_distinct():
     assert len(fib) == 5  # identity and the four twist lifts at depth <= 2
 
 
+def test_equal_fiber_labels_raise_with_their_witness(monkeypatch):
+    # two classes over one vertex with one deck label would be one cover vertex
+    ball = build_cover_ball(enumerate_graph(polygon_fan(5)), radius=6)
+    first, second = [r["class"] for r in ball.fiber_report(0)][-2:]
+    label = ball.label(first)
+    assert label is not None and ball.label(second) not in (None, label)
+    monkeypatch.setitem(ball._labels, second, label)
+    with pytest.raises(exchange.CheckFailure, match=f"fiber elements {first} and {second} ") as caught:
+        ball.fiber_report(0)
+    assert caught.value.detail == {"shadow": 0, "classes": [first, second], "label": list(label)}
+
+
 def test_annulus_ball_hexagons_close_squares_dont():
     g = enumerate_graph(annulus(1, 1), radius=8)
     ball = build_cover_ball(g, radius=5)

@@ -9,6 +9,7 @@ import pytest
 from flipgroupoid.exchange import (
     RelationKind,
     TruncationError,
+    _relation_pairs,
     enumerate_graph,
     export_dot,
     graph_from_json,
@@ -23,6 +24,7 @@ from oracles import (
     polygon_flip_graph,
     polygon_triangulations,
     ref_enumerate_graph,
+    ref_relation_pairs,
     walked_closure_report,
 )
 from oracles import ref_all_relation_instances as all_relation_instances
@@ -140,6 +142,40 @@ def test_dumbbell_sides_start_at_opposite_arcs():
         assert inst.right_steps[0] == (inst.base, head)
         # the head's two steps go out along an edge and straight back
         assert not inst.complete or (inst.left_end, inst.right_steps[2][0]) == (inst.left_steps[1][0], inst.base)
+
+
+SQ, PE, HD = RelationKind.SQUARE, RelationKind.PENTAGON, RelationKind.HEX_DUMBBELL
+# each graph with the kinds its arc pairs take: a disc has no dumbbell,
+# the hexagon and up a square, and only annuli and genus one dumbbells
+PAIR_GRAPHS = [
+    (polygon_fan(4), None, set()),
+    (polygon_fan(5), None, {PE}),
+    (polygon_fan(6), None, {SQ, PE}),
+    (polygon_fan(7), None, {SQ, PE}),
+    (polygon_fan(8), None, {SQ, PE}),
+    (annulus(1, 1), 4, {HD}),
+    (annulus(2, 1), 4, {PE, HD}),
+    (annulus(2, 2), 4, {SQ, PE, HD}),
+    (annulus(3, 1), 4, {SQ, PE, HD}),
+    (genus_one(1), 4, {PE, HD}),
+    (genus_one(2), 4, {SQ, PE, HD}),
+]
+
+
+@pytest.mark.parametrize("base, radius, kinds", PAIR_GRAPHS, ids=[
+    "polygon4", "polygon5", "polygon6", "polygon7", "polygon8", "annulus11-r4", "annulus21-r4",
+    "annulus22-r4", "annulus31-r4", "genus-one1-r4", "genus-one2-r4"])
+def test_relation_pairs_match_the_shared_triangle_reference(base, radius, kinds):
+    # kind, (head, tail) and plans from |b_ij| and its sign, at every vertex,
+    # against the slot table's shared-triangle counts
+    g = enumerate_graph(base, radius=radius)
+    seen = set()
+    for v in range(g.vertex_count()):
+        pairs = list(_relation_pairs(g, v))
+        assert pairs == ref_relation_pairs(g, v)
+        seen.update((kind, head > tail) for kind, _, head, tail, _ in pairs)
+    # every kind met, a pentagon and a dumbbell each with its tail on both sides
+    assert seen == {(k, False) for k in kinds} | {(k, True) for k in kinds - {SQ}}
 
 
 def test_instance_lengths():

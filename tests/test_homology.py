@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import flipgroupoid
 from flipgroupoid.exchange import (
+    CheckFailure,
     RelationKind,
     _walk_relations,
     enumerate_graph,
@@ -223,6 +224,21 @@ def test_homology_requires_complete_graph():
     g = enumerate_graph(annulus(1, 1), radius=3)
     with pytest.raises(ValueError):
         homology_h1(g)
+
+
+def test_a_disconnected_graph_raises_with_its_witness(monkeypatch):
+    # cut the hexagon graph's last vertex off: vertex 0 reaches the 13 others
+    g = enumerate_graph(polygon_fan(6))
+    last = g.vertex_count() - 1
+    adj = [list(row) for row in g.adj]
+    for k, (u, k2, _) in enumerate(adj[last][1:], 1):
+        adj[last][k] = adj[u][k2] = None
+    monkeypatch.setattr(g, "adj", adj)
+    with pytest.raises(CheckFailure, match=f"does not reach {last}$") as caught:
+        homology_h1(g)
+    assert caught.value.detail == {"reached": last, "vertices": last + 1, "unreached": last}
+    monkeypatch.undo()
+    assert homology_h1(g) == (0, [])
 
 
 def test_h1_hands_the_tracer_a_sparse_matrix_it_keeps(monkeypatch):
