@@ -28,20 +28,31 @@ multiplying forms (``braid.product`` of the inverse of the form of
 computed from words only for words it has not met.  Deck labels are
 canonical words too, and are compared as tuples.
 
-The covering ball of radius r is the tree of reduced forward/backward
+On a disc and on the once-marked annulus the decorated cover is a
+regular cover with the oracle group as deck group, so it is the derived
+graph of a voltage assignment (Gross and Tucker, *Topological Graph
+Theory*, ch. 2).  :func:`voltages` solves one group element per directed
+edge of the exchange graph, from the BFS tree, the 2-cycle rule and the
+relations, and checks the relations, the 2-cycles and the frame rule on
+every edge.  The covering ball of radius r is then a breadth-first search
+over (graph vertex, group element), the element keyed by its Garside form
+on a disc and its reduced word on the annulus: each cover vertex is born
+once, with the frame transported from its parent, and a cover vertex over
+the base is labelled by the canonical word of its group element.
+
+Without an oracle group the ball is the tree of reduced forward/backward
 flip words from a base vertex modulo closure under the square, pentagon
 and hexagonal-dumbbell rewrites.  Inside the interior (depth <= r - 3,
 the longest relation side being 3) it agrees with the covering graph of
 decorated triangulations.  It is grown one depth at a time from class
 representatives, by coset enumeration with folding, and the tree is
-never built: each class is born with the frame transported from its
-parent class, and merging classes with unequal frames is a
-:class:`~flipgroupoid.exchange.CheckFailure` whose detail is the witness.
+never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import braid
 from .braid import BraidWord
@@ -64,6 +75,7 @@ __all__ = [
     "frame_transport_move",
     "frame_at",
     "disc_start_frame",
+    "voltages",
     "CoverBall",
     "build_cover_ball",
 ]
@@ -129,6 +141,17 @@ class _WordOracle:
     def eq(self, w1, w2) -> bool:
         return self.canon(w1) == self.canon(w2)
 
+    # group elements as hashable keys: the canonical word here, the Garside
+    # form in the braid oracle, which multiplies forms without reading words
+    def element(self, word):
+        return self.canon(word)
+
+    def times(self, a, b):
+        return self.mul(a, b)
+
+    def word(self, a) -> tuple[int, ...]:
+        return a
+
 
 class BraidOracle(_WordOracle):
     """Garside-backed word arithmetic in B_strands.
@@ -148,33 +171,37 @@ class BraidOracle(_WordOracle):
         self._forms: dict = {}
         self._inverses: dict = {}
 
-    def _nf(self, word) -> braid.GarsideNF:
+    def element(self, word) -> braid.GarsideNF:
+        """The Garside form of a word, normalised the first time it is met."""
         nf = self._forms.get(tuple(word))
         if nf is None:
             nf = braid.normal_form(BraidWord(self.strands, word))
-            self._word(nf)
+            self.word(nf)
         return nf
 
-    def _word(self, nf: braid.GarsideNF) -> tuple[int, ...]:
+    def times(self, a: braid.GarsideNF, b: braid.GarsideNF) -> braid.GarsideNF:
+        return braid.product(a, b)
+
+    def word(self, nf: braid.GarsideNF) -> tuple[int, ...]:
         """The canonical word of a form, remembered with it."""
         word = nf.word().letters
         self._forms.setdefault(word, nf)
         return word
 
     def canon(self, word) -> tuple[int, ...]:
-        return self._word(self._nf(word))
+        return self.word(self.element(word))
 
     def inv(self, word) -> tuple[int, ...]:
         key = tuple(word)
         out = self._inverses.get(key)
         if out is None:
-            out = self._inverses[key] = self._word(self._nf(key).inverse())
+            out = self._inverses[key] = self.word(self.element(key).inverse())
         return out
 
     def mul(self, *words) -> tuple[int, ...]:
         if not words:
             return ()
-        return self._word(braid.product(*map(self._nf, words)))
+        return self.word(braid.product(*map(self.element, words)))
 
     def _entry_ok(self, word) -> bool:
         return braid.looks_like_band_generator(BraidWord(self.strands, word))
@@ -353,50 +380,167 @@ def disc_start_frame(g: ExchangeGraph) -> TwistFrame:
     return frame
 
 
-def _bfs_path(g: ExchangeGraph, v: int) -> list[int]:
-    """Deterministic flip path 0 -> v (BFS tree, arcs scanned in order)."""
+def _bfs_tree(g: ExchangeGraph) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Breadth-first order from vertex 0, and each vertex's (parent, arc)
+    in the tree, arcs scanned in order; vertex 0's parent is (-1, 0)."""
     parent: dict[int, tuple[int, int]] = {0: (-1, 0)}
     order = [0]
-    qpos = 0
-    while qpos < len(order):
-        w = order[qpos]
-        qpos += 1
-        if w == v:
-            break
+    for w in order:
         for k, step in enumerate(g.adj[w]):
             if step is not None and step[0] not in parent:
                 parent[step[0]] = (w, k)
                 order.append(step[0])
+    return order, parent
+
+
+def _bfs_path(g: ExchangeGraph, v: int) -> list[int]:
+    """Deterministic flip path 0 -> v (BFS tree, arcs scanned in order)."""
+    parent = _bfs_tree(g)[1]
     if v not in parent:
         raise ValueError(f"vertex {v} not reachable")
     path = []
-    cur = v
-    while cur != 0:
-        p, k = parent[cur]
+    while v != 0:
+        v, k = parent[v]
         path.append(k)
-        cur = p
     return path[::-1]
+
+
+# -- voltages ----------------------------------------------------------------
+
+
+def _reverse_voltage(o, entry, x) -> tuple[int, ...]:
+    """vol(u, k2) by the 2-cycle rule vol(v, k) . vol(u, k2) = entry^{-1},
+    for x = vol(v, k) and ``entry`` the entry at k of F_v."""
+    return o.inv(o.mul(entry, x))
+
+
+def voltages(g: ExchangeGraph, oracle) -> tuple[list[TwistFrame], list[list]]:
+    """Solve the decorated cover as a voltage graph over the oracle group.
+
+    Returns ``(frames, vol)``.  ``frames[v]`` is F_v, the frame transported
+    from :func:`frame_at` ``(g, 0)`` along the BFS tree of :func:`_bfs_path`.
+    ``vol[v][k]`` is the canonical word of the group element on the edge
+    v --k--> u, None where v has no edge k: cover vertex (v, x) moves
+    forward at k to (u, x . vol(v, k)), and its frame is x F_v x^{-1}.
+
+    The voltages are solved in three steps: the identity on the tree's
+    edges; the 2-cycle rule vol(v, k) . vol(u, k2) = (entry k of F_v)^{-1};
+    then passes over the complete instances of
+    :func:`flipgroupoid.exchange._walk_relations`, each solving the one
+    unknown edge of an instance, until a pass solves none.  Then each edge
+    must carry the frame rule frame_transport_move(F_v, v, k) = x F_u x^{-1}
+    with x = vol(v, k) and its 2-cycle's rule, and each complete instance
+    equal products on its two sides.  A failure, and an edge that no pass
+    solves, raises :class:`CheckFailure` with a witness; an instance that
+    does not close raises first, as the walker names it.
+    """
+    instances = [(v, kind, arcs, *(_pair_walk(g, v, head, tail, plan)[0] for plan in plans))
+                 for v, kind, arcs, head, tail, plans, lo in _walk_relations(g) if lo is not None]
+    order, parent = _bfs_tree(g)
+    frames = [None] * g.vertex_count()
+    frames[0] = TwistFrame.trusted(frame_at(g, 0).entries, oracle)
+    for u in order[1:]:
+        w, k = parent[u]
+        frames[u] = frame_transport_move(g, frames[w], w, k)[1]
+    vol = _solve_voltages(g, oracle, frames, parent, instances)
+    _check_voltages(g, oracle, frames, instances, vol)
+    return frames, vol
+
+
+def _solve_voltages(g, o, frames, parent, instances) -> list[list]:
+    adj = g.adj
+    vol = [[None] * len(row) for row in adj]
+
+    def put(v, k, x):
+        vol[v][k] = x
+        u, k2, _ = adj[v][k]
+        if vol[u][k2] is None:
+            vol[u][k2] = _reverse_voltage(o, frames[v].entry(k), x)
+
+    one = o.canon(())
+    for u, (w, k) in parent.items():
+        if u:
+            put(w, k, one)
+    pending, solved = instances, True
+    while solved:
+        solved, left = False, []
+        for inst in pending:
+            sides = inst[3:]
+            unknown = [(s, i) for s, side in enumerate(sides)
+                       for i, (w, k) in enumerate(side) if vol[w][k] is None]
+            if len(unknown) != 1:
+                if unknown:
+                    left.append(inst)
+                continue
+            (s, i), = unknown
+            words = [vol[w][k] for w, k in sides[s]]
+            other = o.mul(*(vol[w][k] for w, k in sides[1 - s]))
+            put(*sides[s][i], o.mul(o.inv(o.mul(*words[:i])), other, o.inv(o.mul(*words[i + 1:]))))
+            solved = True
+        pending = left
+    for v, row in enumerate(adj):
+        for k, step in enumerate(row):
+            if step is not None and vol[v][k] is None:
+                raise CheckFailure(f"no relation solves the voltage of vertex {v}, arc {k}",
+                                   {"vertex": v, "arc": k, "target": step[0]})
+    return vol
+
+
+def _check_voltages(g, o, frames, instances, vol) -> None:
+    for v, row in enumerate(g.adj):
+        for k, step in enumerate(row):
+            if step is None:
+                continue
+            u, k2, _ = step
+            x, entry = vol[v][k], frames[v].entry(k)
+            moved = frame_transport_move(g, frames[v], v, k)[1].entries
+            back = o.inv(x)
+            want = tuple(o.conj(e, back) for e in frames[u].entries)
+            if moved != want:
+                raise CheckFailure(f"the frame rule fails on the edge from vertex {v} at arc {k}", {
+                    "vertex": v, "arc": k, "target": u, "voltage": list(x),
+                    "transported": [list(e) for e in moved],
+                    "conjugated": [list(e) for e in want]})
+            if o.mul(x, vol[u][k2]) != o.inv(entry):
+                raise CheckFailure(f"the 2-cycle at vertex {v}, arc {k} does not carry the "
+                                   "inverse of its frame entry", {
+                                       "vertex": v, "arc": k, "entry": list(entry),
+                                       "voltages": [list(x), list(vol[u][k2])]})
+    for v, kind, arcs, *sides in instances:
+        products = [o.mul(*(vol[w][k] for w, k in side)) for side in sides]
+        if products[0] != products[1]:
+            detail = {"kind": kind.value, "vertex": v, "arcs": arcs}
+            for name, side, product in zip(("left", "right"), sides, products):
+                detail[name] = {"steps": side, "voltage": list(product)}
+            raise CheckFailure(f"relation instance {kind.value} at vertex {v}, arcs {arcs} "
+                               "carries different voltages on its sides", detail)
 
 
 # -- covering balls ----------------------------------------------------------
 
 FWD, BWD = 1, -1
-LABEL_WORD_LENGTH = 4  # deck labels come from twist words up to this length
 
 
 class CoverBall:
-    """Radius-truncated covering ball, grown layer by layer as a quotient.
+    """Radius-truncated covering ball.
 
-    Each class at depth d < radius gets its missing (arc, +-1) moves as
-    newly born classes at depth d + 1, each with the frame transported
-    from its parent class; the relation closure then runs over the
-    classes a relation side could newly reach.  Merging classes with
-    different shadows or different frames raises
+    On a surface with an oracle group the ball is grown from
+    :func:`voltages` by a breadth-first search over (shadow, group
+    element): classes are taken in id order, which is their birth order,
+    and moves in :meth:`_number`'s order, each class is born once with the frame
+    :func:`frame_transport_move` gives from its parent, classes at depth
+    ``radius`` are not expanded, and a class (base, x) gets x as its deck
+    label.  Equal keys are one cover vertex.
+
+    Without an oracle group the ball is a quotient grown layer by layer:
+    each class at depth d < radius gets its missing (arc, +-1) moves as
+    newly born classes at depth d + 1, and the relation closure then runs
+    over the classes a relation side could newly reach.  Its outer layers
+    can hold copies no relation inside the ball merges.  Merging classes
+    with different shadows raises
     :class:`~flipgroupoid.exchange.CheckFailure`; its detail names the depth
     of the layer being closed, the two classes by birth order (the base is
-    0), their shadows, their frames as word lists and their move words
-    from the base.  A class that twist words give two deck labels raises it
-    too, naming the class, both labels and the twist word of the second.
+    0), their shadows and their move words from the base.
 
     A class's id is the breadth-first path-tree index of its
     shortlex-least move word; ``size`` counts the reduced words of length
@@ -406,26 +550,80 @@ class CoverBall:
     ``ValueError`` on any other id.
     """
 
-    def __init__(self, graph: ExchangeGraph, base: int, radius: int,
-                 frame0: TwistFrame | None, budget: int):
+    def __init__(self, graph: ExchangeGraph, base: int, radius: int, budget: int,
+                 solved: tuple | None = None):
         if radius < 1:
             raise ValueError("radius must be >= 1")
         self.graph = graph
         self.base = base
         self.radius = radius
         self.budget = budget
-        self._number(*self._grow(frame0))
+        self._number(*(self._grow() if solved is None else self._grow_voltages(*solved)))
         self._count_sizes()
         self.nodes = range(sum(self._size.values()))
-        self._labels: dict[int, tuple] = {}
-        if frame0 is not None:
-            self._discover_labels()
 
-    def _grow(self, frame0):
+    def _refuse_frontier(self, v: int) -> None:
+        if self.graph.vertices[v].frontier:
+            raise ValueError(
+                "cover ball reaches the exchange graph's truncation frontier; "
+                "enumerate the graph at least as deep as the ball radius"
+            )
+
+    def _over_budget(self, d: int, layers: list[int]) -> TruncationError:
+        return TruncationError(
+            f"cover class budget {self.budget} exceeded while growing depth "
+            f"{d + 1}; depth reached {d}, classes per finished layer {layers}"
+        )
+
+    def _grow_voltages(self, frames, vol):
+        """Born classes in id order, with their frames and the labels of
+        those over the base."""
+        g, base = self.graph, self.base
+        o = frames[base].oracle
+        steps = []  # per vertex: (move, target, move back, voltage crossed)
+        for v, row in enumerate(g.adj):
+            steps.append([])
+            for k, step in enumerate(row):
+                if step is not None:
+                    u, k2, _ = step
+                    steps[v].append(((k, FWD), u, (k2, BWD), o.element(vol[v][k])))
+                    steps[v].append(((k, BWD), u, (k2, FWD), o.element(o.inv(vol[u][k2]))))
+        one = o.element(())
+        key = {(base, one): 0}
+        shadow, element, depth, moves, born = [base], [one], [0], [{}], [frames[base]]
+        labels = {0: o.word(one)}
+        for cls, v in enumerate(shadow):
+            d = depth[cls]
+            if d == self.radius:
+                break
+            self._refuse_frontier(v)
+            mine, x = moves[cls], element[cls]
+            for mv, u, back, step in steps[v]:
+                if mv in mine:
+                    continue
+                y = o.times(x, step)
+                tgt = key.get((u, y))
+                if tgt is None:
+                    tgt = len(shadow)
+                    if tgt >= self.budget:
+                        raise self._over_budget(d, [depth.count(i) for i in range(d + 1)])
+                    key[u, y] = tgt
+                    shadow.append(u)
+                    element.append(y)
+                    depth.append(d + 1)
+                    moves.append({})
+                    born.append(frame_transport_move(g, born[cls], v, mv[0], mv[1] == FWD)[1])
+                    if u == base:
+                        labels[tgt] = o.word(y)
+                mine[mv] = tgt
+                moves[tgt][back] = cls
+        return shadow, moves, int, born, labels  # int: each class is its own root
+
+    def _grow(self):
         """Born classes by birth order, each kept under its first-born
         member, so a kept class of layer d has depth d."""
         g = self.graph
-        shadow, frames, moves, uf = [self.base], [frame0], [{}], [0]
+        shadow, moves, uf = [self.base], [{}], [0]
         start = [0]  # first born id of each layer
 
         def find(x):
@@ -456,14 +654,11 @@ class CoverBall:
             ra, rb = find(a), find(b)
             if ra == rb:
                 return False
-            if shadow[ra] != shadow[rb] or frames[ra] != frames[rb]:
-                what = "shadows" if shadow[ra] != shadow[rb] else "frames"
-                raise CheckFailure(f"relation closure tried to merge different {what}", {
+            if shadow[ra] != shadow[rb]:
+                raise CheckFailure("relation closure tried to merge different shadows", {
                     "depth": d + 1,  # the layer whose closure is running
                     "classes": [ra, rb],
                     "shadows": [shadow[ra], shadow[rb]],
-                    "frames": [None if frames[c] is None else [list(e) for e in frames[c].entries]
-                               for c in (ra, rb)],
                     "words": [word(ra), word(rb)],
                 })
             lo, hi = min(ra, rb), max(ra, rb)
@@ -487,11 +682,7 @@ class CoverBall:
                 if uf[cls] != cls:
                     continue
                 v = shadow[cls]
-                if g.vertices[v].frontier:
-                    raise ValueError(
-                        "cover ball reaches the exchange graph's truncation frontier; "
-                        "enumerate the graph at least as deep as the ball radius"
-                    )
+                self._refuse_frontier(v)
                 for k, step in enumerate(g.adj[v]):
                     if step is None:
                         continue
@@ -500,18 +691,13 @@ class CoverBall:
                         if (k, sign) in moves[cls]:
                             continue
                         if len(uf) >= self.budget:
-                            layers = [sum(uf[c] == c for c in range(start[i], start[i + 1]))
-                                      for i in range(d + 1)]
-                            raise TruncationError(
-                                f"cover class budget {self.budget} exceeded while growing depth "
-                                f"{d + 1}; depth reached {d}, classes per finished layer {layers}"
-                            )
+                            raise self._over_budget(d, [
+                                sum(uf[c] == c for c in range(start[i], start[i + 1]))
+                                for i in range(d + 1)])
                         moves[cls][(k, sign)] = len(uf)
                         moves.append({(k2, -sign): cls})
                         uf.append(len(uf))
                         shadow.append(u)
-                        frames.append(None if frame0 is None else frame_transport_move(
-                            g, frames[cls], v, k, forward=sign == FWD)[1])
             # a side walked from a shallower class crosses only earlier
             # layers, and the closures after those layers joined its ends
             first = start[max(0, d + 1 - reach)]
@@ -528,9 +714,9 @@ class CoverBall:
                 while pending:
                     a, b = pending.pop()
                     changed = union(a, b, pending) or changed
-        return shadow, frames, moves, find
+        return shadow, moves, find, None, {}
 
-    def _number(self, shadow, frames, moves, find):
+    def _number(self, shadow, moves, find, frames, labels):
         """Number each class by the breadth-first path-tree index of its
         shortlex-least move word (arcs ascending, forward first).  Tree depth
         L starts at index first[L]; children skip the move back to the
@@ -565,7 +751,8 @@ class CoverBall:
         self._shadow = {index[c]: shadow[c] for c in order}
         self._depth = {index[c]: depth[c] for c in order}
         self._moves = {index[c]: {mv: index[find(t)] for mv, t in moves[c].items()} for c in order}
-        self.frames = None if frames[0] is None else {index[c]: frames[c] for c in order}
+        self.frames = None if frames is None else {index[c]: frames[c] for c in order}
+        self._labels = {index[c]: label for c, label in labels.items()}
 
     def _count_sizes(self):
         """Reduced words of length <= radius per class, by length over (class, move back)."""
@@ -594,41 +781,9 @@ class CoverBall:
             raise ValueError(f"{cls} is not a class id of this ball")
         return cls
 
-    # -- labels (deck elements discovered from lifted twist loops) ----------
-
     def _twist_moves(self, arc: int, sign: int):
         k2 = self.graph.adj[self.base][arc][1]
         return [(arc, FWD), (k2, FWD)] if sign > 0 else [(arc, BWD), (k2, BWD)]
-
-    def _discover_labels(self):
-        """Label each class a twist word of length <= LABEL_WORD_LENGTH
-        lifts to; a class given two labels raises :class:`CheckFailure`."""
-        o = self.frames[0].oracle
-        f0 = self.frames[0]
-        self._labels = {0: o.canon(())}
-        frontier = [(0, o.canon(()), ())]
-        n = self.graph.n
-        for _ in range(LABEL_WORD_LENGTH):
-            new_frontier = []
-            for cls, label, twists in frontier:
-                for arc in range(1, n + 1):
-                    for sign in (1, -1):
-                        tgt = self._walk(cls, self._twist_moves(arc, sign))
-                        if tgt is None:
-                            continue
-                        ent = f0.entry(arc)
-                        lab = o.mul(label, o.inv(ent) if sign > 0 else ent)
-                        known = self._labels.get(tgt)
-                        if known is None:
-                            self._labels[tgt] = lab
-                            new_frontier.append((tgt, lab, twists + ((arc, sign),)))
-                        elif known != lab:  # both canonical words
-                            raise CheckFailure(f"class {tgt} has two deck labels", {
-                                "class": tgt,
-                                "labels": [list(known), list(lab)],
-                                "twist_word": [list(t) for t in twists + ((arc, sign),)],
-                            })
-            frontier = new_frontier
 
     # -- queries ------------------------------------------------------------
 
@@ -653,7 +808,8 @@ class CoverBall:
         return self._walk(0, [mv for arc, sign in word for mv in self._twist_moves(arc, sign)])
 
     def label(self, cls: int):
-        """Deck label of a class id, None where no twist loop reached it."""
+        """Deck label of a class id over the base, None elsewhere and
+        without an oracle group."""
         return self._labels.get(self._class(cls))
 
     def frame(self, cls: int) -> TwistFrame | None:
@@ -661,16 +817,25 @@ class CoverBall:
         return None if self.frames is None else self.frames[self._class(cls)]
 
     def same_vertex(self, a: int, b: int) -> str:
-        """Equal / Distinct / Inconclusive for two class ids.  Classes over
-        different exchange-graph vertices are distinct cover vertices."""
+        """Equal / Distinct / Inconclusive for two class ids.  With an oracle
+        group each class is one cover vertex.  On a closure ball, classes
+        over different exchange-graph vertices, or both interior, are
+        distinct, and two others over one vertex are Inconclusive."""
         if self._class(a) == self._class(b):
             return "Equal"
-        if self._shadow[a] != self._shadow[b] or (self.interior(a) and self.interior(b)):
+        if (self.frames is not None or self._shadow[a] != self._shadow[b]
+                or (self.interior(a) and self.interior(b))):
             return "Distinct"
-        la, lb = self._labels.get(a), self._labels.get(b)
-        if la is not None and lb is not None:
-            return "Equal" if la == lb else "Distinct"
         return "Inconclusive"
+
+    @cached_property
+    def _fibers(self) -> dict[int, list[int]]:
+        """Interior class ids by shadow, in id order."""
+        out: dict[int, list[int]] = {}
+        for cls in self._moves:
+            if self.interior(cls):
+                out.setdefault(self._shadow[cls], []).append(cls)
+        return out
 
     def fiber_report(self, shadow: int) -> list[dict]:
         """Interior cover vertices over a graph vertex, with deck labels.
@@ -680,9 +845,7 @@ class CoverBall:
         """
         out = []
         seen: dict[tuple, int] = {}
-        for cls in self.classes():
-            if self.shadow(cls) != shadow or not self.interior(cls):
-                continue
+        for cls in self._fibers.get(shadow, ()):
             lab = self._labels.get(cls)
             if lab is not None and (first := seen.setdefault(lab, cls)) != cls:
                 raise CheckFailure(f"fiber elements {first} and {cls} have equal deck labels", {
@@ -698,7 +861,7 @@ class CoverBall:
         return out
 
     def class_graph(self) -> dict[int, dict]:
-        """Quotient adjacency: class -> {(arc, dir) -> class}."""
+        """Ball adjacency: class -> {(arc, dir) -> class}."""
         return {cls: dict(moves) for cls, moves in self._moves.items()}
 
     def to_json(self) -> dict:
@@ -730,13 +893,14 @@ def build_cover_ball(graph: ExchangeGraph, radius: int, base: int = 0,
                      budget: int | None = None) -> CoverBall:
     """Covering ball of the given radius around graph vertex ``base``.
 
-    Frames start from :func:`disc_start_frame` on a disc and from the base
-    frame on the once-marked annulus; other surfaces get none.  ``budget``
-    bounds the classes born (default ``DEFAULT_BUDGET``, 10^6).  The
-    closure rewrites by the complete relation instances of
-    :func:`flipgroupoid.exchange._walk_relations`, so a graph with an
-    instance that does not close raises its :class:`CheckFailure`.
+    On a disc and on the once-marked annulus the ball is grown over the
+    :func:`voltages` of the graph, whose checks run first; frames start
+    from :func:`disc_start_frame` on a disc and from the base frame on the
+    annulus.  Other surfaces get no frames, and a ball grown by relation
+    closure.  Either way a graph with a relation instance that does not
+    close raises its :class:`CheckFailure`.  ``budget`` bounds the classes
+    born (default ``DEFAULT_BUDGET``, 10^6).
     """
-    frame0 = None if oracle_for_surface(graph.surface) is None else frame_at(graph, base)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    return CoverBall(graph, base, radius, frame0, budget)
+    oracle = oracle_for_surface(graph.surface)
+    solved = None if oracle is None else voltages(graph, oracle)
+    return CoverBall(graph, base, radius, DEFAULT_BUDGET if budget is None else budget, solved)

@@ -35,10 +35,14 @@ is the dense int8 matrix that ``homology_h1`` filled before it built
 sparse columns.  The Smith form reference is the dense elimination, with
 its unimodular transforms, that ``invariant_factors`` ran on the columns
 left without a unit entry before its sparse elimination took any pivot.
-The cover reference is the builder that ``CoverBall`` replaced: it
+The tree cover reference is the builder that ``CoverBall`` replaced: it
 materialises the tree of every reduced flip word up to the radius, folds
 it by union-find relation closure, and then transports one frame per
-class from the class of its representative's tree parent.
+class from the class of its representative's tree parent.  The framed
+closure reference is the builder that the voltage search replaced on
+surfaces with an oracle group: the same quotient grown one depth at a
+time with a frame transported to every class born.  The fibre reference
+is the ``fiber_report`` that scanned every class per call.
 The enumeration reference is the ``enumerate_graph`` that keyed its BFS
 on the canonical (B', C') of every mutated seed, and built each new
 vertex's triangulation as a flip through the slot table followed by a
@@ -1199,3 +1203,134 @@ def tree_cover_ball(
     if frame0 is None and with_frames and oracle_for_surface(graph.surface) is not None:
         frame0 = frame_at(graph, base)
     return TreeCoverBall(graph, base, radius, frame0, budget)
+
+
+def framed_closure_ball(g: ExchangeGraph, radius: int, base: int = 0) -> dict[int, dict]:
+    """The ball that ``CoverBall`` grew on every surface before it grew
+    oracle-surface balls from voltages: a quotient grown one depth at a time,
+    each class born with the frame transported from its parent class, the
+    relation closure run after each layer, and a merge of unequal frames
+    refused.  Returns each class by id (the breadth-first path-tree index of
+    its shortlex-least move word) as its shadow, depth, frame entries and
+    moves."""
+    shadow, frames, moves, uf = [base], [frame_at(g, base)], [{}], [0]
+    start = [0]
+
+    def find(x):
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    def walk(cls, word):
+        for mv in word:
+            cls = moves[cls].get(mv)
+            if cls is None:
+                return None
+            cls = find(cls)
+        return cls
+
+    def union(a, b, pending):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        if shadow[ra] != shadow[rb] or frames[ra] != frames[rb]:
+            raise RuntimeError("relation closure tried to merge different shadows or frames")
+        lo, hi = min(ra, rb), max(ra, rb)
+        uf[hi] = lo
+        for mv, tgt in moves[hi].items():
+            cur = moves[lo].setdefault(mv, tgt)
+            if find(cur) != find(tgt):
+                pending.append((cur, tgt))
+        moves[hi] = None
+        return True
+
+    plans: dict[int, list] = {v: [] for v in range(g.vertex_count())}
+    for inst in ref_all_relation_instances(g):
+        if inst.complete:
+            plans[inst.base].append(tuple([(k, FWD) for _, k in steps]
+                                          for steps in (inst.left_steps, inst.right_steps)))
+    for d in range(radius):
+        start.append(len(uf))
+        for cls in range(start[d], start[d + 1]):
+            if uf[cls] != cls:
+                continue
+            v = shadow[cls]
+            for k, step in enumerate(g.adj[v]):
+                if step is None:
+                    continue
+                u, k2, _ = step
+                for sign in (FWD, BWD):
+                    if (k, sign) in moves[cls]:
+                        continue
+                    moves[cls][(k, sign)] = len(uf)
+                    moves.append({(k2, -sign): cls})
+                    uf.append(len(uf))
+                    shadow.append(u)
+                    frames.append(frame_transport_move(g, frames[cls], v, k, forward=sign == FWD)[1])
+        changed = True
+        while changed:
+            changed = False
+            pending: list = []
+            for cls in range(len(uf)):
+                if uf[cls] == cls:
+                    for left, right in plans[shadow[cls]]:
+                        e1, e2 = walk(cls, left), walk(cls, right)
+                        if e1 is not None and e2 is not None and e1 != e2:
+                            pending.append((e1, e2))
+            while pending:
+                a, b = pending.pop()
+                changed = union(a, b, pending) or changed
+    two_n = 2 * g.n
+    first = [0, 1]
+    for L in range(1, radius):
+        first.append(first[-1] + two_n * (two_n - 1) ** (L - 1))
+    index, depth, back = {0: 0}, {0: 0}, {0: None}
+    order = [0]
+    for cls in order:
+        L = depth[cls]
+        if L == radius:
+            continue
+        pos = 0
+        for k, step in enumerate(g.adj[shadow[cls]]):
+            if step is None:
+                continue
+            for sign in (FWD, BWD):
+                if (k, sign) == back[cls]:
+                    continue
+                tgt = find(moves[cls][(k, sign)])
+                if tgt not in index:
+                    index[tgt] = first[L + 1] + (index[cls] - first[L]) * (two_n - 1) + pos
+                    depth[tgt] = L + 1
+                    back[tgt] = (step[1], -sign)
+                    order.append(tgt)
+                pos += 1
+    return {index[c]: {"shadow": shadow[c], "depth": depth[c], "frame": frames[c].entries,
+                       "moves": {mv: index[find(t)] for mv, t in moves[c].items()}}
+            for c in sorted(order, key=index.__getitem__)}
+
+
+def cut_ball(ball: dict[int, dict], radius: int) -> dict[int, dict]:
+    """The classes of ``ball`` at depth <= radius, a class at depth radius
+    keeping only its moves to the layer below."""
+    out = {}
+    for cls, c in ball.items():
+        if c["depth"] <= radius:
+            moves = c["moves"]
+            if c["depth"] == radius:
+                moves = {mv: t for mv, t in moves.items() if ball[t]["depth"] == radius - 1}
+            out[cls] = {**c, "moves": moves}
+    return out
+
+
+def ref_fiber_report(ball, shadow: int) -> list[dict]:
+    """``CoverBall.fiber_report`` as it was before classes were indexed by
+    shadow: a scan of every class, in id order, per call."""
+    out = []
+    for cls in ball.classes():
+        if ball.shadow(cls) != shadow or not ball.interior(cls):
+            continue
+        lab = ball.label(cls)
+        out.append({"class": cls, "depth": ball.class_depth(cls), "size": ball._size[cls],
+                    "label": None if lab is None else list(lab)})
+    return out

@@ -167,17 +167,17 @@ def test_enumerate_bytes_do_not_depend_on_the_hash_seed():
     assert outs[0] == outs[1]
 
 
-# sha256 of stdout, pinned from the builder that transported a frame to
-# every tree node; frames per class must give the same bytes.  Re-pinned
-# for the one-record-per-line layout: the indented text pinned before
-# parses to the same value, and _dump of that value gives these bytes
+# sha256 of stdout, pinned from the ball grown over the voltages: the
+# framed closure ball of radius r + 3 cut to depth <= r gives the same
+# classes, shadows, depths, frames and moves (test_cover.py), and every
+# class over the base is labelled by its group element
 COVER_DIGESTS = [
     (["--polygon", "6", "--radius", "5", "--report", "fibers"],
-     "9e81d755848c563001964170100f6f96df41c0cb0c39943c9773d2e313494c43"),
+     "1e1720fa5345fa18610d4db3958e30473ccb5618106751f6e69eb30d874d1c3f"),
     (["--annulus", "1", "1", "--radius", "6"],
-     "9bb1ba517d8cec208f387e72b1597b36a4c16ab7df0020aa3acffde5b516137b"),
+     "1b82f2bee474d3ab9f7b0dae733f573f51bdeca6915f39bd303b784c9e3fcd56"),
     (["--polygon", "6", "--radius", "6", "--report", "fibers"],
-     "a0ae3cca36cbd7a774686d0492ed9a81b6e02195ae0a28c462a48de581e9cf7f"),
+     "a217807a8dcfaae0f622ac9838748e2415b169802e231579fd26f71752c4abcb"),
 ]
 
 
@@ -218,7 +218,8 @@ def test_cover_enumerates_the_graph_to_the_ball_radius(monkeypatch, capsys):
 
 
 def test_cover_budget_truncation_names_depth(capsys):
-    code = cli.main(["cover", "--polygon", "6", "--radius", "8", "--budget", "20000"])
+    # 2,161 classes lie within depth 6 and 4,911 within depth 7
+    code = cli.main(["cover", "--polygon", "6", "--radius", "8", "--budget", "4000"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["kind"] == "truncation"
@@ -294,7 +295,7 @@ def test_a_relation_that_does_not_close_is_a_check_failure(tmp_path, capsys, com
 
 def _skip_the_conjugation_at_arc_1(monkeypatch):
     # the fault of test_merge_of_unequal_frames_raises: a forward move at
-    # arc 1 only relabels the frame, so the relation closure meets unequal frames
+    # arc 1 only relabels the frame, which breaks the voltages' frame rule
     transport = cover.frame_transport_move
 
     def skips_arc_1(g, frame, v, k, forward=True):
@@ -315,15 +316,16 @@ def _flip_nothing(monkeypatch):
     monkeypatch.setattr(Triangulation, "flip", lambda t, k, perm=None: t)
 
 
-# the merge witness: the depth of the layer being closed, both classes by
-# birth order, their shadows, their frames and their move words from the
-# base; the two frames differ at arc 1
-MERGE_DETAIL = {
-    "depth": 3,
-    "classes": [27, 11],
-    "shadows": [4, 4],
-    "frames": [[[1], [-1, -2, -1, 2, 1, 1, 2]], [[2], [-1, -2, -1, 2, 1, 1, 2]]],
-    "words": [[[1, -1], [1, 1], [2, 1]], [[2, 1], [1, 1]]],
+# the frame-rule witness: the edge 3 --1--> 1, the reverse of a tree edge,
+# its voltage, the frame transported across it and the target's frame
+# conjugated by the voltage; the two differ at arc 2
+FRAME_RULE_DETAIL = {
+    "vertex": 3,
+    "arc": 1,
+    "target": 1,
+    "voltage": [-1, -2, -1, 2, 1],
+    "transported": [[2], [1]],
+    "conjugated": [[2], [-1, -2, -1, 2, 1, 1, 2]],
 }
 
 
@@ -339,7 +341,7 @@ FLIP_DETAIL = {
 
 @pytest.mark.parametrize("argv, fault, message, detail", [
     (["cover", "--polygon", "5", "--radius", "4"], _skip_the_conjugation_at_arc_1,
-     "relation closure tried to merge different frames", MERGE_DETAIL),
+     "the frame rule fails on the edge from vertex 3 at arc 1", FRAME_RULE_DETAIL),
     (["enumerate", "--polygon", "6"], _flip_nothing, "flip/mutation mismatch at vertex 0, arc 1",
      FLIP_DETAIL),
 ], ids=["cover", "enumerate"])

@@ -1,7 +1,7 @@
 import copy
 import json
 import random
-from itertools import chain
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,14 @@ from flipgroupoid.exchange import TruncationError, enumerate_graph, graph_from_j
 from flipgroupoid.presentation import presentation_from_qp, verify_sound
 from flipgroupoid.surface import MarkedSurface, Triangulation, annulus, genus_one, polygon_fan
 
-from oracles import flip_walk, ref_conj, tree_cover_ball
+from oracles import (
+    cut_ball,
+    flip_walk,
+    framed_closure_ball,
+    ref_conj,
+    ref_fiber_report,
+    tree_cover_ball,
+)
 from oracles import ref_all_relation_instances as all_relation_instances
 from oracles import ref_relation_instances as relation_instances
 
@@ -434,8 +441,9 @@ def test_class_frame_is_transport_along_representative_path(surface, graph_radiu
 
 
 def test_merge_of_unequal_frames_raises(monkeypatch):
-    # a transport that skips the conjugation at arc 1 breaks functoriality,
-    # and the relation closure must refuse to merge the disagreeing classes
+    # a transport that skips the conjugation at arc 1 breaks functoriality:
+    # the voltages' frame rule names an edge whose transported frame is not
+    # the target's frame conjugated by the edge's voltage
     g = enumerate_graph(polygon_fan(5))
     transport = cover.frame_transport_move
 
@@ -450,25 +458,19 @@ def test_merge_of_unequal_frames_raises(monkeypatch):
         return u, out
 
     monkeypatch.setattr(cover, "frame_transport_move", skips_arc_1)
-    with pytest.raises(exchange.CheckFailure, match="different frames") as caught:
+    with pytest.raises(exchange.CheckFailure, match="the frame rule fails on the edge") as caught:
         build_cover_ball(g, radius=4)
     detail = caught.value.detail
-    assert set(detail) == {"depth", "classes", "shadows", "frames", "words"}
-    assert 1 <= detail["depth"] <= 4
-    a, b = detail["classes"]
-    assert a != b and detail["shadows"][0] == detail["shadows"][1]
-    fa, fb = detail["frames"]
-    assert fa != fb and len(fa) == len(fb) == g.n
-    # each class's move word from the base walks the graph to its shadow
-    wa, wb = detail["words"]
-    assert wa != wb
-    for word, shadow in zip(detail["words"], detail["shadows"]):
-        assert len(word) <= detail["depth"]
-        v = 0
-        for arc, sign in word:
-            assert sign in (1, -1)
-            v = g.adj[v][arc][0]
-        assert v == shadow
+    assert set(detail) == {"vertex", "arc", "target", "voltage", "transported", "conjugated"}
+    v, k = detail["vertex"], detail["arc"]
+    assert k == 1 and g.adj[v][k][0] == detail["target"]
+    moved, want = detail["transported"], detail["conjugated"]
+    assert moved != want and len(moved) == len(want) == g.n
+    # the conjugated frame is the target's frame conjugated by the voltage
+    o = oracle_for_surface(g.surface)
+    x = tuple(detail["voltage"])
+    target = frame_at(g, detail["target"])
+    assert [list(o.mul(x, e, o.inv(x))) for e in target.entries] == want
 
 
 def test_transport_checks_every_conjugated_entry():
@@ -539,7 +541,7 @@ def test_hexagon_ball_normalises_few_letters(monkeypatch):
     ball = build_cover_ball(g, radius=6)
     for v in range(g.vertex_count()):
         ball.fiber_report(v)
-    assert len(ball.classes()) == 3613
+    assert len(ball.classes()) == 2161
     assert sum(letters) <= 8000
 
 
@@ -622,28 +624,113 @@ def test_label_conflicts_is_a_list_on_every_surface(surface):
     assert all(ball.label(c) is None for c in ball.classes())
 
 
-def test_a_label_conflict_raises_with_its_witness(monkeypatch):
-    # labels multiplied without normalising: a twist word that lifts back to
-    # a labelled class, as t1 t1^-1 lifts to the base, meets another label
-    g = enumerate_graph(polygon_fan(5))
-    discover = cover.CoverBall._discover_labels
+def _twist_words(n: int, length: int):
+    letters = [(arc, sign) for arc in range(1, n + 1) for sign in (1, -1)]
+    return [list(w) for size in range(length + 1) for w in product(letters, repeat=size)]
 
-    def with_unreduced_labels(ball):
-        # frames are transported first, with the oracle as it is
-        monkeypatch.setattr(ball.frames[0].oracle, "mul", lambda *words: tuple(chain(*words)))
-        discover(ball)
 
-    monkeypatch.setattr(cover.CoverBall, "_discover_labels", with_unreduced_labels)
-    with pytest.raises(exchange.CheckFailure, match="two deck labels") as caught:
-        build_cover_ball(g, radius=6)
+@pytest.mark.parametrize("surface, graph_radius, radius, labelled", [
+    (lambda: polygon_fan(6), None, 6, 163),
+    (lambda: annulus(1, 1), 8, 8, 161),
+], ids=["hexagon-r6", "annulus11-r8"])
+def test_twist_word_labels_match_the_keys(surface, graph_radius, radius, labelled):
+    # a twist word lifts to the class labelled by its product of inverse
+    # entries: the deck label that the search gave that class's key
+    g = enumerate_graph(surface(), radius=graph_radius)
+    ball = build_cover_ball(g, radius=radius)
+    f0 = ball.frames[0]
+    o = f0.oracle
+    seen = {}
+    for word in _twist_words(g.n, 4):
+        tgt = ball.lift_twist_word(word)
+        if tgt is None:
+            continue
+        want = o.mul(*(o.inv(f0.entry(arc)) if sign > 0 else f0.entry(arc) for arc, sign in word))
+        assert ball.label(tgt) == want, word
+        seen[tgt] = want
+    assert len(seen) == labelled
+    # every class over the base has a label, and no two share one
+    over_base = [c for c in ball.classes() if ball.shadow(c) == 0]
+    assert all(ball.label(c) is not None for c in over_base)
+    assert len({ball.label(c) for c in over_base}) == len(over_base)
+    assert all(ball.label(c) is None for c in ball.classes() if ball.shadow(c) != 0)
+
+
+VOLTAGE_CASES = [
+    pytest.param(lambda m=m: polygon_fan(m), None, r, id=f"polygon{m}-fan")
+    for m, r in ((5, 6), (6, 5), (7, 3))
+] + [
+    pytest.param(lambda m=m: flip_walk(m, 3), None, r, id=f"polygon{m}-walk")
+    for m, r in ((5, 6), (6, 5), (7, 3))
+] + [pytest.param(lambda: annulus(1, 1), 9, 6, id="annulus11")]
+
+
+def _records(ball):
+    return {c: {"shadow": ball.shadow(c), "depth": ball.class_depth(c),
+                "frame": ball.frame(c).entries, "moves": ball.class_graph()[c]}
+            for c in ball.classes()}
+
+
+@pytest.mark.parametrize("surface, graph_radius, top", VOLTAGE_CASES)
+def test_voltage_ball_is_the_closure_ball_cut_below_its_rim(surface, graph_radius, top):
+    # the closure quotient agrees with the cover to depth R - 3, so the
+    # framed closure ball of radius r + 3 cut to depth <= r is the r-ball
+    g = enumerate_graph(surface(), radius=graph_radius)
+    ref = framed_closure_ball(g, top + 3)
+    for radius in range(1, top + 1):
+        assert _records(build_cover_ball(g, radius=radius)) == cut_ball(ref, radius), radius
+
+
+def _solved_by_a_relation(g):
+    """An edge whose voltage and whose reverse's voltage a relation solves."""
+    parent = cover._bfs_tree(g)[1]
+    tree = {(w, k) for u, (w, k) in parent.items() if u}
+    return next((v, k) for v, row in enumerate(g.adj) for k, step in enumerate(row)
+                if step is not None and (v, k) not in tree and step[:2] not in tree)
+
+
+def test_a_voltage_times_the_full_twist_fails_the_relation_check(monkeypatch):
+    # Delta^2 is central: on an edge and, inverted, on its reverse it keeps
+    # the 2-cycle and the frame rule, and only the relations can refuse it
+    g = enumerate_graph(polygon_fan(6))
+    v, k = _solved_by_a_relation(g)
+    u, k2, _ = g.adj[v][k]
+    full_twist = braid.delta_word(4) * 2
+    solve = cover._solve_voltages
+
+    def with_full_twist(g, o, *args):
+        vol = solve(g, o, *args)
+        vol[v][k] = o.mul(vol[v][k], full_twist)
+        vol[u][k2] = o.mul(vol[u][k2], o.inv(full_twist))
+        return vol
+
+    monkeypatch.setattr(cover, "_solve_voltages", with_full_twist)
+    with pytest.raises(exchange.CheckFailure, match="carries different voltages") as caught:
+        build_cover_ball(g, radius=2)
     detail = caught.value.detail
-    assert set(detail) == {"class", "labels", "twist_word"}
-    first, second = detail["labels"]
-    assert first != second
-    assert 2 <= len(detail["twist_word"]) <= cover.LABEL_WORD_LENGTH
-    monkeypatch.undo()
-    ball = build_cover_ball(g, radius=6)
-    assert ball.lift_twist_word(detail["twist_word"]) == detail["class"]
+    assert set(detail) == {"kind", "vertex", "arcs", "left", "right"}
+    left, right = detail["left"], detail["right"]
+    assert left["voltage"] != right["voltage"]
+    assert (v, k) in left["steps"] + right["steps"]
+
+
+def test_the_two_cycle_rule_with_its_entry_uninverted_fails_its_check(monkeypatch):
+    g = enumerate_graph(polygon_fan(6))
+    monkeypatch.setattr(cover, "_reverse_voltage", lambda o, entry, x: o.inv(o.mul(o.inv(entry), x)))
+    with pytest.raises(exchange.CheckFailure, match="the 2-cycle at vertex 0, arc 1 ") as caught:
+        build_cover_ball(g, radius=2)
+    detail = caught.value.detail
+    o = BraidOracle(4)
+    x, y = map(tuple, detail["voltages"])
+    assert o.mul(x, y) == tuple(detail["entry"]) != o.inv(tuple(detail["entry"]))
+
+
+@pytest.mark.parametrize("m, radius", [(6, 6), (7, 4)])
+def test_fiber_report_matches_the_scan_of_every_class(m, radius):
+    g = enumerate_graph(polygon_fan(m))
+    ball = build_cover_ball(g, radius=radius)
+    for v in [*range(g.vertex_count()), g.vertex_count()]:
+        assert ball.fiber_report(v) == ref_fiber_report(ball, v), v
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8])
@@ -670,34 +757,50 @@ def test_cover_json_deterministic():
 
 
 REFERENCE_BALLS = [
-    pytest.param(lambda m=m: polygon_fan(m), None, range(1, 6), id=f"polygon{m}-fan")
-    for m in (4, 5, 6, 7)
+    pytest.param(lambda m=m: polygon_fan(m), None, range(1, top + 1), id=f"polygon{m}-fan")
+    for m, top in ((4, 5), (5, 5), (6, 3), (7, 2))
 ] + [
-    pytest.param(lambda m=m: flip_walk(m, 3), None, range(1, 6), id=f"polygon{m}-walk")
-    for m in (4, 5, 6, 7)
+    pytest.param(lambda m=m: flip_walk(m, 3), None, range(1, top + 1), id=f"polygon{m}-walk")
+    for m, top in ((4, 5), (5, 5), (6, 3), (7, 2))
 ] + [
-    pytest.param(lambda: annulus(1, 1), 8, range(1, 9), id="annulus11"),
+    pytest.param(lambda: annulus(1, 1), 9, range(1, 7), id="annulus11"),
     pytest.param(lambda: annulus(2, 2), 5, range(1, 6), id="annulus22"),
     pytest.param(lambda: genus_one(1), 5, range(1, 6), id="genus_one1"),
 ]
 
 
+def _ref_records(ref):
+    graph = ref.class_graph()
+    return {c: {"shadow": ref.shadow(c), "depth": ref.class_depth(c),
+                "frame": ref.frame(c).entries, "moves": graph[c]} for c in ref.classes()}
+
+
 @pytest.mark.parametrize("surface, graph_radius, radii", REFERENCE_BALLS)
 def test_cover_ball_matches_tree_reference(surface, graph_radius, radii):
+    # without an oracle group the ball is the tree's closure quotient; with
+    # one it is the quotient of radius r + 3 cut to depth <= r, and each
+    # label of a twist word there is the class's label
     g = enumerate_graph(surface(), radius=graph_radius)
     for radius in radii:
         ball = build_cover_ball(g, radius=radius)
-        ref = tree_cover_ball(g, radius)
-        assert ball.to_json() == ref.to_json(), radius
-        for v in range(g.vertex_count()):
-            assert ball.fiber_report(v) == ref.fiber_report(v), (radius, v)
-        assert len(ball.nodes) == len(ref.nodes)
+        if ball.frames is None:
+            ref = tree_cover_ball(g, radius)
+            assert ball.to_json() == ref.to_json(), radius
+            for v in range(g.vertex_count()):
+                assert ball.fiber_report(v) == ref.fiber_report(v), (radius, v)
+            assert len(ball.nodes) == len(ref.nodes)
+            continue
+        ref = tree_cover_ball(g, radius + 3)
+        assert _records(ball) == cut_ball(_ref_records(ref), radius), radius
+        for c in ball.classes():
+            assert ref.label(c) in (None, ball.label(c)), (radius, c)
+        assert len(ball.nodes) == 1 + sum(2 * g.n * (2 * g.n - 1) ** L for L in range(radius))
 
 
 def test_hexagon_radius_8_fits_a_class_budget():
     g = enumerate_graph(polygon_fan(6))
     ball = build_cover_ball(g, radius=8, budget=60_000)
-    assert len(ball.classes()) == 17_960
+    assert len(ball.classes()) == 10_677
     assert len(ball.nodes) == 585_937
 
 
@@ -705,11 +808,11 @@ def test_truncation_names_depth_and_finished_layers():
     g = enumerate_graph(polygon_fan(6))
     with pytest.raises(TruncationError) as err:
         build_cover_ball(g, radius=6, budget=500)
-    # the budget runs out while depth 4 is born; the closure of depths
-    # 0-3 leaves the classes of the radius-3 ball
-    ball3 = build_cover_ball(g, radius=3)
-    layers = [sum(ball3.class_depth(c) == d for c in ball3.classes()) for d in range(4)]
-    assert f"depth reached 3, classes per finished layer {layers}" in str(err.value)
+    # the budget runs out while depth 5 is born; depths 0-4 hold the
+    # classes of the radius-4 ball
+    ball4 = build_cover_ball(g, radius=4)
+    layers = [sum(ball4.class_depth(c) == d for c in ball4.classes()) for d in range(5)]
+    assert f"depth reached 4, classes per finished layer {layers}" in str(err.value)
 
 
 def test_queries_take_class_ids_only():
