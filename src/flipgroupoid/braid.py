@@ -246,8 +246,6 @@ def _normalize(k: int, factors: list) -> tuple[int, tuple]:
     while fs and fs[0] == tab.w0:
         power += 1
         del fs[0]
-    while fs and fs[-1] == tab.id:
-        del fs[-1]
     return power, tuple(fs)
 
 

@@ -282,8 +282,8 @@ class TwistFrame:
         return hash(self.entries)
 
 
-def base_frame(surface, oracle=None) -> TwistFrame:
-    oracle = oracle or oracle_for_surface(surface)
+def base_frame(surface) -> TwistFrame:
+    oracle = oracle_for_surface(surface)
     if oracle is None:
         raise ValueError("no oracle group for this surface")
     n = surface.arc_count

@@ -13,14 +13,13 @@ matrix.
 That matrix has at most five nonzeros per column, and it is built as
 sparse columns, a :class:`SparseMatrix`; no dense matrix is ever filled.
 One exact kernel, :func:`invariant_factors`, reduces it by sparse
-elimination: +-1 pivots first, then Euclid steps on the columns left
-without a unit entry (none, on every polygon tried, 5 to 11 sides).  All
+elimination: a +-1 pivot in each column in turn, then Euclid steps on
+whatever is left (nothing, on every polygon tried, 5 to 12 sides).  All
 arithmetic is on Python ints.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from collections import defaultdict
@@ -56,23 +55,22 @@ class SparseMatrix:
         return sum(sum(col.values()) for col in self.columns)
 
 
-def _pivot(cols: list, where: dict[int, set[int]], heap: list, r: int, c: int) -> int:
+def _pivot(cols: list, where: dict[int, set[int]], r: int, c: int) -> int:
     """Reduce at the pivot (r, c) until it is alone in its row and column,
     drop both, and return the pivot's absolute value.
 
     Column operations take every other entry of row r to its remainder
-    mod the pivot p, and push each column they change and leave nonempty
-    on the heap again.
-    Once the row is clear, row operations change column c only: they take
-    its entries mod p, which clears it when p is a unit.  A remainder left
-    in the row or the column is smaller than p and is the next pivot.
+    mod the pivot p.  Once the row is clear, row operations change column
+    c only: they take its entries mod p, which clears it when p is a unit.
+    A remainder left in the row or the column is smaller than p and is
+    the next pivot.
     """
     while True:
         col = cols[c]
-        p = col[r]
         cols[c] = None
         for r2 in col:
             where[r2].discard(c)
+        p = col.pop(r)
         left = {c}  # columns with a nonzero in row r
         for c2 in where.pop(r):
             col2 = cols[c2]
@@ -85,8 +83,6 @@ def _pivot(cols: list, where: dict[int, set[int]], heap: list, r: int, c: int) -
             if not q:
                 continue
             for r2, x in col.items():
-                if r2 == r:
-                    continue
                 y = col2.get(r2, 0) - q * x
                 if y:
                     col2[r2] = y
@@ -94,13 +90,11 @@ def _pivot(cols: list, where: dict[int, set[int]], heap: list, r: int, c: int) -
                 else:
                     del col2[r2]
                     where[r2].discard(c2)
-            if col2:
-                heapq.heappush(heap, (len(col2), c2))
         if len(left) == 1:
             col = {} if p in (1, -1) else {r2: y for r2, x in col.items() if (y := x % p)}
             if not col:
                 return abs(p)
-            col[r] = p
+        col[r] = p
         where[r] = left
         cols[c] = col
         for r2 in col:
@@ -114,14 +108,13 @@ def _pivot(cols: list, where: dict[int, set[int]], heap: list, r: int, c: int) -
 def invariant_factors(M: SparseMatrix) -> list[int]:
     """Nonzero diagonal d1 | d2 | ... (all positive) of the Smith normal form.
 
-    Sparse exact elimination, unit pivots first: the shortest column
-    still holding a +-1 entry is the pivot column (a heap keyed on column
-    length; of its unit entries, the one in the fewest columns is the
-    pivot).  A column popped without a unit entry waits, and once no unit
-    column is left, the waiting entry of least absolute value is the
-    pivot.  :func:`_pivot` clears each pivot's row and column by Euclid
-    steps, and a gcd/lcm pass turns the pivots into a divisibility chain.
-    All arithmetic is in Python ints; an entry that is not an int raises
+    Sparse exact elimination in two passes.  First, in column order, each
+    column that still holds a +-1 entry pivots on it (of several, the one
+    whose row lies in the fewest columns).  Then, while any column is
+    nonempty, the entry of least absolute value is the pivot.
+    :func:`_pivot` clears each pivot's row and column by Euclid steps, and
+    a gcd/lcm pass turns the pivots into a divisibility chain.  All
+    arithmetic is in Python ints; an entry that is not an int raises
     TypeError.
 
     M is read, never changed: the elimination works on a copy of its
@@ -134,37 +127,20 @@ def invariant_factors(M: SparseMatrix) -> list[int]:
     for c, col in enumerate(cols):
         for r in col:
             where[r].add(c)
-    heap = [(len(col), c) for c, col in enumerate(cols) if col]
-    heapq.heapify(heap)
-    waiting: set[int] = set()  # columns popped without a unit entry
-    units = 0
-    factors: list[int] = []
-    while True:
-        if heap:
-            size, c = heapq.heappop(heap)
-            col = cols[c]
-            if col is None or size != len(col):
-                continue  # eliminated, or pushed again since it changed
-            pivots = [r for r, x in col.items() if x in (1, -1)]
-            if not pivots:
-                waiting.add(c)
-                continue
-            r = pivots[0] if len(pivots) == 1 else min(pivots, key=lambda r: len(where[r]))
-        else:
-            waiting = {c for c in waiting if cols[c]}
-            if not waiting:
-                break
-            _, r, c = min((abs(x), r, c) for c in waiting for r, x in cols[c].items())
-        d = _pivot(cols, where, heap, r, c)
-        if d == 1:
-            units += 1
-        else:
-            factors.append(d)
+    pivots = []
+    for c, col in enumerate(cols):
+        units = [r for r, x in col.items() if x in (1, -1)] if col else ()
+        if units:
+            pivots.append(_pivot(cols, where, min(units, key=lambda r: len(where[r])), c))
+    while any(cols):
+        _, r, c = min((abs(x), r, c) for c, col in enumerate(cols) if col for r, x in col.items())
+        pivots.append(_pivot(cols, where, r, c))
+    factors = [d for d in pivots if d != 1]
     for i in range(len(factors)):  # gcd/lcm pass: factors[i] divides factors[j] for j > i
         for j in range(i + 1, len(factors)):
             g = math.gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] * factors[j] // g
-    return [1] * units + factors
+    return [1] * (len(pivots) - len(factors)) + factors
 
 
 def two_cells(g: ExchangeGraph) -> list[tuple[RelationKind, tuple[int, ...]]]:

@@ -214,8 +214,6 @@ def verify_sound(p: GroupPresentation, images: dict[int, BraidWord]) -> dict:
 
 
 def _frame_images(frame: TwistFrame) -> dict[int, BraidWord]:
-    if frame.oracle.kind != "braid":
-        raise ValueError("oracle unavailable: twist frames need a disc surface")
     k = frame.oracle.strands
     return {i: BraidWord(k, frame.entries[i - 1]) for i in range(1, frame.n + 1)}
 

@@ -50,9 +50,18 @@ def test_enumerate_pentagon(tmp_path):
     assert len(data["vertices"]) == 5
 
 
-def test_usage_error_no_surface():
-    r = run_cli("enumerate")
+@pytest.mark.parametrize("args, message", [
+    (["enumerate"], "choose exactly one of --polygon/--annulus/--genus-one/--triangulation"),
+    (["enumerate", "--polygon", "6", "--radius", "-1"], "radius must be >= 0"),
+    (["enumerate", "--polygon", "6", "--budget", "0"], "budget must be >= 1"),
+    (["presentation", "--annulus", "1", "1", "--verify"], "--verify needs a disc surface (braid oracle)"),
+    (["braid", "eq", "--strands", "3", "1"], "braid eq needs exactly two words"),
+], ids=["no_surface", "negative_radius", "zero_budget", "verify_off_disc", "eq_one_word"])
+def test_usage_error_no_surface(args, message):
+    r = run_cli(*args)
     assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr) == {"kind": "usage", "message": message, "status": "error"}
 
 
 def test_relations_guard_and_pass(tmp_path):

@@ -725,6 +725,37 @@ def test_the_two_cycle_rule_with_its_entry_uninverted_fails_its_check(monkeypatc
     assert o.mul(x, y) == tuple(detail["entry"]) != o.inv(tuple(detail["entry"]))
 
 
+def test_an_edge_no_relation_solves_raises_with_its_witness(monkeypatch):
+    # with no relation instance, only the tree edges and their reverses are solved
+    g = enumerate_graph(polygon_fan(6))
+    monkeypatch.setattr(cover, "_walk_relations", lambda g: iter(()))
+    with pytest.raises(exchange.CheckFailure,
+                       match="no relation solves the voltage of vertex 3, arc 1") as caught:
+        cover.voltages(g, oracle_for_surface(g.surface))
+    assert caught.value.detail == {"vertex": 3, "arc": 1, "target": 5}
+
+
+@pytest.mark.parametrize("surface, graph_radius", [
+    (polygon_fan(6), None), (polygon_fan(7), None), (annulus(1, 1), 6),
+], ids=["hexagon", "heptagon", "annulus11"])
+def test_voltages_do_not_depend_on_the_order_of_the_instances(surface, graph_radius, monkeypatch):
+    # taken in reverse, an instance can meet two unknown edges and wait for a
+    # later pass (on the heptagon, instances wait 133 times over 3 passes)
+    g = enumerate_graph(surface, radius=graph_radius)
+    solve = cover._solve_voltages
+    solved = []
+
+    def both_orders(g, o, frames, parent, instances):
+        solved.append(solve(g, o, frames, parent, instances[::-1]))
+        solved.append(solve(g, o, frames, parent, instances))
+        return solved[-1]
+
+    monkeypatch.setattr(cover, "_solve_voltages", both_orders)
+    cover.voltages(g, oracle_for_surface(g.surface))
+    backward, forward = solved
+    assert backward == forward
+
+
 @pytest.mark.parametrize("m, radius", [(6, 6), (7, 4)])
 def test_fiber_report_matches_the_scan_of_every_class(m, radius):
     g = enumerate_graph(polygon_fan(m))
@@ -807,6 +838,43 @@ def test_truncation_names_depth_and_finished_layers():
     ball4 = build_cover_ball(g, radius=4)
     layers = [sum(ball4.class_depth(c) == d for c in ball4.classes()) for d in range(5)]
     assert f"depth reached 4, classes per finished layer {layers}" in str(err.value)
+
+
+def test_closure_ball_truncation_names_depth_and_finished_layers():
+    g = enumerate_graph(genus_one(1), radius=4)
+    with pytest.raises(TruncationError, match=(
+            r"cover class budget 100 exceeded while growing depth 3; "
+            r"depth reached 2, classes per finished layer \[1, 8, 56\]")):
+        build_cover_ball(g, radius=4, budget=100)
+
+
+def test_closure_merge_of_different_shadows_raises_with_its_witness(monkeypatch):
+    # a fake square at vertex 0 whose sides flip arc 1 and arc 2 alone ends
+    # at two different vertices, so its closure merges two shadows
+    g = enumerate_graph(genus_one(1), radius=3)
+    walk = cover._walk_relations
+
+    def with_a_fake_square(g):
+        yield from walk(g)
+        yield 0, exchange.RelationKind.SQUARE, (1, 2), 1, 2, ("a", "b"), 0
+
+    monkeypatch.setattr(cover, "_walk_relations", with_a_fake_square)
+    with pytest.raises(exchange.CheckFailure, match="tried to merge different shadows") as caught:
+        build_cover_ball(g, radius=3)
+    assert caught.value.detail == {
+        "depth": 1, "classes": [1, 3], "shadows": [1, 2], "words": [[[1, 1]], [[2, 1]]]}
+
+
+def test_closure_ball_leaves_same_shadow_pairs_inconclusive():
+    # at radius 3 only the base is interior, so a closure ball cannot tell
+    # two classes over one graph vertex apart
+    g = enumerate_graph(genus_one(1), radius=3)
+    ball = build_cover_ball(g, radius=3)
+    classes = ball.classes()
+    pairs = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]
+             if ball.shadow(a) == ball.shadow(b)]
+    assert len(pairs) == 2578
+    assert {ball.same_vertex(a, b) for a, b in pairs} == {"Inconclusive"}
 
 
 def test_queries_take_class_ids_only():

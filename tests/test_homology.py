@@ -199,6 +199,23 @@ def test_h1_of_polygon_10_peaks_under_1400_bytes_per_cell():
     assert peak < 1400 * cells
 
 
+def test_invariant_factors_of_polygon_10_peaks_under_700_bytes_per_column(monkeypatch):
+    # the kernel alone, on the boundary matrix homology_h1 hands it
+    boundaries = []
+    monkeypatch.setattr(flipgroupoid.homology, "invariant_factors", lambda M: boundaries.append(M) or [])
+    homology_h1(enumerate_graph(polygon_fan(10)))
+    M, = boundaries
+    assert M.shape == (3576, 7007)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert invariant_factors(M) == [1] * 3576
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 700 * M.shape[1]
+
+
 @pytest.mark.parametrize("m", [5, 6, 7, 8, 9, 10])
 def test_homology_trivial(m):
     betti, torsion = homology_h1(enumerate_graph(polygon_fan(m)))
