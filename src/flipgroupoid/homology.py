@@ -129,7 +129,7 @@ def invariant_factors(M: SparseMatrix) -> list[int]:
             where[r].add(c)
     pivots = []
     for c, col in enumerate(cols):
-        units = [r for r, x in col.items() if x in (1, -1)] if col else ()
+        units = [r for r, x in col.items() if x in (1, -1)]
         if units:
             pivots.append(_pivot(cols, where, min(units, key=lambda r: len(where[r])), c))
     while any(cols):
