@@ -32,21 +32,23 @@ On a disc and on the once-marked annulus the decorated cover is a
 regular cover with the oracle group as deck group, so it is the derived
 graph of a voltage assignment (Gross and Tucker, *Topological Graph
 Theory*, ch. 2).  :func:`voltages` solves one group element per directed
-edge of the exchange graph, from the BFS tree, the 2-cycle rule and the
-relations, and checks the relations, the 2-cycles and the frame rule on
-every edge.  The covering ball of radius r is then a breadth-first search
-over (graph vertex, group element), the element keyed by its Garside form
-on a disc and its reduced word on the annulus: each cover vertex is born
-once, with the frame transported from its parent, and a cover vertex over
-the base is labelled by the canonical word of its group element.
+edge of the exchange graph, from the BFS tree of
+:mod:`flipgroupoid.exchange`, the 2-cycle rule and the relations, each
+read off the steps the relation walker yields, and checks the relations,
+the 2-cycles and the frame rule on every edge.  The covering ball of
+radius r is then a breadth-first search over (graph vertex, group
+element), the element keyed by its Garside form on a disc and its
+reduced word on the annulus: each cover vertex is born once, with the
+frame transported from its parent, and a cover vertex over the base is
+labelled by the canonical word of its group element.
 
 Without an oracle group the ball is the tree of reduced forward/backward
 flip words from a base vertex modulo closure under the square, pentagon
 and hexagonal-dumbbell rewrites.  Inside the interior (depth <= r - 3,
 the longest relation side being 3) it agrees with the covering graph of
 decorated triangulations.  It is grown one depth at a time from class
-representatives, by coset enumeration with folding, and the tree is
-never built.
+representatives, by coset enumeration with folding over the walker's
+steps, and the tree is never built.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .exchange import (
     CheckFailure,
     ExchangeGraph,
     TruncationError,
-    _pair_walk,
+    _bfs_tree,
     _walk_relations,
 )
 
@@ -380,19 +382,6 @@ def disc_start_frame(g: ExchangeGraph) -> TwistFrame:
     return frame
 
 
-def _bfs_tree(g: ExchangeGraph) -> tuple[list[int], dict[int, tuple[int, int]]]:
-    """Breadth-first order from vertex 0, and each vertex's (parent, arc)
-    in the tree, arcs scanned in order; vertex 0's parent is (-1, 0)."""
-    parent: dict[int, tuple[int, int]] = {0: (-1, 0)}
-    order = [0]
-    for w in order:
-        for k, step in enumerate(g.adj[w]):
-            if step is not None and step[0] not in parent:
-                parent[step[0]] = (w, k)
-                order.append(step[0])
-    return order, parent
-
-
 def _bfs_path(g: ExchangeGraph, v: int) -> list[int]:
     """Deterministic flip path 0 -> v (BFS tree, arcs scanned in order)."""
     parent = _bfs_tree(g)[1]
@@ -418,24 +407,24 @@ def voltages(g: ExchangeGraph, oracle) -> tuple[list[TwistFrame], list[list]]:
     """Solve the decorated cover as a voltage graph over the oracle group.
 
     Returns ``(frames, vol)``.  ``frames[v]`` is F_v, the frame transported
-    from :func:`frame_at` ``(g, 0)`` along the BFS tree of :func:`_bfs_path`.
+    from :func:`frame_at` ``(g, 0)`` along the BFS tree of
+    :func:`flipgroupoid.exchange._bfs_tree`.
     ``vol[v][k]`` is the canonical word of the group element on the edge
     v --k--> u, None where v has no edge k: cover vertex (v, x) moves
     forward at k to (u, x . vol(v, k)), and its frame is x F_v x^{-1}.
 
     The voltages are solved in three steps: the identity on the tree's
     edges; the 2-cycle rule vol(v, k) . vol(u, k2) = (entry k of F_v)^{-1};
-    then passes over the complete instances of
-    :func:`flipgroupoid.exchange._walk_relations`, each solving the one
-    unknown edge of an instance, until a pass solves none.  Then each edge
+    then passes over the sides of the complete instances that
+    :func:`flipgroupoid.exchange._walk_relations` yields, each solving the
+    one unknown edge of an instance, until a pass solves none.  Then each edge
     must carry the frame rule frame_transport_move(F_v, v, k) = x F_u x^{-1}
     with x = vol(v, k) and its 2-cycle's rule, and each complete instance
     equal products on its two sides.  A failure, and an edge that no pass
     solves, raises :class:`CheckFailure` with a witness; an instance that
     does not close raises first, as the walker names it.
     """
-    instances = [(v, kind, arcs, *(_pair_walk(g, v, head, tail, plan)[0] for plan in plans))
-                 for v, kind, arcs, head, tail, plans, lo in _walk_relations(g) if lo is not None]
+    instances = [(v, kind, arcs, *sides) for v, kind, arcs, sides, _ in _walk_relations(g) if sides]
     order, parent = _bfs_tree(g)
     frames = [None] * g.vertex_count()
     frames[0] = TwistFrame.trusted(frame_at(g, 0).entries, oracle)
@@ -554,6 +543,8 @@ class CoverBall:
                  solved: tuple | None = None):
         if radius < 1:
             raise ValueError("radius must be >= 1")
+        if not 0 <= base < graph.vertex_count():
+            raise ValueError(f"base {base} is not a graph vertex 0..{graph.vertex_count() - 1}")
         self.graph = graph
         self.base = base
         self.radius = radius
@@ -671,10 +662,9 @@ class CoverBall:
             return True
 
         plans: dict[int, list] = {v: [] for v in range(g.vertex_count())}
-        for v, _, _, head, tail, sides, lo in _walk_relations(g):
-            if lo is not None:
-                plans[v].append(tuple([(k, FWD) for _, k in _pair_walk(g, v, head, tail, side)[0]]
-                                      for side in sides))
+        for v, _, _, sides, _ in _walk_relations(g):
+            if sides:
+                plans[v].append(tuple([(k, FWD) for _, k in side] for side in sides))
         reach = max((len(side) for p in plans.values() for pair in p for side in pair), default=0)
         for d in range(self.radius):
             start.append(len(uf))
@@ -899,7 +889,8 @@ def build_cover_ball(graph: ExchangeGraph, radius: int, base: int = 0,
     annulus.  Other surfaces get no frames, and a ball grown by relation
     closure.  Either way a graph with a relation instance that does not
     close raises its :class:`CheckFailure`.  ``budget`` bounds the classes
-    born (default ``DEFAULT_BUDGET``, 10^6).
+    born (default ``DEFAULT_BUDGET``, 10^6).  A ``base`` outside
+    0..V-1 raises ``ValueError``.
     """
     oracle = oracle_for_surface(graph.surface)
     solved = None if oracle is None else voltages(graph, oracle)

@@ -18,11 +18,14 @@ x), a pentagon (x y = y x y) or a hexagonal dumbbell (x y y = y y x).
 On a graph stored with its reverses
 the head's two steps go out along an edge and straight back, so a
 dumbbell's closure check cannot fail.  :func:`_walk_relations` is the
-one enumeration of instances: it walks both sides of each on the graph's
-adjacency table, for :func:`relation_closure_check`, the relator
-stream of :func:`flipgroupoid.homology.two_cells` and the closure of
+one enumeration of instances: it walks both sides of each once on the
+graph's adjacency table and yields their (vertex, arc) steps, for
+:func:`relation_closure_check`, the relator stream of
+:func:`flipgroupoid.homology.two_cells` and the voltages and closure of
 :mod:`flipgroupoid.cover`, and raises :class:`CheckFailure`, with both
 step paths as its witness, at an instance that does not close.
+:func:`_bfs_tree` is the one spanning tree, which H1 contracts and along
+which the cover transports frames.
 """
 
 from __future__ import annotations
@@ -220,30 +223,28 @@ def enumerate_graph(
     return ExchangeGraph(base.surface, vertices, adj, radius)
 
 
+def _bfs_tree(g: ExchangeGraph) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Breadth-first order from vertex 0, and each vertex's (parent, arc)
+    in the tree, arcs scanned in order; vertex 0's parent is (-1, 0).  The
+    library's one spanning tree: :mod:`flipgroupoid.homology` contracts
+    it, and :mod:`flipgroupoid.cover` transports frames along it."""
+    parent: dict[int, tuple[int, int]] = {0: (-1, 0)}
+    order = [0]
+    for w in order:
+        for k, step in enumerate(g.adj[w]):
+            if step is not None and step[0] not in parent:
+                parent[step[0]] = (w, k)
+                order.append(step[0])
+    return order, parent
+
+
 class RelationKind(Enum):
     SQUARE = "Square"
     PENTAGON = "Pentagon"
     HEX_DUMBBELL = "HexDumbbell"
 
 
-def _pair_walk(g: ExchangeGraph, v: int, a: int, b: int, plan: str):
-    """Walk forward mutations; 'a'/'b' in plan flips the transported slot.
-    Returns (steps, end), each step a (vertex, arc), with end None at a
-    missing edge."""
-    adj = g.adj
-    steps = []
-    for ch in plan:
-        k = a if ch == "a" else b
-        step = adj[v][k]
-        if step is None:
-            return tuple(steps), None
-        steps.append((v, k))
-        v, _, perm = step
-        a, b = perm[a - 1], perm[b - 1]
-    return tuple(steps), v
-
-
-# the kinds as module names: the walkers below compare them once per arc pair
+# the kinds as module names: the walker below compares them once per arc pair
 _SQUARE, _PENTAGON, _HEX_DUMBBELL = RelationKind.SQUARE, RelationKind.PENTAGON, RelationKind.HEX_DUMBBELL
 
 # each arc pair's kind and plans, indexed by |b_ij|
@@ -269,34 +270,39 @@ def _relation_pairs(g: ExchangeGraph, v: int) -> Iterator[tuple]:
 
 
 def _walk(adj: list[list], v: int, a: int, b: int, plan: str):
-    """Walk ``plan`` from v on the adjacency table, as :func:`_pair_walk`
-    does, recording no steps.  Returns (end, a, b, lowest vertex of the
-    walk), or None at a missing edge."""
+    """Walk forward mutations from v on the adjacency table: 'a' in
+    ``plan`` flips the head's transported slot, 'b' the tail's.  Returns
+    (steps, end, a, b, lowest vertex of the walk), each step the (vertex,
+    arc) it leaves from, or None at a missing edge."""
+    steps = []
     lo = v
     for ch in plan:
-        step = adj[v][a if ch == "a" else b]
+        k = a if ch == "a" else b
+        step = adj[v][k]
         if step is None:
             return None
+        steps.append((v, k))
         v, _, perm = step
         a, b = perm[a - 1], perm[b - 1]
         if v < lo:
             lo = v
-    return v, a, b, lo
+    return tuple(steps), v, a, b, lo
 
 
 def _walk_relations(g: ExchangeGraph) -> Iterator[tuple]:
-    """(v, kind, arcs, head, tail, plans, lo) for each relation instance at
-    each vertex v off the frontier, in vertex order and at each vertex in
-    the order of :func:`_relation_pairs`: the library's one enumeration of
-    instances, walked on ints.
+    """(v, kind, arcs, sides, lo) for each relation instance at each
+    vertex v off the frontier, in vertex order and at each vertex in the
+    order of :func:`_relation_pairs`: the library's one enumeration of
+    instances, walked once each on ints.
 
-    ``lo`` is the lowest vertex on either side, ends included, and None
-    when a side meets a missing edge.  An instance closes when both sides
-    end at the same vertex with the head and tail slots carried to the
-    same positions, or swapped on a pentagon, whose sides flip the pair an
-    odd total number of times.  One whose sides are complete but do not
-    close raises :class:`CheckFailure` naming it, with each side's step
-    path and end as its witness.
+    ``sides`` is (left, right), each side its (vertex, arc) steps in walk
+    order, and ``lo`` the lowest vertex on either side, ends included;
+    both are None when a side meets a missing edge.  An instance closes
+    when both sides end at the same vertex with the head and tail slots
+    carried to the same positions, or swapped on a pentagon, whose sides
+    flip the pair an odd total number of times.  One whose sides are
+    complete but do not close raises :class:`CheckFailure` naming it,
+    with each side's steps and end as its witness.
     """
     adj = g.adj
     for v in range(len(adj)):
@@ -306,26 +312,18 @@ def _walk_relations(g: ExchangeGraph) -> Iterator[tuple]:
             left = _walk(adj, v, head, tail, plans[0])
             right = _walk(adj, v, head, tail, plans[1])
             if left is None or right is None:
-                yield v, kind, arcs, head, tail, plans, None
+                yield v, kind, arcs, None, None
                 continue
-            end, a, b, lo = left
+            steps, end, a, b, lo = left
             if kind is _PENTAGON:
                 a, b = b, a
-            end2, a2, b2, lo2 = right
+            steps2, end2, a2, b2, lo2 = right
             if end != end2 or a != a2 or b != b2:
-                raise _open_relation(g, v, kind, arcs, head, tail, plans)
-            yield v, kind, arcs, head, tail, plans, lo if lo < lo2 else lo2
-
-
-def _open_relation(g: ExchangeGraph, v: int, kind, arcs, head, tail, plans) -> CheckFailure:
-    """The failure of the instance at v whose complete sides do not close,
-    each side's steps and end walked again to serve as the witness."""
-    detail = {"kind": kind.value, "vertex": v, "arcs": arcs}
-    for side, plan in zip(("left", "right"), plans):
-        steps, end = _pair_walk(g, v, head, tail, plan)
-        detail[side] = {"steps": steps, "end": end}
-    message = f"relation instance {kind.value} at vertex {v}, arcs {arcs} does not close"
-    return CheckFailure(message, detail)
+                message = f"relation instance {kind.value} at vertex {v}, arcs {arcs} does not close"
+                raise CheckFailure(message, {
+                    "kind": kind.value, "vertex": v, "arcs": arcs,
+                    "left": {"steps": steps, "end": end}, "right": {"steps": steps2, "end": end2}})
+            yield v, kind, arcs, (steps, steps2), lo if lo < lo2 else lo2
 
 
 def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> dict:
@@ -345,9 +343,9 @@ def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> 
     if g.radius is not None and g.radius < 4 and not allow_incomplete and not g.is_complete():
         raise ValueError("closure check needs radius >= 4")
     checked = incomplete = circuits = 0
-    for _, kind, _, _, _, _, lo in _walk_relations(g):
+    for _, kind, _, sides, _ in _walk_relations(g):
         circuits += kind is not _HEX_DUMBBELL
-        if lo is None:
+        if sides is None:
             incomplete += 1
         else:
             checked += 1

@@ -4,7 +4,8 @@ The 2-cells are the geometric squares and pentagons, each unoriented
 relation cycle taken once, at its lowest corner, and read as a relator:
 a tuple of signed int edge ids around the cycle (:func:`two_cells`).
 H_1 is computed exactly over the integers: the cycle lattice of the
-graph has the fundamental cycles of the non-tree edges as a basis, and in
+graph has the fundamental cycles of the edges off the breadth-first tree
+of :mod:`flipgroupoid.exchange` as a basis, and in
 that basis a cell boundary is simply its restriction to non-tree
 coordinates, a relator summed through a flat list from edge id to row,
 so the first homology is read off the Smith normal form of one integer
@@ -25,7 +26,7 @@ import operator
 from collections import defaultdict
 from itertools import chain
 
-from .exchange import CheckFailure, ExchangeGraph, RelationKind, _pair_walk, _walk_relations
+from .exchange import CheckFailure, ExchangeGraph, RelationKind, _bfs_tree, _walk_relations
 
 __all__ = [
     "SparseMatrix", "invariant_factors", "two_cells", "homology_h1", "face_census",
@@ -153,24 +154,22 @@ def two_cells(g: ExchangeGraph) -> list[tuple[RelationKind, tuple[int, ...]]]:
     when the step runs from that lower end.  The steps are the left side,
     then the right side reversed, which is the cell's boundary cycle.
 
-    :func:`_walk_relations` walks every relation instance on the graph's
-    adjacency table, and one that does not close raises the
+    :func:`_walk_relations` walks every relation instance once on the
+    graph's adjacency table, and one that does not close raises the
     :class:`CheckFailure` naming it that :func:`relation_closure_check`
-    raises; only the walks of an instance at its lowest corner are taken
-    again, to read the cell's edges.  Nothing is kept on the graph: each
-    call walks the instances anew.
+    raises; a cell's edges are read off the steps of the sides it yields.
+    Nothing is kept on the graph: each call walks the instances anew.
     """
     if not g.is_complete():
         raise ValueError("2-complex needs a fully enumerated graph")
     adj = g.adj
     stride = g.n + 1
     cells = []
-    for v, kind, _, head, tail, plans, lo in _walk_relations(g):
+    for v, kind, _, sides, lo in _walk_relations(g):
         if v != lo or kind is RelationKind.HEX_DUMBBELL:
             continue
-        left, right = (_pair_walk(g, v, head, tail, plan)[0] for plan in plans)
         relator = []
-        for side, sign in ((left, 1), (reversed(right), -1)):
+        for side, sign in ((sides[0], 1), (reversed(sides[1]), -1)):
             for w, k in side:
                 u, k2, _ = adj[w][k]
                 d, d2 = w * stride + k, u * stride + k2
@@ -189,28 +188,21 @@ def face_census(g: ExchangeGraph) -> dict:
 
 
 def homology_h1(g: ExchangeGraph) -> tuple[int, list[int]]:
-    """First Betti number and torsion of the square+pentagon 2-complex; a
-    graph that is not connected raises :class:`CheckFailure`."""
+    """First Betti number and torsion of the square+pentagon 2-complex,
+    on the fundamental cycles of :func:`_bfs_tree`'s tree; a graph that is
+    not connected raises :class:`CheckFailure`."""
     if not g.is_complete():
         raise ValueError("homology needs a fully enumerated graph")
     adj = g.adj
     stride = g.n + 1
 
-    # spanning tree; the non-tree edges index the cycle lattice basis
-    tree = set()  # edge ids, as in a relator
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for k, step in enumerate(adj[v]):
-            if step is not None and step[0] not in seen:
-                seen.add(step[0])
-                tree.add(min(v * stride + k, step[0] * stride + step[1]))
-                stack.append(step[0])
-    if len(seen) != g.vertex_count():
-        missing = next(v for v in range(g.vertex_count()) if v not in seen)
+    # the BFS tree; the non-tree edges index the cycle lattice basis
+    order, parent = _bfs_tree(g)
+    if len(order) != g.vertex_count():
+        missing = next(v for v in range(g.vertex_count()) if v not in parent)
         raise CheckFailure(f"exchange graph is not connected: vertex 0 does not reach {missing}", {
-            "reached": len(seen), "vertices": g.vertex_count(), "unreached": missing})
+            "reached": len(order), "vertices": g.vertex_count(), "unreached": missing})
+    tree = {min(w * stride + k, u * stride + adj[w][k][1]) for u, (w, k) in parent.items() if u}
     nontree = [d for v, k, _, _ in g._edges_in_order() if (d := v * stride + k) not in tree]
     row: list[int | None] = [None] * (len(adj) * stride)  # edge id -> non-tree row
     for r, d in enumerate(nontree):

@@ -32,9 +32,12 @@ The 2-cell reference is the ``two_cells`` that built a ``TwoCell`` of
 edge set; ``decoded_two_cells`` reads the library's int relators back
 into those cells, so that the two compare.  The boundary reference
 is the dense int8 matrix that ``homology_h1`` filled before it built
-sparse columns.  The Smith form reference is the dense elimination, with
-its unimodular transforms, that ``invariant_factors`` ran on the columns
-left without a unit entry before its sparse elimination took any pivot.
+sparse columns, on a spanning tree searched breadth-first or from a
+stack, as ``homology_h1`` searched its own tree before it contracted the
+BFS tree of ``flipgroupoid.exchange``.  The Smith form reference is the
+dense elimination, with its unimodular transforms, that
+``invariant_factors`` ran on the columns left without a unit entry
+before its sparse elimination took any pivot.
 The tree cover reference is the builder that ``CoverBall`` replaced: it
 materialises the tree of every reduced flip word up to the radius, folds
 it by union-find relation closure, and then transports one frame per
@@ -56,6 +59,7 @@ the product of its letters' forms.
 
 import operator
 import random
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import comb
@@ -666,24 +670,31 @@ def ref_two_cells(g: ExchangeGraph) -> list[TwoCell]:
     return [seen[k] for k in sorted(seen, key=sorted)]
 
 
-def ref_dense_boundary(g: ExchangeGraph, cells: list[TwoCell]) -> np.ndarray:
-    """Dense int8 (non-tree edges x cells) boundary matrix on the DFS tree from vertex 0."""
+def ref_search_tree(g: ExchangeGraph, breadth_first: bool) -> set[tuple[int, int]]:
+    """The edge ids of a spanning tree searched from vertex 0, each vertex
+    joined along the first edge that reaches it, arcs scanned in order:
+    taken from a queue, the BFS tree that ``exchange._bfs_tree`` gives,
+    or from a stack, the tree that ``homology_h1`` contracted before it
+    contracted that one."""
+    tree = set()
+    seen = {0}
+    todo = deque([0])
+    while todo:
+        v = todo.popleft() if breadth_first else todo.pop()
+        for k, step in enumerate(g.adj[v]):
+            if step is not None and step[0] not in seen:
+                seen.add(step[0])
+                tree.add(_edge_id(g, v, k))
+                todo.append(step[0])
+    return tree
+
+
+def ref_dense_boundary(g: ExchangeGraph, cells: list[TwoCell], tree: set[tuple[int, int]]) -> np.ndarray:
+    """Dense int8 (non-tree edges x cells) boundary matrix on a spanning
+    tree, given by its edge ids as :func:`ref_search_tree` gives them."""
     edges = g.unoriented_edges()
     eindex = {(v, k): i for i, (v, k, _, _) in enumerate(edges)}
-    tree_edges = set()
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for k, step in enumerate(g.adj[v]):
-            if step is None:
-                continue
-            u = step[0]
-            if u not in seen:
-                seen.add(u)
-                tree_edges.add(_edge_id(g, v, k))
-                stack.append(u)
-    nontree = [i for i, (v, k, _, _) in enumerate(edges) if (v, k) not in tree_edges]
+    nontree = [i for i, (v, k, _, _) in enumerate(edges) if (v, k) not in tree]
     pos = {i: r for r, i in enumerate(nontree)}
     M = np.zeros((len(nontree), len(cells)), dtype=np.int8)
     for c, cell in enumerate(cells):

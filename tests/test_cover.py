@@ -780,6 +780,18 @@ def test_cover_ball_refuses_shallow_graph():
         build_cover_ball(g, radius=5)
 
 
+@pytest.mark.parametrize("surface, graph_radius", [(polygon_fan(5), None), (genus_one(1), 3)],
+                         ids=["pentagon", "genus_one1"])
+def test_cover_ball_refuses_a_base_that_is_not_a_graph_vertex(surface, graph_radius):
+    # base -1 used to grow a ball over the last vertex with the base's
+    # frame, and base V to raise an IndexError
+    g = enumerate_graph(surface, radius=graph_radius)
+    last = g.vertex_count() - 1
+    for bad in (-1, last + 1):
+        with pytest.raises(ValueError, match=rf"^base {bad} is not a graph vertex 0\.\.{last}$"):
+            build_cover_ball(g, radius=2, base=bad)
+
+
 def test_cover_json_deterministic():
     g = enumerate_graph(polygon_fan(5))
     b1 = build_cover_ball(g, radius=4)
@@ -856,7 +868,7 @@ def test_closure_merge_of_different_shadows_raises_with_its_witness(monkeypatch)
 
     def with_a_fake_square(g):
         yield from walk(g)
-        yield 0, exchange.RelationKind.SQUARE, (1, 2), 1, 2, ("a", "b"), 0
+        yield 0, exchange.RelationKind.SQUARE, (1, 2), (((0, 1),), ((0, 2),)), 0
 
     monkeypatch.setattr(cover, "_walk_relations", with_a_fake_square)
     with pytest.raises(exchange.CheckFailure, match="tried to merge different shadows") as caught:

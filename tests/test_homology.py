@@ -32,6 +32,7 @@ from oracles import (
     flipped,
     ref_dense_boundary,
     ref_relation_closure_check,
+    ref_search_tree,
     ref_smith_normal_form,
     ref_two_cells,
 )
@@ -273,7 +274,8 @@ def test_h1_hands_the_tracer_a_sparse_matrix_it_keeps(monkeypatch):
     g = enumerate_graph(polygon_fan(6))
     assert homology_h1(g) == (0, [])
     [(M, before)] = seen
-    ref = ref_dense_boundary(g, decoded_two_cells(g))
+    cells = decoded_two_cells(g)
+    ref = ref_dense_boundary(g, cells, ref_search_tree(g, breadth_first=True))
     assert M.shape == ref.shape == (len(g.unoriented_edges()) - g.vertex_count() + 1, len(two_cells(g)))
     assert int((M != 0).sum()) == np.count_nonzero(ref) > 0
     assert M.columns == before
@@ -282,6 +284,11 @@ def test_h1_hands_the_tracer_a_sparse_matrix_it_keeps(monkeypatch):
         for r, x in col.items():
             dense[r, c] = x
     assert (dense == ref).all()
+    # H1 does not depend on the tree: the stack-searched tree gives another
+    # matrix with the same Smith form
+    other = ref_dense_boundary(g, cells, ref_search_tree(g, breadth_first=False))
+    assert other.shape == ref.shape and (other != ref).any()
+    assert ref_factors(other.tolist()) == ref_factors(ref.tolist()) == invariant_factors(M)
 
 
 @settings(max_examples=300, deadline=None)
@@ -379,11 +386,11 @@ def test_walker_matches_the_instance_references(start, seed):
     g = enumerate_graph(flipped(base, seed), radius=radius)
     report = relation_closure_check(g, allow_incomplete=True)
     assert report == ref_relation_closure_check(g, allow_incomplete=True)
-    # each walked instance in the reference's order, with the lowest vertex
-    # of its walks (its far corner included), or None where it is incomplete
-    walked = [(v, kind, arcs, lo) for v, kind, arcs, _, _, _, lo in _walk_relations(g)]
-    assert walked == [
-        (i.base, i.kind, i.arcs,
+    # each walked instance in the reference's order, with both sides' steps
+    # and the lowest vertex of its walks (its far corner included), or None
+    # for both where it is incomplete
+    assert list(_walk_relations(g)) == [
+        (i.base, i.kind, i.arcs, (i.left_steps, i.right_steps) if i.complete else None,
          min(i.left_end, *(v for v, _ in i.left_steps + i.right_steps)) if i.complete else None)
         for i in all_relation_instances(g)
     ]
