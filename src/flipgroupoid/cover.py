@@ -513,7 +513,7 @@ FWD, BWD = 1, -1
 class CoverBall:
     """Radius-truncated covering ball.
 
-    On a surface with an oracle group the ball is grown from
+    Given the surface's oracle group, the ball is grown from
     :func:`voltages` by a breadth-first search over (shadow, group
     element): classes are taken in id order, which is their birth order,
     and moves in :meth:`_number`'s order, each class is born once with the frame
@@ -539,8 +539,7 @@ class CoverBall:
     ``ValueError`` on any other id.
     """
 
-    def __init__(self, graph: ExchangeGraph, base: int, radius: int, budget: int,
-                 solved: tuple | None = None):
+    def __init__(self, graph: ExchangeGraph, base: int, radius: int, budget: int, oracle=None):
         if radius < 1:
             raise ValueError("radius must be >= 1")
         if not 0 <= base < graph.vertex_count():
@@ -549,7 +548,7 @@ class CoverBall:
         self.base = base
         self.radius = radius
         self.budget = budget
-        self._number(*(self._grow() if solved is None else self._grow_voltages(*solved)))
+        self._number(*(self._grow() if oracle is None else self._grow_voltages(*voltages(graph, oracle))))
         self._count_sizes()
         self.nodes = range(sum(self._size.values()))
 
@@ -889,9 +888,9 @@ def build_cover_ball(graph: ExchangeGraph, radius: int, base: int = 0,
     annulus.  Other surfaces get no frames, and a ball grown by relation
     closure.  Either way a graph with a relation instance that does not
     close raises its :class:`CheckFailure`.  ``budget`` bounds the classes
-    born (default ``DEFAULT_BUDGET``, 10^6).  A ``base`` outside
-    0..V-1 raises ``ValueError``.
+    born (default ``DEFAULT_BUDGET``, 10^6).  A radius below 1 or a
+    ``base`` outside 0..V-1 raises ``ValueError`` before any voltage is
+    solved.
     """
-    oracle = oracle_for_surface(graph.surface)
-    solved = None if oracle is None else voltages(graph, oracle)
-    return CoverBall(graph, base, radius, DEFAULT_BUDGET if budget is None else budget, solved)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return CoverBall(graph, base, radius, budget, oracle_for_surface(graph.surface))

@@ -782,10 +782,12 @@ def test_cover_ball_refuses_shallow_graph():
 
 @pytest.mark.parametrize("surface, graph_radius", [(polygon_fan(5), None), (genus_one(1), 3)],
                          ids=["pentagon", "genus_one1"])
-def test_cover_ball_refuses_a_base_that_is_not_a_graph_vertex(surface, graph_radius):
+def test_cover_ball_refuses_a_base_that_is_not_a_graph_vertex(surface, graph_radius, monkeypatch):
     # base -1 used to grow a ball over the last vertex with the base's
-    # frame, and base V to raise an IndexError
+    # frame, and base V to raise an IndexError; both are refused before
+    # any voltage is solved
     g = enumerate_graph(surface, radius=graph_radius)
+    monkeypatch.setattr(cover, "voltages", lambda g, oracle: pytest.fail("voltages solved"))
     last = g.vertex_count() - 1
     for bad in (-1, last + 1):
         with pytest.raises(ValueError, match=rf"^base {bad} is not a graph vertex 0\.\.{last}$"):
