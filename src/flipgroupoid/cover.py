@@ -341,14 +341,19 @@ def frame_transport_move(g: ExchangeGraph, frame: TwistFrame, v: int, k: int, fo
 
 
 def frame_at(g: ExchangeGraph, v: int) -> TwistFrame:
-    """Frame at graph vertex v, transported along the BFS tree from the
-    frame at vertex 0: :func:`disc_start_frame` on a disc, the base frame
-    on the once-marked annulus."""
-    frame = disc_start_frame(g) if g.surface.is_disc else base_frame(g.surface)
+    """Frame at graph vertex v, transported along the BFS tree from
+    :func:`_start_frame`."""
+    frame = _start_frame(g)
     cur = 0
     for k in _bfs_path(g, v):
         cur, frame = frame_transport_move(g, frame, cur, k, forward=True)
     return frame
+
+
+def _start_frame(g: ExchangeGraph) -> TwistFrame:
+    """The frame at vertex 0: :func:`disc_start_frame` on a disc, the base
+    frame on the once-marked annulus."""
+    return disc_start_frame(g) if g.surface.is_disc else base_frame(g.surface)
 
 
 def disc_start_frame(g: ExchangeGraph) -> TwistFrame:
@@ -407,8 +412,8 @@ def voltages(g: ExchangeGraph, oracle) -> tuple[list[TwistFrame], list[list]]:
     """Solve the decorated cover as a voltage graph over the oracle group.
 
     Returns ``(frames, vol)``.  ``frames[v]`` is F_v, the frame transported
-    from :func:`frame_at` ``(g, 0)`` along the BFS tree of
-    :func:`flipgroupoid.exchange._bfs_tree`.
+    from :func:`_start_frame` along the BFS tree of
+    :func:`flipgroupoid.exchange._bfs_tree`, which is built once.
     ``vol[v][k]`` is the canonical word of the group element on the edge
     v --k--> u, None where v has no edge k: cover vertex (v, x) moves
     forward at k to (u, x . vol(v, k)), and its frame is x F_v x^{-1}.
@@ -427,7 +432,7 @@ def voltages(g: ExchangeGraph, oracle) -> tuple[list[TwistFrame], list[list]]:
     instances = [(v, kind, arcs, *sides) for v, kind, arcs, sides, _ in _walk_relations(g) if sides]
     order, parent = _bfs_tree(g)
     frames = [None] * g.vertex_count()
-    frames[0] = TwistFrame.trusted(frame_at(g, 0).entries, oracle)
+    frames[0] = TwistFrame.trusted(_start_frame(g).entries, oracle)
     for u in order[1:]:
         w, k = parent[u]
         frames[u] = frame_transport_move(g, frames[w], w, k)[1]

@@ -5,10 +5,15 @@ their seeds, the rows of the c-matrix sorted (C determines the cluster,
 and B = C B0 C^T; see :mod:`flipgroupoid.seeds`), held as a tuple of int
 tuples and compared as it stands.  Each vertex stores its triangulation
 with arcs relabelled into the canonical order of its seed, so arcs,
-matrix indices and edge labels all agree.  Every unoriented edge stands
-for the 2-cycle of forward mutations joining its endpoints; a directed
-edge (v, k) carries the index transport permutation identifying arcs of v
-with arcs of the target.
+matrix indices and edge labels all agree.  A graph build, enumerated or
+loaded, keeps one copy of each distinct triangulation: off the disc,
+clusters that differ by a mapping class can hold the same labelled
+triangles, and each such vertex shares the triangulation and B of the
+first vertex that holds them, flipped or validated and read once.  Every
+vertex still checks its own B against that B.  Every unoriented edge
+stands for the 2-cycle of forward mutations joining its endpoints; a
+directed edge (v, k) carries the index transport permutation identifying
+arcs of v with arcs of the target.
 
 Relation instances follow the three local shapes at a vertex, read off B
 alone.  Write x for the forward mutation at the tail of arcs i < j (i when
@@ -19,11 +24,12 @@ On a graph stored with its reverses
 the head's two steps go out along an edge and straight back, so a
 dumbbell's closure check cannot fail.  :func:`_walk_relations` is the
 one enumeration of instances: it walks both sides of each once on the
-graph's adjacency table and yields their (vertex, arc) steps, for
-:func:`relation_closure_check`, the relator stream of
-:func:`flipgroupoid.homology.two_cells` and the voltages and closure of
-:mod:`flipgroupoid.cover`, and raises :class:`CheckFailure`, with both
-step paths as its witness, at an instance that does not close.
+graph's adjacency table and yields their (vertex, arc) steps, for the
+relator stream of :func:`flipgroupoid.homology.two_cells` and the
+voltages and closure of :mod:`flipgroupoid.cover`, or records none for
+:func:`relation_closure_check`, which only counts, and raises
+:class:`CheckFailure`, with both step paths as its witness, at an
+instance that does not close.
 :func:`_bfs_tree` is the one spanning tree, which H1 contracts and along
 which the cover transports frames.
 """
@@ -166,7 +172,11 @@ def enumerate_graph(
     the sort's permutation labels the edge.  Only a C' not met before gets
     its B', as :func:`mutate_seed` and the permutation the sort found give
     it, and its triangulation, flipped and relabelled in one pass, whose B
-    must equal B' (else a :class:`CheckFailure` with both matrices).
+    must equal B' (else a :class:`CheckFailure` with both matrices).  The
+    build keeps one triangulation of each distinct triangles, with its B:
+    a flip (triangles, arc, permutation) made before is not made again,
+    and a flip that gives triangles met before is not read again, but B'
+    is built and compared at every new vertex.
 
     ``radius=None`` means full enumeration (only sensible when the graph is
     finite; the vertex budget turns runaway enumerations into a loud
@@ -181,6 +191,11 @@ def enumerate_graph(
     n = base.surface.arc_count
     share = _sharer()
     pairs: dict = {}  # see _perm_pair
+    # the build's memo of triangulations: ``held`` maps each distinct
+    # triangles to the first vertex that holds them, and ``flips`` each
+    # (triangles, arc, perm) flipped to the vertex that holds the result
+    held = {base.triangles: 0}
+    flips: dict = {}
     seed0 = Seed.initial(base.exchange_matrix())  # canonical already: C is the identity
     seed0 = _shared_seed(share, seed0.B, seed0.C)
     vertices = [GraphVertex(base, seed0, 0, False)]
@@ -202,6 +217,7 @@ def enumerate_graph(
                 continue
             C2 = _mutate_c(B, C, k)
             key, order, perm = _sort_c(C2)
+            pair = _perm_pair(pairs, perm, share)
             u = index.get(key)
             if u is None:
                 if len(vertices) >= budget:
@@ -209,17 +225,25 @@ def enumerate_graph(
                         f"vertex budget {budget} exceeded while enumerating"
                     )
                 B2 = _permuted(mutate_seed(vd.seed, k).B, order)
-                tri = vd.triangulation.flip(k, perm)
-                if tri.exchange_matrix() != B2:
-                    raise CheckFailure(f"flip/mutation mismatch at vertex {v}, arc {k}", {
-                        "vertex": v, "arc": k, "flip": tri.exchange_matrix(), "mutation": B2})
                 u = len(vertices)
+                flip = (vd.triangulation.triangles, k, pair[0])
+                w = flips.get(flip)
+                if w is None:
+                    tri = vd.triangulation.flip(k, perm)
+                    w = flips[flip] = held.setdefault(tri.triangles, u)
+                if w == u:
+                    Bt = tri.exchange_matrix()
+                else:  # triangles met before: u shares w's triangulation and B
+                    tri, Bt = vertices[w].triangulation, vertices[w].seed.B
+                if Bt != B2:
+                    raise CheckFailure(f"flip/mutation mismatch at vertex {v}, arc {k}", {
+                        "vertex": v, "arc": k, "flip": Bt, "mutation": B2})
                 seed = _shared_seed(share, B2, key)
                 vertices.append(GraphVertex(tri, seed, vd.depth + 1, False))
                 adj.append([None] * (n + 1))
                 index[seed.C] = u
                 queue.append(u)
-            _link(adj, v, k, u, perm[k - 1], _perm_pair(pairs, perm, share))
+            _link(adj, v, k, u, perm[k - 1], pair)
     return ExchangeGraph(base.surface, vertices, adj, radius)
 
 
@@ -269,61 +293,71 @@ def _relation_pairs(g: ExchangeGraph, v: int) -> Iterator[tuple]:
             yield kind, (i, j), head, tail, plans
 
 
-def _walk(adj: list[list], v: int, a: int, b: int, plan: str):
+def _walk(adj: list[list], v: int, a: int, b: int, plan: str, steps: list | None):
     """Walk forward mutations from v on the adjacency table: 'a' in
     ``plan`` flips the head's transported slot, 'b' the tail's.  Returns
-    (steps, end, a, b, lowest vertex of the walk), each step the (vertex,
-    arc) it leaves from, or None at a missing edge."""
-    steps = []
+    (end, a, b, lowest vertex of the walk), or None at a missing edge;
+    each step, the (vertex, arc) it leaves from, is appended to ``steps``
+    unless that is None."""
     lo = v
     for ch in plan:
         k = a if ch == "a" else b
         step = adj[v][k]
         if step is None:
             return None
-        steps.append((v, k))
+        if steps is not None:
+            steps.append((v, k))
         v, _, perm = step
         a, b = perm[a - 1], perm[b - 1]
         if v < lo:
             lo = v
-    return tuple(steps), v, a, b, lo
+    return v, a, b, lo
 
 
-def _walk_relations(g: ExchangeGraph) -> Iterator[tuple]:
+def _walk_relations(g: ExchangeGraph, steps: bool = True) -> Iterator[tuple]:
     """(v, kind, arcs, sides, lo) for each relation instance at each
     vertex v off the frontier, in vertex order and at each vertex in the
     order of :func:`_relation_pairs`: the library's one enumeration of
     instances, walked once each on ints.
 
-    ``sides`` is (left, right), each side its (vertex, arc) steps in walk
-    order, and ``lo`` the lowest vertex on either side, ends included;
-    both are None when a side meets a missing edge.  An instance closes
+    ``sides`` is (left, right), each side a tuple of its (vertex, arc)
+    steps in walk order, or None when ``steps`` is false; ``lo`` is the
+    lowest vertex on either side, ends included.  ``sides`` and ``lo`` are
+    both None when a side meets a missing edge.  An instance closes
     when both sides end at the same vertex with the head and tail slots
     carried to the same positions, or swapped on a pentagon, whose sides
     flip the pair an odd total number of times.  One whose sides are
     complete but do not close raises :class:`CheckFailure` naming it,
-    with each side's steps and end as its witness.
+    with each side's steps and end as its witness, walked again for them
+    when ``steps`` is false.
     """
     adj = g.adj
     for v in range(len(adj)):
         if g.vertices[v].frontier:
             continue
         for kind, arcs, head, tail, plans in _relation_pairs(g, v):
-            left = _walk(adj, v, head, tail, plans[0])
-            right = _walk(adj, v, head, tail, plans[1])
-            if left is None or right is None:
+            left, right = ([], []) if steps else (None, None)
+            ends = _walk(adj, v, head, tail, plans[0], left)
+            ends2 = _walk(adj, v, head, tail, plans[1], right)
+            if ends is None or ends2 is None:
                 yield v, kind, arcs, None, None
                 continue
-            steps, end, a, b, lo = left
+            end, a, b, lo = ends
             if kind is _PENTAGON:
                 a, b = b, a
-            steps2, end2, a2, b2, lo2 = right
+            end2, a2, b2, lo2 = ends2
             if end != end2 or a != a2 or b != b2:
+                if not steps:
+                    left, right = [], []
+                    _walk(adj, v, head, tail, plans[0], left)
+                    _walk(adj, v, head, tail, plans[1], right)
                 message = f"relation instance {kind.value} at vertex {v}, arcs {arcs} does not close"
                 raise CheckFailure(message, {
                     "kind": kind.value, "vertex": v, "arcs": arcs,
-                    "left": {"steps": steps, "end": end}, "right": {"steps": steps2, "end": end2}})
-            yield v, kind, arcs, (steps, steps2), lo if lo < lo2 else lo2
+                    "left": {"steps": tuple(left), "end": end},
+                    "right": {"steps": tuple(right), "end": end2}})
+            sides = (tuple(left), tuple(right)) if steps else (None, None)
+            yield v, kind, arcs, sides, lo if lo < lo2 else lo2
 
 
 def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> dict:
@@ -343,7 +377,7 @@ def relation_closure_check(g: ExchangeGraph, allow_incomplete: bool = False) -> 
     if g.radius is not None and g.radius < 4 and not allow_incomplete and not g.is_complete():
         raise ValueError("closure check needs radius >= 4")
     checked = incomplete = circuits = 0
-    for _, kind, _, sides, _ in _walk_relations(g):
+    for _, kind, _, sides, _ in _walk_relations(g, steps=False):
         circuits += kind is not _HEX_DUMBBELL
         if sides is None:
             incomplete += 1
@@ -424,11 +458,13 @@ def graph_from_json(data) -> ExchangeGraph:
     the parsed file and the graph are not held at once: the list is empty
     when this returns, and partly cleared when it raises.  The graph keeps
     one copy of each distinct row of B and C, of each B and of each
-    permutation; a vertex's triangulation holds its triangles.  Each distinct
-    permutation is checked and inverted once, at the first edge that
-    carries it; every edge's ends and permutation are checked to be
-    integers first, since True and 1.0 would find the entry of a
-    permutation that holds 1.
+    permutation, and one triangulation of each distinct ``triangles``
+    list: it is validated, and its B read, at the first vertex that lists
+    it, and a later vertex listing it shares that triangulation and must
+    have the same B.  Each distinct permutation is checked and inverted
+    once, at the first edge that carries it; every edge's ends and
+    permutation are checked to be integers first, since True and 1.0
+    would find the entry of a permutation that holds 1.
     """
     surface, radius, records, edges = json_fields(
         data, ("surface", "radius", "vertices", "edges"), "graph file"
@@ -443,6 +479,7 @@ def graph_from_json(data) -> ExchangeGraph:
     n = surface.arc_count
     vertices = []
     index: dict[tuple, int] = {}  # C -> vertex
+    held: dict[tuple, int] = {}  # the triangles' sides in turn -> the first vertex listing them
     share = _sharer()
     for i, vd in enumerate(records):
         records[i] = None
@@ -450,7 +487,9 @@ def graph_from_json(data) -> ExchangeGraph:
             vd, ("triangles", "B", "C", "depth", "frontier"), f"graph vertex {i}"
         )
         try:
-            tri = Triangulation(surface, triangles_json(triangles))
+            flat = tuple(chain.from_iterable(triangles_json(triangles)))
+            w = held.get(flat)
+            tri = Triangulation(surface, triangles) if w is None else vertices[w].triangulation
         except ValueError as exc:
             raise ValueError(f"graph vertex {i}: {exc}") from None
         if not (type(B) is type(C) is list and len(B) == len(C) == n
@@ -462,7 +501,7 @@ def graph_from_json(data) -> ExchangeGraph:
             raise ValueError(f"graph vertex {i}: B and C entries must be integers")
         seed = _shared_seed(share, map(tuple, B), map(tuple, C))
         B, C = seed.B, seed.C
-        if B != tri.exchange_matrix():
+        if B != (tri.exchange_matrix() if w is None else vertices[w].seed.B):
             raise ValueError(f"graph vertex {i}: B is not the exchange matrix of the triangles")
         if len(set(C)) != n:
             raise ValueError(f"graph vertex {i}: duplicate c-vectors; C cannot be unimodular")
@@ -478,6 +517,8 @@ def graph_from_json(data) -> ExchangeGraph:
         if C in index:
             raise ValueError(f"graph vertex {i}: same seed as vertex {index[C]}")
         index[C] = i
+        if w is None:
+            held[flat] = i
         vertices.append(GraphVertex(tri, seed, depth, frontier))
     records.clear()
     adj = [[None] * (n + 1) for _ in vertices]

@@ -756,6 +756,24 @@ def test_voltages_do_not_depend_on_the_order_of_the_instances(surface, graph_rad
     assert backward == forward
 
 
+@pytest.mark.parametrize("surface, graph_radius", [
+    (flip_walk(7, 2), None), (annulus(1, 1), 6),
+], ids=["heptagon-walk", "annulus11"])
+def test_voltages_build_one_bfs_tree(surface, graph_radius, monkeypatch):
+    # the frame at vertex 0 is the start frame, not a transport along a tree
+    g = enumerate_graph(surface, radius=graph_radius)
+    trees = []
+
+    def counted(g):
+        trees.append(g)
+        return exchange._bfs_tree(g)
+
+    monkeypatch.setattr(cover, "_bfs_tree", counted)
+    frames, _ = cover.voltages(g, oracle_for_surface(g.surface))
+    assert trees == [g]
+    assert frames[0] == frame_at(g, 0)
+
+
 @pytest.mark.parametrize("m, radius", [(6, 6), (7, 4)])
 def test_fiber_report_matches_the_scan_of_every_class(m, radius):
     g = enumerate_graph(polygon_fan(m))

@@ -6,10 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flipgroupoid import exchange, seeds
 from flipgroupoid.exchange import (
+    CheckFailure,
     RelationKind,
     TruncationError,
     _relation_pairs,
+    _walk_relations,
     enumerate_graph,
     export_dot,
     graph_from_json,
@@ -335,6 +338,101 @@ def test_an_enumerated_polygon_10_retains_under_1600_bytes_per_vertex():
         tracemalloc.stop()
     assert g.vertex_count() == 1430
     assert retained < 1600 * g.vertex_count()
+
+
+def _memo_hits(g):
+    """(u, v, k) of the first vertex u whose triangles an earlier vertex
+    holds, then of the first made by a flip (triangles, arc, perm) made
+    before; u was made by the flip of v at arc k, v its lowest neighbour
+    and k the lowest arc of v to u."""
+    held, flips, hits = {g.vertices[0].triangulation.triangles}, set(), [None, None]
+    for u in range(1, g.vertex_count()):
+        v = min(step[0] for step in g.adj[u] if step is not None)
+        k = next(k for k, step in enumerate(g.adj[v]) if step is not None and step[0] == u)
+        triangles = g.vertices[u].triangulation.triangles
+        flip = (g.vertices[v].triangulation.triangles, k, g.adj[v][k][2])
+        for i, met in enumerate((triangles in held, flip in flips)):
+            if met and hits[i] is None:
+                hits[i] = (u, v, k)
+        held.add(triangles)
+        flips.add(flip)
+    return hits
+
+
+def test_one_triangulation_and_one_b_per_distinct_triangles(genus_one_r10_file):
+    # 4,381 clusters hold 24 distinct triangles: each build keeps one
+    # triangulation of each, with the one shared B of its seeds
+    for g in (enumerate_graph(genus_one(1), radius=10), graph_from_json(json.loads(genus_one_r10_file))):
+        assert g.vertex_count() == 4381
+        held = {id(vd.triangulation): vd.triangulation.triangles for vd in g.vertices}
+        assert len(held) == len(set(held.values())) == 24
+        assert len({(id(vd.triangulation), id(vd.seed.B)) for vd in g.vertices}) == 24
+
+
+def _negated(B):
+    return tuple(tuple(-x for x in row) for row in B)
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda rec: rec.update(B=[[-x for x in row] for row in rec["B"]]),
+     "B is not the exchange matrix of the triangles"),
+    (lambda rec: rec["triangles"][0].__setitem__(0, "c1"), "malformed edge label 'c1'"),
+], ids=["B", "triangles"])
+def test_a_loaded_vertex_that_repeats_triangles_is_checked(corrupt, named):
+    g = enumerate_graph(genus_one(1), radius=3)
+    (u, _, _), _ = _memo_hits(g)
+    data = json.loads(json.dumps(graph_to_json(g)))
+    corrupt(data["vertices"][u])
+    with pytest.raises(ValueError) as caught:
+        graph_from_json(data)
+    assert str(caught.value) == f"graph vertex {u}: {named}"
+
+
+@pytest.mark.parametrize("hit", [0, 1], ids=["triangles-held", "flip-made"])
+def test_flip_equals_mutation_is_checked_at_a_memo_hit(hit, monkeypatch):
+    g = enumerate_graph(genus_one(1), radius=3)
+    u, v, k = _memo_hits(g)[hit]
+    mutate, calls = seeds._mutate, []
+
+    def corrupt_at_u(B, k):
+        # mutate_seed runs once for each new vertex, so call u makes vertex u
+        calls.append(k)
+        return _negated(mutate(B, k)) if len(calls) == u else mutate(B, k)
+
+    monkeypatch.setattr(seeds, "_mutate", corrupt_at_u)
+    with pytest.raises(CheckFailure) as caught:
+        enumerate_graph(genus_one(1), radius=3)
+    assert str(caught.value) == f"flip/mutation mismatch at vertex {v}, arc {k}"
+    B = g.vertices[u].seed.B
+    assert caught.value.detail == {"vertex": v, "arc": k, "flip": B, "mutation": _negated(B)}
+
+
+def test_the_closure_check_records_no_steps(monkeypatch):
+    walk, given = exchange._walk, set()
+
+    def spy(adj, v, a, b, plan, steps):
+        given.add(steps)
+        return walk(adj, v, a, b, plan, steps)
+
+    monkeypatch.setattr(exchange, "_walk", spy)
+    assert relation_closure_check(enumerate_graph(polygon_fan(7)))["instances"] == 252
+    assert given == {None}
+
+
+def test_an_open_instance_has_one_witness_with_steps_or_without():
+    # the polygon-6 file of the CLI's open-pentagon test: the targets of
+    # edges 0 and 7 swapped
+    data = json.loads(json.dumps(graph_to_json(enumerate_graph(polygon_fan(6)))))
+    edges = data["edges"]
+    edges[0]["ends"][2], edges[7]["ends"][2] = edges[7]["ends"][2], edges[0]["ends"][2]
+    bad = graph_from_json(data)
+    witnesses = []
+    for steps in (True, False):
+        with pytest.raises(CheckFailure) as caught:
+            list(_walk_relations(bad, steps))
+        witnesses.append((str(caught.value), caught.value.detail))
+    assert witnesses[0] == witnesses[1]
+    assert len(witnesses[0][1]["left"]["steps"]) == 2  # the pentagon's side "ba"
 
 
 # (base, radius) of the graphs the C-keyed BFS is checked on: fans and
