@@ -328,8 +328,7 @@ def _walk_relations(g: ExchangeGraph, steps: bool = True) -> Iterator[tuple]:
     carried to the same positions, or swapped on a pentagon, whose sides
     flip the pair an odd total number of times.  One whose sides are
     complete but do not close raises :class:`CheckFailure` naming it,
-    with each side's steps and end as its witness, walked again for them
-    when ``steps`` is false.
+    with each side's steps, walked again for them, and end as its witness.
     """
     adj = g.adj
     for v in range(len(adj)):
@@ -347,10 +346,9 @@ def _walk_relations(g: ExchangeGraph, steps: bool = True) -> Iterator[tuple]:
                 a, b = b, a
             end2, a2, b2, lo2 = ends2
             if end != end2 or a != a2 or b != b2:
-                if not steps:
-                    left, right = [], []
-                    _walk(adj, v, head, tail, plans[0], left)
-                    _walk(adj, v, head, tail, plans[1], right)
+                left, right = [], []
+                _walk(adj, v, head, tail, plans[0], left)
+                _walk(adj, v, head, tail, plans[1], right)
                 message = f"relation instance {kind.value} at vertex {v}, arcs {arcs} does not close"
                 raise CheckFailure(message, {
                     "kind": kind.value, "vertex": v, "arcs": arcs,

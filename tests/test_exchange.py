@@ -12,7 +12,6 @@ from flipgroupoid.exchange import (
     RelationKind,
     TruncationError,
     _relation_pairs,
-    _walk_relations,
     enumerate_graph,
     export_dot,
     graph_from_json,
@@ -417,22 +416,6 @@ def test_the_closure_check_records_no_steps(monkeypatch):
     monkeypatch.setattr(exchange, "_walk", spy)
     assert relation_closure_check(enumerate_graph(polygon_fan(7)))["instances"] == 252
     assert given == {None}
-
-
-def test_an_open_instance_has_one_witness_with_steps_or_without():
-    # the polygon-6 file of the CLI's open-pentagon test: the targets of
-    # edges 0 and 7 swapped
-    data = json.loads(json.dumps(graph_to_json(enumerate_graph(polygon_fan(6)))))
-    edges = data["edges"]
-    edges[0]["ends"][2], edges[7]["ends"][2] = edges[7]["ends"][2], edges[0]["ends"][2]
-    bad = graph_from_json(data)
-    witnesses = []
-    for steps in (True, False):
-        with pytest.raises(CheckFailure) as caught:
-            list(_walk_relations(bad, steps))
-        witnesses.append((str(caught.value), caught.value.detail))
-    assert witnesses[0] == witnesses[1]
-    assert len(witnesses[0][1]["left"]["steps"]) == 2  # the pentagon's side "ba"
 
 
 # (base, radius) of the graphs the C-keyed BFS is checked on: fans and
