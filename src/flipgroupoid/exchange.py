@@ -6,14 +6,14 @@ and B = C B0 C^T; see :mod:`flipgroupoid.seeds`), held as a tuple of int
 tuples and compared as it stands.  Each vertex stores its triangulation
 with arcs relabelled into the canonical order of its seed, so arcs,
 matrix indices and edge labels all agree.  A graph build, enumerated or
-loaded, keeps one copy of each distinct triangulation: off the disc,
+loaded, keeps one copy of each distinct triangulation.  Off the disc,
 clusters that differ by a mapping class can hold the same labelled
-triangles, and each such vertex shares the triangulation and B of the
-first vertex that holds them, flipped or validated and read once.  Every
-vertex still checks its own B against that B.  Every unoriented edge
-stands for the 2-cycle of forward mutations joining its endpoints; a
-directed edge (v, k) carries the index transport permutation identifying
-arcs of v with arcs of the target.
+triangles: B is read from them (and, when loading, they are validated)
+at the first vertex that holds them, and each later one shares that
+triangulation and B and checks its own B against it.  Every unoriented
+edge stands for the 2-cycle of forward mutations joining its endpoints;
+a directed edge (v, k) carries the index transport permutation
+identifying arcs of v with arcs of the target.
 
 Relation instances follow the three local shapes at a vertex, read off B
 alone.  Write x for the forward mutation at the tail of arcs i < j (i when
